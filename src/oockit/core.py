@@ -90,9 +90,17 @@ def translate(codeword: Codeword, shift: int, m: int) -> Codeword:
 def normalize(codeword: Codeword, m: int) -> Codeword:
     """Lexicographically least slot-translation of the codeword.
 
-    Idempotent, and constant on each translation orbit.
+    Idempotent, and constant on each translation orbit.  Slots are reduced
+    mod m.  Every translate keeps the rows, so the first cell of the least
+    one is (r0, 0) with r0 the lowest row: the least translate moves some
+    cell (r0, s) to slot 0.  So the only candidate shifts are -s for the
+    cells of row r0: at most k of them, not all m.  The empty codeword
+    normalizes to ().
     """
-    return min(translate(codeword, s, m) for s in range(m))
+    if not codeword:
+        return ()
+    r0 = min(r for r, _ in codeword)
+    return min(translate(codeword, -s, m) for r, s in codeword if r == r0)
 
 
 def codeword_rows(codeword: Codeword) -> tuple[int, ...]:

@@ -12,6 +12,7 @@ import itertools
 import random
 import time
 from collections import Counter
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 
 from .core import Code, CodeParams, Codeword, make_codeword, normalize
@@ -314,35 +315,51 @@ def _max_packing(
         return best, False
 
 
+def _orbit_representatives(n: int, m: int, k: int) -> Iterator[Codeword]:
+    """Normalized weight-k codewords on I_n x Z_m, one per translation orbit.
+
+    A normalized codeword starts with (r0, 0), r0 its lowest row, so only
+    (r0, 0) plus k - 1 later cells of rows >= r0 are tried, and a codeword is
+    kept when it is its own normal form.  Yields them in lexicographic order.
+    """
+    for r0 in range(n):
+        later = [(i, x) for i in range(r0, n) for x in range(m)][1:]
+        for rest in itertools.combinations(later, k - 1):
+            cw = ((r0, 0),) + rest
+            if normalize(cw, m) == cw:
+                yield cw
+
+
 def optimal_search(
     n: int, m: int, lambda_a: int = 2, config: SearchConfig | None = None, k: int = 3
 ) -> SearchOutcome:
     """Exhaustive maximum-size (n x m, k, lambda_a, 1) code by backtracking.
 
-    Codewords are enumerated once per translation orbit; the code is
-    assembled in lexicographic order, which breaks the slot-shift symmetry.
+    The candidates are the translation-orbit representatives, enumerated
+    directly (`_orbit_representatives`) rather than by normalizing every
+    k-subset of cells; the code is assembled in lexicographic order, which
+    breaks the slot-shift symmetry.  The time budget covers this setup too:
+    when it runs out there, the empty code returns, not proven optimal.
     """
     config = config or SearchConfig()
     budget = _Budget(config)
     params = CodeParams(n, m, k, lambda_a, 1)
-    cells = [(i, x) for i in range(n) for x in range(m)]
-    seen: set[Codeword] = set()
-    for combo in itertools.combinations(cells, k):
-        seen.add(normalize(make_codeword(combo), m))
-    candidates = []
-    for cw in sorted(seen):
+    pure_bits, mixed_bits, _ = _class_maps(n, m)
+    candidates, masks, usage = [], [], []
+    for idx, cw in enumerate(_orbit_representatives(n, m, k)):
+        # the clock is read once per 1024 candidates and adds no nodes, so a
+        # search that finishes reports the same outcome as without the check
+        if idx % 1024 == 1023 and time.monotonic() > budget.deadline:
+            return SearchOutcome(Code(params, []), 0, False, budget.nodes, budget.elapsed())
         pure: Counter = Counter()
         for (i, x), (j, y) in itertools.permutations(cw, 2):
             if i == j:
                 pure[(x - y) % m] += 1
         if max(pure.values(), default=0) <= lambda_a:
+            mask, p, q = _codeword_mask(cw, m, pure_bits, mixed_bits)
             candidates.append(cw)
-    pure_bits, mixed_bits, _ = _class_maps(n, m)
-    masks, usage = [], []
-    for cw in candidates:
-        mask, p, q = _codeword_mask(cw, m, pure_bits, mixed_bits)
-        masks.append(mask)
-        usage.append((p, q))
+            masks.append(mask)
+            usage.append((p, q))
     chosen, complete = _max_packing(
         masks, usage, len(pure_bits), len(mixed_bits), budget
     )

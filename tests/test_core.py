@@ -1,7 +1,7 @@
 from collections import Counter
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from oockit.core import (
     Code,
@@ -177,7 +177,28 @@ def codeword_and_params(draw, max_n=3, max_m=12, k=3):
     return make_codeword(cells), CodeParams(n, m, k)
 
 
+@st.composite
+def codeword_with_crowded_lowest_row(draw):
+    """Up to three cells on the lowest row, up to three above it, slots up to 3m."""
+    m = draw(st.integers(1, 16))
+    r0 = draw(st.integers(0, 2))
+    low = draw(st.sets(st.integers(0, 3 * m), max_size=3))
+    high = draw(
+        st.sets(st.tuples(st.integers(r0 + 1, r0 + 3), st.integers(0, 3 * m)), max_size=3)
+    )
+    return make_codeword([(r0, s) for s in low] + list(high)), m
+
+
 class TestProperties:
+    @given(codeword_with_crowded_lowest_row())
+    @example(((), 1))
+    @example(((), 7))
+    @example((make_codeword(((0, 0), (0, 3), (1, 5))), 1))
+    @example((make_codeword(((1, 9), (1, 13), (1, 20), (2, 4))), 8))
+    def test_normalize_matches_scan_over_all_shifts(self, pair):
+        w, m = pair
+        assert normalize(w, m) == min(translate(w, s, m) for s in range(m))
+
     @given(codeword_and_params(), st.integers(0, 30))
     def test_profile_translation_invariant(self, pair, shift):
         w, params = pair

@@ -1,0 +1,46 @@
+"""Byte-identical CLI output for a fixed golden set of small commands.
+
+Each hash is the sha256 of stdout, recorded before `core.normalize` and the
+candidate enumeration of `optimal_search` were rewritten.  Search commands
+use `--format text`, because their JSON carries `elapsed_ms`.
+"""
+
+import contextlib
+import hashlib
+import io
+
+import pytest
+
+from oockit.cli import main
+
+GOLDEN = {
+    "construct 3xm --m 24": "ab9e855c03174eed60c15426335bd54d9b781012771d8e7b395ba6f98406f25b",
+    "construct 2xm --m 16": "56f020ccbbc07a60186aff043e53063eed39e5b80bb070a620e07cc3bc8fa58d",
+    "construct equi2mod4 --m 18": "058bb5d98f8bcd5f236804ee930fb6d93e4e09bc90ac1111c0ef56f4ee9958d2",
+    "construct gregular4g --g 5": "79a2fb68ce14af57d184f4f47568c1dfe6ec41e6494c2fd782dd62615daee743",
+    "construct power4 --s 1 --r 6": "d662fb853bfe0da1b1490894ba3dab0b60c641bdd0a269db889d6413e08646c3",
+    "construct tight --r 13": "316fd2a4373e7ce1b471d5fcff95ba1059e7dce4e113b760eccf314e1af68a35",
+    "construct prime --p 7 --s 1": "87b7b0e22f3ab93a0dd8797c0c0d6c7b020f4c45c0e76fd91eb72f51d3bfb7fd",
+    "construct explicit --id 3x8": "3119a9fe790ec480ed6d5af737f1fe6b0792aa4b741ab48e9fb46f37cb5f96d7",
+    # seed 3 finds the design in ~0.05 s; the default seed takes ~1.5 s
+    "construct nxm --n 12 --m 8 --budget-seconds 30 --strategy exact_cover --seed 3": (
+        "097507ce4f4203611645aaf77a9dc96941e478b3a8562eb43eec4f15305caabf"
+    ),
+    "construct 3xm --m 24 --format matrix": (
+        "86354f3aba98aec91e2ad6b21fd7b49a1ea9da7d6e3b3065d783b60db29f331a"
+    ),
+    "search optimal --n 2 --m 6 --format text": (
+        "967138773f014833d923c97a559949000ead4798ecfa59767ab8ee673d52cad6"
+    ),
+    "search tight --m 13 --format text": (
+        "46fdb7c1fade8be6a19517fd7698e1f9b5fac7b6e0470e2a77dec8cf3da17904"
+    ),
+}
+
+
+@pytest.mark.parametrize("command", list(GOLDEN))
+def test_output_is_byte_identical(command):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main(command.split()) == 0
+    assert hashlib.sha256(out.getvalue().encode()).hexdigest() == GOLDEN[command]

@@ -1,12 +1,16 @@
+import itertools
+import time
+
 import pytest
 
 from oockit.bounds import cac_optimal_size, me_prime, psi_e_exact
-from oockit.core import make_codeword
+from oockit.core import make_codeword, normalize
 from oockit.search import (
     EXACT_COVER,
     HILL_CLIMB,
     GddBaseBlocks,
     SearchConfig,
+    _orbit_representatives,
     equi_search,
     gdd_search,
     optimal_search,
@@ -47,6 +51,26 @@ class TestOptimalSearch:
         a = optimal_search(2, 6, 2)
         b = optimal_search(2, 6, 2)
         assert a.best.codewords == b.best.codewords and a.nodes == b.nodes
+
+    @pytest.mark.parametrize("n, m, size, nodes", [(2, 10, 7, 65739), (3, 5, 8, 220)])
+    def test_node_counts_unchanged(self, n, m, size, nodes):
+        # figures of the search that normalized every k-subset of cells
+        out = optimal_search(n, m)
+        assert (out.best_size, out.nodes, out.proven_optimal) == (size, nodes, True)
+
+    def test_budget_covers_setup(self):
+        start = time.monotonic()
+        out = optimal_search(6, 60, 2, SearchConfig(time_budget=0.2))
+        assert time.monotonic() - start < 1.5
+        assert (out.best_size, out.proven_optimal, out.best.codewords) == (0, False, [])
+
+
+@pytest.mark.parametrize("n, m", [(1, 12), (2, 10), (3, 8), (4, 5)])
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_orbit_representatives_match_normalized_subsets(n, m, k):
+    cells = [(i, x) for i in range(n) for x in range(m)]
+    expected = sorted({normalize(make_codeword(c), m) for c in itertools.combinations(cells, k)})
+    assert list(_orbit_representatives(n, m, k)) == expected
 
 
 class TestEquiSearch:
