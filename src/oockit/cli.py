@@ -22,6 +22,8 @@ from .document import (
     render_matrix,
 )
 from .search import (
+    EXACT_COVER,
+    HILL_CLIMB,
     GddBaseBlocks,
     SearchConfig,
     equi_search,
@@ -41,63 +43,45 @@ def _err(message: str) -> None:
     print(message, file=sys.stderr)
 
 
-def _result_document(res: construct.ConstructionResult, provenance: str) -> dict:
-    return code_to_document(
-        res.code,
-        {
-            "branch": res.branch,
-            "claimed_size": res.claimed_size,
-            "claimed_leave": res.claimed_leave,
-            "verified": res.verified,
-            "provenance": provenance,
-        },
-    )
+# flags of `construct` in provenance order; the search flags never enter it
+FLAGS = ("n", "m", "g", "s", "r", "p", "id", "variant")
+SEARCH_FLAGS = ("budget_seconds", "node_budget", "seed", "strategy")
 
-
-def _emit_result(res: construct.ConstructionResult, args) -> int:
-    parts = [f"construct {args.family}"]
-    for name in ("n", "m", "g", "s", "r", "p", "id"):
-        value = getattr(args, name, None)
-        if value is not None:
-            parts.append(f"--{name} {value}")
-    if args.family == "power4":
-        parts.append(f"--variant {args.variant}")
-    doc = _result_document(res, " ".join(parts))
-    if args.format == "matrix":
-        print(render_matrix(res.code))
-    else:
-        print(render_json(doc))
-    return EXIT_OK
+# family -> (builder in `construct`, required flags, optional flags with their
+# defaults).  The builder gets the flags in this order, positionally; an
+# optional flag that is unset and has no default is left out.  Search flags
+# reach the builder as one SearchConfig, last, and only when one is set.
+FAMILIES = {
+    "equi2mod4": ("equi_2mod4", ("m",), {}),
+    "gregular4g": ("g_regular_4g", ("g",), {}),
+    "power4": ("equi_power4", ("s", "r"), {"variant": construct.STANDARD}),
+    "tight": ("tight_derived", ("r",), {"s": None}),
+    "prime": ("prime_derived", ("p",), {"s": None}),
+    "explicit": ("explicit_code", ("id",), {}),
+    "2xm": ("ooc_2xm", ("m",), {}),
+    "3xm": ("ooc_3xm", ("m",), {}),
+    "nxm": ("compose_0mod3", ("n", "m"), dict.fromkeys(SEARCH_FLAGS)),
+}
 
 
 def cmd_construct(args) -> int:
-    fam = args.family
+    builder, required, optional = FAMILIES[args.family]
+    taken = (*required, *optional)
+    unused = [f for f in FLAGS + SEARCH_FLAGS if getattr(args, f) is not None and f not in taken]
+    if unused:
+        _err(f"error: family {args.family!r} does not take --{unused[0].replace('_', '-')}")
+        return EXIT_USAGE
     try:
-        if fam == "equi2mod4":
-            res = construct.equi_2mod4(_require(args, "m"))
-        elif fam == "gregular4g":
-            res = construct.g_regular_4g(_require(args, "g"))
-        elif fam == "power4":
-            res = construct.equi_power4(
-                _require(args, "s"), _require(args, "r"), args.variant
-            )
-        elif fam == "tight":
-            res = construct.tight_derived(_require(args, "r"), args.s or 0)
-        elif fam == "prime":
-            res = construct.prime_derived(_require(args, "p"), args.s or 0)
-        elif fam == "explicit":
-            if not args.id:
-                raise UnsupportedParameterError("explicit needs --id")
-            res = construct.explicit_code(args.id)
-        elif fam == "2xm":
-            res = construct.ooc_2xm(_require(args, "m"))
-        elif fam == "3xm":
-            res = construct.ooc_3xm(_require(args, "m"))
-        elif fam == "nxm":
-            config = _search_config(args) if args.budget_seconds else None
-            res = construct.compose_0mod3(_require(args, "n"), _require(args, "m"), config)
-        else:
-            raise UnsupportedParameterError(f"unknown family {fam!r}")
+        given = {flag: _require(args, flag) for flag in required}
+        for flag, default in optional.items():
+            value = default if getattr(args, flag) is None else getattr(args, flag)
+            if value is not None:
+                given[flag] = value
+        params = [value for flag, value in given.items() if flag not in SEARCH_FLAGS]
+        search = {flag: value for flag, value in given.items() if flag in SEARCH_FLAGS}
+        if search:
+            params.append(_search_config(**search))
+        res = getattr(construct, builder)(*params)
     except (UnsupportedParameterError, ValueError) as exc:
         _err(f"error: {exc}")
         return EXIT_USAGE
@@ -109,7 +93,19 @@ def cmd_construct(args) -> int:
     except SearchExhausted as exc:
         _err(f"search exhausted: {exc}")
         return EXIT_CONSTRUCTION_FAIL
-    return _emit_result(res, args)
+    if args.format == "matrix":
+        print(render_matrix(res.code))
+        return EXIT_OK
+    flags = [f"--{flag} {given[flag]}" for flag in FLAGS if flag in given]
+    meta = {
+        "branch": res.branch,
+        "claimed_size": res.claimed_size,
+        "claimed_leave": res.claimed_leave,
+        "verified": res.verified,
+        "provenance": " ".join([f"construct {args.family}", *flags]),
+    }
+    print(render_json(code_to_document(res.code, meta)))
+    return EXIT_OK
 
 
 def _require(args, name: str) -> int:
@@ -195,17 +191,19 @@ def _need(value, flag: str):
     return value
 
 
-def _search_config(args) -> SearchConfig:
+def _search_config(
+    budget_seconds=None, node_budget=None, seed=None, strategy=None
+) -> SearchConfig:
     return SearchConfig(
-        time_budget=args.budget_seconds or 60.0,
-        node_budget=args.node_budget or 10**9,
-        strategy=args.strategy or "exhaustive",
-        seed=args.seed or 0,
+        time_budget=budget_seconds or 60.0,
+        node_budget=node_budget or 10**9,
+        strategy=strategy or EXACT_COVER,
+        seed=seed or 0,
     )
 
 
 def cmd_search(args) -> int:
-    config = _search_config(args)
+    config = _search_config(**{flag: getattr(args, flag) for flag in SEARCH_FLAGS})
     try:
         if args.kind == "optimal":
             outcome = optimal_search(
@@ -320,13 +318,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     pc = sub.add_parser("construct", help="emit a verified code as JSON")
-    pc.add_argument(
-        "family",
-        choices=[
-            "equi2mod4", "gregular4g", "power4", "tight", "prime",
-            "explicit", "2xm", "3xm", "nxm",
-        ],
-    )
+    pc.add_argument("family", choices=list(FAMILIES))
     pc.add_argument("--n", type=int)
     pc.add_argument("--m", type=int)
     pc.add_argument("--g", type=int)
@@ -334,7 +326,7 @@ def build_parser() -> argparse.ArgumentParser:
     pc.add_argument("--r", type=int)
     pc.add_argument("--p", type=int)
     pc.add_argument("--id", type=str)
-    pc.add_argument("--variant", choices=["standard", "half_free"], default="standard")
+    pc.add_argument("--variant", choices=[construct.STANDARD, construct.HALF_FREE])
     _add_search_flags(pc)
     _add_format(pc, ["json", "matrix"])
     pc.set_defaults(func=cmd_construct)
@@ -373,10 +365,7 @@ def _add_search_flags(p) -> None:
     p.add_argument("--budget-seconds", dest="budget_seconds", type=float)
     p.add_argument("--node-budget", dest="node_budget", type=int)
     p.add_argument("--seed", type=int)
-    p.add_argument(
-        "--strategy",
-        choices=["exhaustive", "branch_and_bound", "exact_cover", "hill_climb_restart"],
-    )
+    p.add_argument("--strategy", choices=[EXACT_COVER, HILL_CLIMB])
 
 
 def _add_format(p, choices) -> None:

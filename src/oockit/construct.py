@@ -1,9 +1,12 @@
-"""Constructions for optimal codes; every output re-verifies before returning.
+"""Constructions for optimal codes; every public result is verified once.
 
-Each family asserts its claimed size (and, for 1-D codes, its claimed
-difference leave) against what was actually built.  A mismatch raises
-VerificationFailure rather than repairing anything silently, so
-transcription slips cannot leak out as codes.
+Private builders only return a Code.  Each public family verifies the code
+it returns once and asserts its claimed size (and, for 1-D codes, its
+claimed difference leave); internal stages are not verified on their own.
+The final code holds every stage's codewords scaled by a power of 4, and
+scaling maps differences injectively, so a faulty stage fails that check.
+A mismatch raises VerificationFailure rather than repairing anything
+silently, so transcription slips cannot leak out as codes.
 """
 
 from __future__ import annotations
@@ -74,18 +77,27 @@ def _odds(lo: int, hi: int) -> list[int]:
     return list(range(start, hi + 1, 2))
 
 
-def _triple(m: int, a: int, row: int = 0) -> Codeword:
-    """The codeword {0, a, 2a} on the given row of Z_m."""
-    return make_codeword(((row, 0), (row, a % m), (row, 2 * a % m)))
+def _triple(m: int, a: int) -> Codeword:
+    """The codeword {0, a, 2a} of Z_m."""
+    return make_codeword(((0, 0), (0, a % m), (0, 2 * a % m)))
 
 
-def _one_row_code(m: int, generators, lambda_a: int = 2) -> Code:
-    return Code(CodeParams(1, m, 3, lambda_a, 1), [_triple(m, a) for a in generators])
+def _one_row_code(m: int, generators) -> Code:
+    return Code(CodeParams(1, m, 3, 2, 1), [_triple(m, a) for a in generators])
+
+
+def _add(cws: list[Codeword], m: int, *cells) -> None:
+    """Append the codeword of the given cells, slots reduced mod m."""
+    cws.append(make_codeword((r, s % m) for r, s in cells))
 
 
 # ---------------------------------------------------------------------------
 # equi-difference 1-D families
 # ---------------------------------------------------------------------------
+
+
+def _equi_2mod4_code(m: int) -> Code:
+    return _one_row_code(m, _odds(1, m // 2 - 2))
 
 
 def equi_2mod4(m: int) -> ConstructionResult:
@@ -95,8 +107,12 @@ def equi_2mod4(m: int) -> ConstructionResult:
     """
     if m % 4 != 2:
         raise UnsupportedParameterError(f"family needs m = 2 (mod 4), got {m}")
-    code = _one_row_code(m, _odds(1, m // 2 - 2))
-    return _finalize(code, (m - 2) // 4, {m // 2}, "equi/2mod4")
+    return _finalize(_equi_2mod4_code(m), (m - 2) // 4, {m // 2}, "equi/2mod4")
+
+
+def _g_regular_code(g: int) -> Code:
+    gens = _odds(g + 1, 2 * g - 1) if g % 2 == 0 else _odds(g, 2 * g - 1)
+    return _one_row_code(4 * g, gens)
 
 
 def g_regular_4g(g: int) -> ConstructionResult:
@@ -107,13 +123,17 @@ def g_regular_4g(g: int) -> ConstructionResult:
     """
     if g < 1:
         raise ValueError(f"need g >= 1, got {g}")
-    m = 4 * g
-    gens = _odds(g + 1, 2 * g - 1) if g % 2 == 0 else _odds(g, 2 * g - 1)
-    leave = set(_odds(1, g - 1)) | set(_odds(3 * g + 1, 4 * g - 1)) | {
-        4 * t for t in range(1, g)
-    }
-    code = _one_row_code(m, gens)
-    return _finalize(code, (g + 1) // 2, leave, "gregular/4g")
+    leave = _power4_tail(1, g) | {4 * t for t in range(1, g)}
+    return _finalize(_g_regular_code(g), (g + 1) // 2, leave, "gregular/4g")
+
+
+def _fill_code(outer: Code, inner: Code) -> Code:
+    """The outer codewords plus the inner ones scaled by m/g."""
+    m = outer.params.m
+    w = m // inner.params.m
+    scaled = [make_codeword(((0, (w * s) % m) for _, s in cw)) for cw in inner.codewords]
+    lam = max(outer.params.lambda_a, inner.params.lambda_a)
+    return Code(CodeParams(1, m, 3, lam, 1), list(outer.codewords) + scaled)
 
 
 def fill_regular(outer: ConstructionResult, inner: ConstructionResult) -> ConstructionResult:
@@ -136,17 +156,24 @@ def fill_regular(outer: ConstructionResult, inner: ConstructionResult) -> Constr
     if not (outer_facts.is_equi_difference and inner_facts.is_equi_difference):
         raise ValueError("filling requires equi-difference inputs")
     w = m // g
-    scaled = [
-        make_codeword(((0, (w * s) % m) for _, s in cw)) for cw in inner.code.codewords
-    ]
-    lam = max(outer.code.params.lambda_a, inner.code.params.lambda_a)
-    code = Code(CodeParams(1, m, 3, lam, 1), list(outer.code.codewords) + scaled)
     subgroup = {w * t for t in range(1, g)}
     leave = (set(outer_facts.difference_leave) - subgroup) | {
         (w * d) % m for d in inner_facts.difference_leave
     }
     size = outer.code.size() + inner.code.size()
-    return _finalize(code, size, leave, f"fill/{g}regular")
+    return _finalize(_fill_code(outer.code, inner.code), size, leave, f"fill/{g}regular")
+
+
+def _quadruple_code(code: Code) -> Code:
+    """The g-regular code on Z_{4g} filled with a code on Z_g."""
+    return _fill_code(_g_regular_code(code.params.m), code)
+
+
+def _tower(code: Code, s: int) -> Code:
+    """Quadruple a code s times: Z_g grows to Z_{4^s g}."""
+    for _ in range(s):
+        code = _quadruple_code(code)
+    return code
 
 
 def quadruple(inner: ConstructionResult) -> ConstructionResult:
@@ -155,17 +182,15 @@ def quadruple(inner: ConstructionResult) -> ConstructionResult:
     The carrier is the g-regular family on Z_{4g}; adds ceil(g/2) codewords
     and turns the leave L into 4.L plus two odd intervals.
     """
+    if not inner.verified:
+        raise ValueError("quadrupling requires a verified input")
+    inner_facts = structural_facts(inner.code)
+    if not inner_facts.is_equi_difference:
+        raise ValueError("quadrupling requires an equi-difference input")
     g = inner.code.params.m
-    m = 4 * g
-    res = fill_regular(g_regular_4g(g), inner)
-    inner_leave = structural_facts(inner.code).difference_leave
-    leave = (
-        {(4 * d) % m for d in inner_leave}
-        | set(_odds(1, g - 1))
-        | set(_odds(3 * g + 1, 4 * g - 1))
-    )
-    size = (m + 7) // 8 + inner.code.size()
-    return _finalize(res.code, size, leave, "quadruple")
+    leave = {4 * d for d in inner_facts.difference_leave} | _power4_tail(1, g)
+    size = (g + 1) // 2 + inner.code.size()
+    return _finalize(_quadruple_code(inner.code), size, leave, "quadruple")
 
 
 def _power4_tail(s: int, r: int) -> set[int]:
@@ -181,6 +206,21 @@ def _power4_tail(s: int, r: int) -> set[int]:
 
 STANDARD = "standard"
 HALF_FREE = "half_free"
+
+
+def _power4_code(s: int, r: int, variant: str) -> Code:
+    """The tower over the 2 (mod 4) code on Z_r.
+
+    The half-free variant swaps {0, 3r/2, 3r} for {0, r, 2r} after the
+    first quadrupling.
+    """
+    code = _equi_2mod4_code(r)
+    if variant == HALF_FREE:
+        code = _quadruple_code(code)
+        code.codewords.remove(_triple(4 * r, 3 * r // 2))
+        code.codewords.append(_triple(4 * r, r))
+        s -= 1
+    return _tower(code, s)
 
 
 def equi_power4(s: int, r: int, variant: str = STANDARD) -> ConstructionResult:
@@ -199,22 +239,11 @@ def equi_power4(s: int, r: int, variant: str = STANDARD) -> ConstructionResult:
     size = (2 ** (2 * s + 1) * r + r - 6) // 12
     half = r // 2
     if variant == STANDARD:
-        res = equi_2mod4(r)
-        for _ in range(s):
-            res = quadruple(res)
-        leave = {half * 4**s} | _power4_tail(s, r)
-        return _finalize(res.code, size, leave, "power4/standard")
-    stage = quadruple(equi_2mod4(r))
-    cws = list(stage.code.codewords)
-    cws.remove(_triple(4 * r, 3 * r // 2))
-    cws.append(_triple(4 * r, r))
-    swapped = Code(CodeParams(1, 4 * r, 3, 2, 1), cws)
-    stage_leave = {3 * half, 5 * half} | _power4_tail(1, r)
-    res = _finalize(swapped, (3 * r - 2) // 4, stage_leave, "power4/half_free_stage1")
-    for _ in range(s - 1):
-        res = quadruple(res)
-    leave = {3 * half * 4 ** (s - 1), 5 * half * 4 ** (s - 1)} | _power4_tail(s, r)
-    return _finalize(res.code, size, leave, "power4/half_free")
+        leave = {half * 4**s}
+    else:
+        leave = {3 * half * 4 ** (s - 1), 5 * half * 4 ** (s - 1)}
+    leave |= _power4_tail(s, r)
+    return _finalize(_power4_code(s, r, variant), size, leave, f"power4/{variant}")
 
 
 def tight_derived(r: int, s: int = 0) -> ConstructionResult:
@@ -228,36 +257,36 @@ def tight_derived(r: int, s: int = 0) -> ConstructionResult:
         raise UnsupportedParameterError(f"family needs odd r >= 1, got {r}")
     if s < 0:
         raise ValueError(f"need s >= 0, got {s}")
+    base = _tight_derived_base(r)
     step = ((2 ** (2 * s - 1) - 2) // 3) * r if s >= 1 else 0
-    if r == 1:
-        base = _finalize(Code(CodeParams(1, 1, 3, 2, 1), []), 0, set(), "tight/base")
-        size = 0 if s == 0 else step + 1
-        final_leave = _power4_tail(s, r)
+    leave = _power4_tail(s, r)
+    if r % 12 == 3:
+        size = (r - 3) // 4 if s == 0 else step + (3 * r - 1) // 4
+        leave |= {4**s * (r // 3), 2 * 4**s * (r // 3)}
+        branch = "tight_derived/3mod12"
+    else:
+        size = (r - 1) // 4 if s == 0 else step + (3 * r + 1) // 4
         branch = "tight_derived/1or5mod12"
-    elif r % 12 in (1, 5):
+    return _finalize(_tower(base, s), size, leave, branch)
+
+
+def _tight_derived_base(r: int) -> Code:
+    """The base on Z_r of `tight_derived`, for odd r."""
+    if r == 1:
+        return Code(CodeParams(1, 1, 3, 2, 1), [])
+    if r % 12 in (1, 5):
         if not tight_admissible(r).admissible:
             raise UnsupportedParameterError(f"r={r} fails the tight admissibility clauses")
-        base = _finalize(_tight_base(r), (r - 1) // 4, set(), "tight/base")
-        size = (r - 1) // 4 if s == 0 else step + (3 * r + 1) // 4
-        final_leave = _power4_tail(s, r)
-        branch = "tight_derived/1or5mod12"
-    elif r % 12 == 3:
+        return _tight_base(r)
+    if r % 12 == 3:
         if not tight_admissible(r // 3).admissible:
             raise UnsupportedParameterError(
                 f"r={r} fails the tight admissibility clauses for r/3"
             )
         code = _tight_base(r)
         code.codewords.remove(_triple(r, r // 3))
-        base = _finalize(code, (r - 3) // 4, {r // 3, 2 * r // 3}, "tight/base")
-        size = (r - 3) // 4 if s == 0 else step + (3 * r - 1) // 4
-        final_leave = {4**s * (r // 3), 2 * 4**s * (r // 3)} | _power4_tail(s, r)
-        branch = "tight_derived/3mod12"
-    else:
-        raise UnsupportedParameterError(f"r={r} is outside both tight-derived branches")
-    res = base
-    for _ in range(s):
-        res = quadruple(res)
-    return _finalize(res.code, size, final_leave, branch)
+        return code
+    raise UnsupportedParameterError(f"r={r} is outside both tight-derived branches")
 
 
 def _tight_base(r: int) -> Code:
@@ -275,7 +304,8 @@ def prime_derived(p: int, s: int = 0) -> ConstructionResult:
 
     The base is a largest equi-difference conflict-avoiding code of length
     p found by search; since 3 does not divide p it is already a
-    (p,3,2,1) code, and quadrupling lifts it.
+    (p,3,2,1) code, and quadrupling lifts it.  At s >= 1 the claimed leave
+    is the base's measured leave scaled by 4^s plus the quadrupling tail.
     """
     me = me_prime(p).value  # validates primality and p >= 5
     outcome = equi_search(p, lambda_a=3)
@@ -285,12 +315,13 @@ def prime_derived(p: int, s: int = 0) -> ConstructionResult:
         raise VerificationFailure(
             f"prime_derived: search found {outcome.best_size} codewords, formula says {me}"
         )
-    base_code = Code(CodeParams(1, p, 3, 2, 1), list(outcome.best.codewords))
-    res = _finalize(base_code, me, None, "prime/base")
-    for _ in range(s):
-        res = quadruple(res)
-    size = me if s == 0 else ((2 ** (2 * s - 1) - 2) // 3) * p + (p + 1) // 2 + me
-    return _finalize(res.code, size, res.claimed_leave, "prime_derived")
+    base = Code(CodeParams(1, p, 3, 2, 1), list(outcome.best.codewords))
+    if s == 0:
+        return _finalize(base, me, None, "prime_derived")
+    leave = {4**s * d for d in structural_facts(base).difference_leave}
+    leave |= _power4_tail(s, p)
+    size = ((2 ** (2 * s - 1) - 2) // 3) * p + (p + 1) // 2 + me
+    return _finalize(_tower(base, s), size, leave, "prime_derived")
 
 
 # ---------------------------------------------------------------------------
@@ -349,50 +380,48 @@ _PAIRS_3X52 = [
     (36, 17), (37, 20), (38, 23), (39, 26),
 ]
 
-EXPLICIT_IDS = ("1d48", "3x4", "3x8", "3x20", "3x32", "3x52")
+_EXPLICIT_SIZES = {"1d48": 10, "3x4": 6, "3x8": 13, "3x20": 34, "3x32": 53, "3x52": 88}
+EXPLICIT_IDS = tuple(_EXPLICIT_SIZES)
 
 
-def _rows3(m: int, generators) -> list[Codeword]:
-    return [
-        make_codeword(((x, 0), (x, a % m), (x, 2 * a % m)))
-        for x in range(3)
-        for a in generators
-    ]
+def _place_on_rows(sub: Code) -> list[Codeword]:
+    """Three row-relabeled copies of a 1-D subcode."""
+    return [make_codeword((x, s) for _, s in cw) for x in range(3) for cw in sub.codewords]
 
 
-def explicit_code(code_id: str) -> ConstructionResult:
-    """Verbatim transcriptions of the individually listed codes."""
+def _explicit(code_id: str) -> Code:
+    """Verbatim transcription of an individually listed code."""
     if code_id == "1d48":
-        code = Code(
-            CodeParams(1, 48, 3, 2, 1),
-            [make_codeword((0, s) for s in slots) for slots in _SLOTS_1D48],
-        )
-        return _finalize(code, 10, None, "explicit/1d48")
+        cws = [make_codeword((0, s) for s in slots) for slots in _SLOTS_1D48]
+        return Code(CodeParams(1, 48, 3, 2, 1), cws)
     if code_id == "3x4":
         cws = [make_codeword(((x, 0), (x, 1), (x, 2))) for x in range(3)]
         cws += [make_codeword(((0, 0), (1, a), (2, b))) for a, b in _PAIRS_3X4]
-        return _finalize(Code(CodeParams(3, 4, 3, 2, 1), cws), 6, None, "explicit/3x4")
-    if code_id == "3x8":
+    elif code_id == "3x8":
         cws = [make_codeword(cells) for cells in _CELLS_3X8]
-        return _finalize(Code(CodeParams(3, 8, 3, 2, 1), cws), 13, None, "explicit/3x8")
-    if code_id == "3x20":
-        cws = _rows3(20, _GENS_3X20)
+    elif code_id == "3x20":
+        cws = _place_on_rows(_one_row_code(20, _GENS_3X20))
         cws += [make_codeword(cells) for cells in _MIDDLE_3X20]
         cws += [make_codeword(((0, 0), (1, a), (2, b))) for a, b in _PAIRS_3X20]
-        return _finalize(Code(CodeParams(3, 20, 3, 2, 1), cws), 34, None, "explicit/3x20")
-    if code_id == "3x32":
-        cws = _rows3(32, _GENS_3X32)
+    elif code_id == "3x32":
+        cws = _place_on_rows(_one_row_code(32, _GENS_3X32))
         cws += [make_codeword(cells) for cells in _MIDDLE_3X32]
         cws += [make_codeword(((0, 0), (1, a), (2, b))) for a, b in _PAIRS_3X32]
-        return _finalize(Code(CodeParams(3, 32, 3, 2, 1), cws), 53, None, "explicit/3x32")
-    if code_id == "3x52":
-        cws = _rows3(52, _GENS_3X52)
+    elif code_id == "3x52":
+        cws = _place_on_rows(_one_row_code(52, _GENS_3X52))
         cws += [make_codeword(((0, 0), (0, 1 + 2 * i), (1, 46 + i))) for i in range(6)]
         cws += [make_codeword(((1, 0), (1, 1 + 2 * i), (2, 46 + i))) for i in range(6)]
         cws += [make_codeword(((0, 0), (2, 45 - i), (2, 46 + i))) for i in range(6)]
         cws += [make_codeword(((0, 0), (1, a), (2, b))) for a, b in _PAIRS_3X52]
-        return _finalize(Code(CodeParams(3, 52, 3, 2, 1), cws), 88, None, "explicit/3x52")
-    raise UnsupportedParameterError(f"unknown explicit code id {code_id!r}")
+    else:
+        raise UnsupportedParameterError(f"unknown explicit code id {code_id!r}")
+    return Code(CodeParams(3, int(code_id[2:]), 3, 2, 1), cws)
+
+
+def explicit_code(code_id: str) -> ConstructionResult:
+    """Verbatim transcriptions of the individually listed codes."""
+    code = _explicit(code_id)
+    return _finalize(code, _EXPLICIT_SIZES[code_id], None, f"explicit/{code_id}")
 
 
 # ---------------------------------------------------------------------------
@@ -405,67 +434,50 @@ def ooc_2xm(m: int) -> ConstructionResult:
     if m % 4 != 0:
         raise UnsupportedParameterError(f"two-row family needs m = 0 (mod 4), got {m}")
     if m == 4:
-        cws = [
-            make_codeword(((0, 0), (0, 1), (0, 2))),
-            make_codeword(((1, 0), (1, 1), (1, 2))),
-        ]
+        cws = [make_codeword(((x, 0), (x, 1), (x, 2))) for x in range(2)]
         return _finalize(Code(CodeParams(2, 4, 3, 2, 1), cws), 2, None, "2xm/m4")
     cws: list[Codeword] = []
-
-    def add(*cells):
-        cws.append(make_codeword((r, s % m) for r, s in cells))
-
     if m % 8 == 0:
         for i in _odds(3, m // 4 - 1) + [m // 2 - 1]:
-            add((0, 0), (0, i), (0, 2 * i))
+            _add(cws, m, (0, 0), (0, i), (0, 2 * i))
         for i in _odds(m // 4 + 1, m // 2 - 1):
-            add((1, 0), (1, i), (1, 2 * i))
+            _add(cws, m, (1, 0), (1, i), (1, 2 * i))
         for i in range(m // 8, m // 4 - 1):
-            add((0, 0), (0, 1 + 2 * i), (1, m // 4 - 1 + i))
+            _add(cws, m, (0, 0), (0, 1 + 2 * i), (1, m // 4 - 1 + i))
         for i in range(m // 8):
-            add((1, 0), (1, 1 + 2 * i), (0, 3 * m // 4 + 2 + i))
+            _add(cws, m, (1, 0), (1, 1 + 2 * i), (0, 3 * m // 4 + 2 + i))
         for i in range(m // 8):
-            add((0, 0), (0, 4 + 4 * i), (1, 3 * m // 4 + 1 + 2 * i))
+            _add(cws, m, (0, 0), (0, 4 + 4 * i), (1, 3 * m // 4 + 1 + 2 * i))
         for i in range(m // 8):
-            add((1, 0), (1, 4 + 4 * i), (0, m // 4 + 4 + 2 * i))
-        add((0, 0), (0, 1), (1, 3 * m // 4 - 1))
+            _add(cws, m, (1, 0), (1, 4 + 4 * i), (0, m // 4 + 4 + 2 * i))
+        _add(cws, m, (0, 0), (0, 1), (1, 3 * m // 4 - 1))
         branch = "2xm/0mod8"
     else:
         for i in _odds(m // 4 + 2, m // 2 - 3):
-            add((0, 0), (0, i), (0, 2 * i))
+            _add(cws, m, (0, 0), (0, i), (0, 2 * i))
         for i in _odds(1, m // 4):
-            add((1, 0), (1, i), (1, 2 * i))
+            _add(cws, m, (1, 0), (1, i), (1, 2 * i))
         for i in range((m - 4) // 8 + 1):
             if i == 1:
                 continue
-            add((0, 0), (0, 1 + 2 * i), (1, m // 4 + i))
+            _add(cws, m, (0, 0), (0, 1 + 2 * i), (1, m // 4 + i))
         for i in range((m + 4) // 8, m // 4):
-            add((1, 0), (1, 1 + 2 * i), (0, 3 * m // 4 + 1 + i))
+            _add(cws, m, (1, 0), (1, 1 + 2 * i), (0, 3 * m // 4 + 1 + i))
         for i in range(1, (m - 12) // 8 + 1):
-            add((0, 0), (0, 4 + 4 * i), (1, 3 * m // 4 + 1 + 2 * i))
+            _add(cws, m, (0, 0), (0, 4 + 4 * i), (1, 3 * m // 4 + 1 + 2 * i))
         for i in range((m - 12) // 8 + 1):
-            add((1, 0), (1, 4 + 4 * i), (0, m // 4 + 2 + 2 * i))
-        add((0, 0), (0, m // 2 - 1), (1, m // 4 - 2))
-        add((0, 0), (0, 3), (1, 3 * m // 4))
-        add((0, 0), (0, m // 2), (1, 3 * m // 4 + 1))
-        add((0, 0), (0, 2), (0, 4))
+            _add(cws, m, (1, 0), (1, 4 + 4 * i), (0, m // 4 + 2 + 2 * i))
+        _add(cws, m, (0, 0), (0, m // 2 - 1), (1, m // 4 - 2))
+        _add(cws, m, (0, 0), (0, 3), (1, 3 * m // 4))
+        _add(cws, m, (0, 0), (0, m // 2), (1, 3 * m // 4 + 1))
+        _add(cws, m, (0, 0), (0, 2), (0, 4))
         branch = "2xm/4mod8"
-    code = Code(CodeParams(2, m, 3, 2, 1), cws)
-    return _finalize(code, 3 * m // 4, None, branch)
+    return _finalize(Code(CodeParams(2, m, 3, 2, 1), cws), 3 * m // 4, None, branch)
 
 
 # ---------------------------------------------------------------------------
 # three-row codes
 # ---------------------------------------------------------------------------
-
-
-def _place_on_rows(sub: Code) -> list[Codeword]:
-    """Three row-relabeled copies of a 1-D subcode."""
-    out = []
-    for x in range(3):
-        for cw in sub.codewords:
-            out.append(make_codeword((x, s) for _, s in cw))
-    return out
 
 
 def ooc_3xm(m: int) -> ConstructionResult:
@@ -474,141 +486,133 @@ def ooc_3xm(m: int) -> ConstructionResult:
     Explicit lists for m in {4, 8, 20, 32, 52}; general families for
     m = 8 (mod 16), m = 32 (mod 64), and admissible m = 4, 20 (mod 48).
     """
+    code, size, branch = _three_row(m)
+    return _finalize(code, size, None, branch)
+
+
+def _three_row(m: int) -> tuple[Code, int, str]:
+    """The code of `ooc_3xm`, unverified, with its claimed size and branch."""
     if m in (4, 8, 20, 32, 52):
-        return explicit_code(f"3x{m}")
+        code_id = f"3x{m}"
+        return _explicit(code_id), _EXPLICIT_SIZES[code_id], f"explicit/{code_id}"
     if m % 16 == 8:
-        return _ooc_3xm_8mod16(m)
-    if m % 64 == 32:
-        return _ooc_3xm_32mod64(m)
-    if m % 48 in (4, 20) and m > 4:
+        body, size, branch = _ooc_3xm_8mod16, (27 * m - 8) // 16, "3xm/8mod16"
+    elif m % 64 == 32:
+        body, size, branch = _ooc_3xm_32mod64, (107 * m - 32) // 64, "3xm/32mod64"
+    elif m % 48 in (4, 20) and m > 4:
         if not in_S(m // 4):
             raise UnsupportedParameterError(
                 f"m={m}: m/4 fails the admissibility clauses of the mod-48 family"
             )
-        return _ooc_3xm_4or20mod48(m)
-    raise UnsupportedParameterError(f"no three-row family covers m={m}")
+        body, size, branch = _ooc_3xm_4or20mod48, (27 * m + 4) // 16, "3xm/4or20mod48"
+    else:
+        raise UnsupportedParameterError(f"no three-row family covers m={m}")
+    return Code(CodeParams(3, m, 3, 2, 1), body(m)), size, branch
 
 
-def _ooc_3xm_8mod16(m: int) -> ConstructionResult:
-    sub = equi_power4(1, m // 4, HALF_FREE)
-    cws = _place_on_rows(sub.code)
-
-    def add(*cells):
-        cws.append(make_codeword((r, s % m) for r, s in cells))
-
+def _ooc_3xm_8mod16(m: int) -> list[Codeword]:
+    cws = _place_on_rows(_power4_code(1, m // 4, HALF_FREE))
     for i in range(m // 8):
-        add((0, 0), (0, 1 + 2 * i), (1, 7 * m // 8 + i))
+        _add(cws, m, (0, 0), (0, 1 + 2 * i), (1, 7 * m // 8 + i))
     for i in range(m // 8):
-        add((1, 0), (1, 1 + 2 * i), (2, m // 2 + 2 + i))
+        _add(cws, m, (1, 0), (1, 1 + 2 * i), (2, m // 2 + 2 + i))
     for i in range(m // 8 - 1):
-        add((0, 0), (2, 7 * m // 8 - 3 - i), (2, 7 * m // 8 + i))
-    add((0, 0), (0, 3 * m // 8), (1, 3 * m // 4 - 1))
-    add((1, 0), (1, 3 * m // 8), (2, 3 * m // 4))
-    add((0, 0), (2, m - 1), (2, 0))
-    add((0, 0), (2, 7 * m // 8 - 2), (2, m // 4 - 2))
+        _add(cws, m, (0, 0), (2, 7 * m // 8 - 3 - i), (2, 7 * m // 8 + i))
+    _add(cws, m, (0, 0), (0, 3 * m // 8), (1, 3 * m // 4 - 1))
+    _add(cws, m, (1, 0), (1, 3 * m // 8), (2, 3 * m // 4))
+    _add(cws, m, (0, 0), (2, m - 1), (2, 0))
+    _add(cws, m, (0, 0), (2, 7 * m // 8 - 2), (2, m // 4 - 2))
     for i in range(3 * m // 8 - 1):
-        add((0, 0), (1, i), (2, 1 + 2 * i))
+        _add(cws, m, (0, 0), (1, i), (2, 1 + 2 * i))
     for i in range(3 * m // 8 - 1):
         if i == m // 8 - 2:
             continue
-        add((0, 0), (1, 3 * m // 8 + i), (2, 2 + 2 * i))
-    add((0, 0), (1, m // 2 - 2), (2, 7 * m // 8 - 1))
-    code = Code(CodeParams(3, m, 3, 2, 1), cws)
-    return _finalize(code, (27 * m - 8) // 16, None, "3xm/8mod16")
+        _add(cws, m, (0, 0), (1, 3 * m // 8 + i), (2, 2 + 2 * i))
+    _add(cws, m, (0, 0), (1, m // 2 - 2), (2, 7 * m // 8 - 1))
+    return cws
 
 
-def _ooc_3xm_32mod64(m: int) -> ConstructionResult:
-    sub = equi_power4(2, m // 16, HALF_FREE)
-    cws = _place_on_rows(sub.code)
-
-    def add(*cells):
-        cws.append(make_codeword((r, s % m) for r, s in cells))
-
+def _ooc_3xm_32mod64(m: int) -> list[Codeword]:
+    cws = _place_on_rows(_power4_code(2, m // 16, HALF_FREE))
     for i in range(m // 8):
-        add((0, 0), (0, 1 + 2 * i), (1, m // 8 + 2 + i))
+        _add(cws, m, (0, 0), (0, 1 + 2 * i), (1, m // 8 + 2 + i))
     for i in range(m // 32):
-        add((0, 0), (0, 4 + 8 * i), (1, 7 * m // 8 + 3 + 4 * i))
+        _add(cws, m, (0, 0), (0, 4 + 8 * i), (1, 7 * m // 8 + 3 + 4 * i))
     for i in range(m // 8 - 1):
-        add((1, 0), (1, 3 + 2 * i), (2, 5 * m // 8 + i))
+        _add(cws, m, (1, 0), (1, 3 + 2 * i), (2, 5 * m // 8 + i))
     for i in range(m // 32):
-        add((1, 0), (1, 4 + 8 * i), (2, 7 * m // 8 + 3 + 4 * i))
+        _add(cws, m, (1, 0), (1, 4 + 8 * i), (2, 7 * m // 8 + 3 + 4 * i))
     for i in range(m // 8 - 1):
-        add((0, 0), (2, m // 4 - 1 - i), (2, m // 4 + 2 + i))
+        _add(cws, m, (0, 0), (2, m // 4 - 1 - i), (2, m // 4 + 2 + i))
     for i in range(m // 32):
-        add((0, 0), (2, 3 * m // 4 - 2 - 4 * i), (2, 3 * m // 4 + 2 + 4 * i))
-    add((0, 0), (0, 3 * m // 8), (1, 13 * m // 16 - 1))
-    add((1, 0), (1, 1), (2, 7 * m // 16))
-    add((1, 0), (1, 3 * m // 8), (2, 3 * m // 4 - 1))
-    add((0, 0), (2, m // 4 + 1), (2, 5 * m // 8 + 1))
-    add((0, 0), (2, m // 16 - 2), (2, m // 16 - 1))
+        _add(cws, m, (0, 0), (2, 3 * m // 4 - 2 - 4 * i), (2, 3 * m // 4 + 2 + 4 * i))
+    _add(cws, m, (0, 0), (0, 3 * m // 8), (1, 13 * m // 16 - 1))
+    _add(cws, m, (1, 0), (1, 1), (2, 7 * m // 16))
+    _add(cws, m, (1, 0), (1, 3 * m // 8), (2, 3 * m // 4 - 1))
+    _add(cws, m, (0, 0), (2, m // 4 + 1), (2, 5 * m // 8 + 1))
+    _add(cws, m, (0, 0), (2, m // 16 - 2), (2, m // 16 - 1))
     for i in range(m // 16):
         if i == m // 16 - 2:
             continue
-        add((0, 0), (1, 3 * m // 4 + 2 * i), (2, 3 * m // 4 - 3 - 2 * i))
+        _add(cws, m, (0, 0), (1, 3 * m // 4 + 2 * i), (2, 3 * m // 4 - 3 - 2 * i))
     for i in range(m // 16):
-        add((0, 0), (1, 7 * m // 8 + 2 * i), (2, 5 * m // 8 + 4 * i))
+        _add(cws, m, (0, 0), (1, 7 * m // 8 + 2 * i), (2, 5 * m // 8 + 4 * i))
     for i in range(m // 16):
         if i == (m - 32) // 64:
             continue
-        add((0, 0), (1, 3 * m // 4 + 1 + 4 * i), (2, 3 * m // 4 - 1 + 2 * i))
+        _add(cws, m, (0, 0), (1, 3 * m // 4 + 1 + 4 * i), (2, 3 * m // 4 - 1 + 2 * i))
     for i in range(m // 8 - 1):
-        add((0, 0), (1, m // 4 + 2 + 2 * i), (2, 3 * m // 8 + 1 + i))
+        _add(cws, m, (0, 0), (1, m // 4 + 2 + 2 * i), (2, 3 * m // 8 + 1 + i))
     for i in range(m // 8 - 2):
         if i == 3 * m // 32 - 2:
             continue
-        add((0, 0), (1, m // 4 + 3 + 2 * i), (2, m // 2 + 1 + i))
+        _add(cws, m, (0, 0), (1, m // 4 + 3 + 2 * i), (2, m // 2 + 1 + i))
     for i in range(m // 8 - 2):
         if i in (m // 16 - 3, m // 16 - 2):
             continue
-        add((0, 0), (1, m // 2 + 4 + 2 * i), (2, 1 + i))
+        _add(cws, m, (0, 0), (1, m // 2 + 4 + 2 * i), (2, 1 + i))
     for i in range(m // 8 - 3):
-        add((0, 0), (1, m // 2 + 1 + 2 * i), (2, 7 * m // 8 - 1 + i))
-    add((0, 0), (1, 0), (2, 0))
-    add((0, 0), (1, 1), (2, m // 4))
-    add((0, 0), (1, m // 2 - 1), (2, m - 3))
-    add((0, 0), (1, m // 2), (2, m // 8 - 1))
-    add((0, 0), (1, m // 2 + 2), (2, m // 8))
-    add((0, 0), (1, 3 * m // 4 - 5), (2, m // 2))
-    add((0, 0), (1, 3 * m // 4 - 3), (2, m - 2))
-    add((0, 0), (1, 3 * m // 4 - 1), (2, m - 1))
-    add((0, 0), (1, 7 * m // 8 - 4), (2, m - 4))
-    add((0, 0), (1, 5 * m // 8 - 2), (2, 25 * m // 32 - 2))
-    add((0, 0), (1, 5 * m // 8), (2, 19 * m // 32 - 1))
-    code = Code(CodeParams(3, m, 3, 2, 1), cws)
-    return _finalize(code, (107 * m - 32) // 64, None, "3xm/32mod64")
+        _add(cws, m, (0, 0), (1, m // 2 + 1 + 2 * i), (2, 7 * m // 8 - 1 + i))
+    _add(cws, m, (0, 0), (1, 0), (2, 0))
+    _add(cws, m, (0, 0), (1, 1), (2, m // 4))
+    _add(cws, m, (0, 0), (1, m // 2 - 1), (2, m - 3))
+    _add(cws, m, (0, 0), (1, m // 2), (2, m // 8 - 1))
+    _add(cws, m, (0, 0), (1, m // 2 + 2), (2, m // 8))
+    _add(cws, m, (0, 0), (1, 3 * m // 4 - 5), (2, m // 2))
+    _add(cws, m, (0, 0), (1, 3 * m // 4 - 3), (2, m - 2))
+    _add(cws, m, (0, 0), (1, 3 * m // 4 - 1), (2, m - 1))
+    _add(cws, m, (0, 0), (1, 7 * m // 8 - 4), (2, m - 4))
+    _add(cws, m, (0, 0), (1, 5 * m // 8 - 2), (2, 25 * m // 32 - 2))
+    _add(cws, m, (0, 0), (1, 5 * m // 8), (2, 19 * m // 32 - 1))
+    return cws
 
 
-def _ooc_3xm_4or20mod48(m: int) -> ConstructionResult:
+def _ooc_3xm_4or20mod48(m: int) -> list[Codeword]:
     if m < 68:
         raise UnsupportedParameterError(f"general mod-48 family starts at m=68, got {m}")
-    sub = tight_derived(m // 4, 1)
-    cws = _place_on_rows(sub.code)
-
-    def add(*cells):
-        cws.append(make_codeword((r, s % m) for r, s in cells))
-
+    cws = _place_on_rows(_tower(_tight_derived_base(m // 4), 1))
     for i in range((m - 20) // 8 + 1):
-        add((0, 0), (0, 1 + 2 * i), (1, (7 * m + 4) // 8 + i))
+        _add(cws, m, (0, 0), (0, 1 + 2 * i), (1, (7 * m + 4) // 8 + i))
     for i in range((m - 12) // 8 + 1):
-        add((1, 0), (1, 1 + 2 * i), (2, m // 2 + i))
+        _add(cws, m, (1, 0), (1, 1 + 2 * i), (2, m // 2 + i))
     for i in range((m - 12) // 8 + 1):
-        add((0, 0), (2, (7 * m - 12) // 8 - i), (2, (7 * m - 4) // 8 + i))
-    add((0, 0), (0, m // 4 - 2), (1, (11 * m - 12) // 16))
-    add((0, 0), (1, (3 * m - 4) // 8), (2, (m - 4) // 16))
-    add((0, 0), (1, (9 * m + 12) // 16), (2, m // 2 - 1))
-    add((0, 0), (1, (3 * m + 4) // 8), (2, (3 * m + 4) // 16))
-    add((0, 0), (1, 3 * m // 4 + 1), (2, 2))
-    add((0, 0), (1, m - 1), (2, 3 * m // 4 - 3))
-    add((0, 0), (1, m // 4), (2, m - 1))
-    add((0, 0), (1, m // 4 - 1), (2, m // 4 - 3))
-    add((0, 0), (1, 3 * m // 4), (2, 0))
-    add((0, 0), (1, (3 * m + 12) // 8), (2, (m + 12) // 8))
-    add((0, 0), (1, (5 * m - 4) // 8), (2, m // 4 - 1))
-    add((0, 0), (1, (5 * m + 4) // 8), (2, m // 4 + 1))
-    add((0, 0), (1, 3 * m // 4 - 1), (2, (5 * m - 20) // 8))
-    add((0, 0), (1, m // 2 + 1), (2, (3 * m + 4) // 8))
-    add((0, 0), (1, m // 2), (2, m // 2))
-    add((0, 0), (1, m // 2 - 1), (2, m // 2 - 2))
+        _add(cws, m, (0, 0), (2, (7 * m - 12) // 8 - i), (2, (7 * m - 4) // 8 + i))
+    _add(cws, m, (0, 0), (0, m // 4 - 2), (1, (11 * m - 12) // 16))
+    _add(cws, m, (0, 0), (1, (3 * m - 4) // 8), (2, (m - 4) // 16))
+    _add(cws, m, (0, 0), (1, (9 * m + 12) // 16), (2, m // 2 - 1))
+    _add(cws, m, (0, 0), (1, (3 * m + 4) // 8), (2, (3 * m + 4) // 16))
+    _add(cws, m, (0, 0), (1, 3 * m // 4 + 1), (2, 2))
+    _add(cws, m, (0, 0), (1, m - 1), (2, 3 * m // 4 - 3))
+    _add(cws, m, (0, 0), (1, m // 4), (2, m - 1))
+    _add(cws, m, (0, 0), (1, m // 4 - 1), (2, m // 4 - 3))
+    _add(cws, m, (0, 0), (1, 3 * m // 4), (2, 0))
+    _add(cws, m, (0, 0), (1, (3 * m + 12) // 8), (2, (m + 12) // 8))
+    _add(cws, m, (0, 0), (1, (5 * m - 4) // 8), (2, m // 4 - 1))
+    _add(cws, m, (0, 0), (1, (5 * m + 4) // 8), (2, m // 4 + 1))
+    _add(cws, m, (0, 0), (1, 3 * m // 4 - 1), (2, (5 * m - 20) // 8))
+    _add(cws, m, (0, 0), (1, m // 2 + 1), (2, (3 * m + 4) // 8))
+    _add(cws, m, (0, 0), (1, m // 2), (2, m // 2))
+    _add(cws, m, (0, 0), (1, m // 2 - 1), (2, m // 2 - 2))
     t_set = set(range(3 * (m - 12) // 8 + 1)) - {
         (m - 20) // 16,
         (m - 28) // 8,
@@ -624,11 +628,11 @@ def _ooc_3xm_4or20mod48(m: int) -> ConstructionResult:
         for i in range((3 * m - 12) // 8 + 1):
             if i in skip:
                 continue
-            add((0, 0), (1, i), (2, 1 + 2 * i))
-        add((0, 0), (1, (3 * m - 12) // 32), (2, 3 * m // 4 - 1))
-        add((0, 0), (1, (13 * m + 12) // 32), (2, m // 2 + 1))
+            _add(cws, m, (0, 0), (1, i), (2, 1 + 2 * i))
+        _add(cws, m, (0, 0), (1, (3 * m - 12) // 32), (2, 3 * m // 4 - 1))
+        _add(cws, m, (0, 0), (1, (13 * m + 12) // 32), (2, m // 2 + 1))
         for i in sorted(t_set - {(m - 68) // 32}):
-            add((0, 0), (1, (3 * m + 20) // 8 + i), (2, 4 + 2 * i))
+            _add(cws, m, (0, 0), (1, (3 * m + 20) // 8 + i), (2, 4 + 2 * i))
     else:
         if m < 116:
             raise UnsupportedParameterError(
@@ -638,18 +642,31 @@ def _ooc_3xm_4or20mod48(m: int) -> ConstructionResult:
         for i in range((3 * m - 12) // 8 + 1):
             if i in skip:
                 continue
-            add((0, 0), (1, i), (2, 1 + 2 * i))
-        add((0, 0), (1, (15 * m + 20) // 32), (2, m // 2 + 1))
-        add((0, 0), (1, (m - 20) // 32), (2, 3 * m // 4 - 1))
+            _add(cws, m, (0, 0), (1, i), (2, 1 + 2 * i))
+        _add(cws, m, (0, 0), (1, (15 * m + 20) // 32), (2, m // 2 + 1))
+        _add(cws, m, (0, 0), (1, (m - 20) // 32), (2, 3 * m // 4 - 1))
         for i in sorted(t_set - {(3 * m - 60) // 32}):
-            add((0, 0), (1, (3 * m + 20) // 8 + i), (2, 4 + 2 * i))
-    code = Code(CodeParams(3, m, 3, 2, 1), cws)
-    return _finalize(code, (27 * m + 4) // 16, None, "3xm/4or20mod48")
+            _add(cws, m, (0, 0), (1, (3 * m + 20) // 8 + i), (2, 4 + 2 * i))
+    return cws
 
 
 # ---------------------------------------------------------------------------
 # recursive expansion through cyclic group divisible designs
 # ---------------------------------------------------------------------------
+
+
+def _expand_code(gdd: GddBaseBlocks, inputs: list[Code]) -> Code:
+    """The base blocks plus, on each group, the input code with as many rows."""
+    by_rows = {code.params.n: code for code in inputs}
+    cws = [make_codeword(b) for b in gdd.base_blocks]
+    for rows in gdd.groups:
+        try:
+            code = by_rows[len(rows)]
+        except KeyError:
+            raise ValueError(f"no input code with {len(rows)} rows for group {rows}")
+        cws += [make_codeword((rows[r], s) for r, s in cw) for cw in code.codewords]
+    lam = max((code.params.lambda_a for code in inputs), default=2)
+    return Code(CodeParams(gdd.n_rows(), gdd.m, 3, lam, 1), cws)
 
 
 def expand_gdd(
@@ -662,7 +679,6 @@ def expand_gdd(
     the union stays correlation-clean.
     """
     gdd.validate()
-    by_rows: dict[int, ConstructionResult] = {}
     for res in inputs:
         if not res.verified:
             raise ValueError("expansion requires verified input codes")
@@ -670,19 +686,9 @@ def expand_gdd(
             raise ValueError(
                 f"input on Z_{res.code.params.m} does not match the design's Z_{gdd.m}"
             )
-        by_rows[res.code.params.n] = res
-    cws = [make_codeword(b) for b in gdd.base_blocks]
-    total = len(gdd.base_blocks)
-    lam = max((res.code.params.lambda_a for res in inputs), default=2)
-    for rows in gdd.groups:
-        try:
-            res = by_rows[len(rows)]
-        except KeyError:
-            raise ValueError(f"no input code with {len(rows)} rows for group {rows}")
-        for cw in res.code.codewords:
-            cws.append(make_codeword((rows[r], s) for r, s in cw))
-        total += res.code.size()
-    code = Code(CodeParams(gdd.n_rows(), gdd.m, 3, lam, 1), cws)
+    code = _expand_code(gdd, [res.code for res in inputs])
+    sizes = {res.code.params.n: res.code.size() for res in inputs}
+    total = len(gdd.base_blocks) + sum(sizes[len(rows)] for rows in gdd.groups)
     return _finalize(code, total, None, branch)
 
 
@@ -707,7 +713,7 @@ def compose_0mod3(n: int, m: int, config: SearchConfig | None = None) -> Constru
         raise UnsupportedParameterError(
             f"m={m} is not in a class where the three-row code fills the general cap"
         )
-    inner = ooc_3xm(m)
+    inner = _three_row(m)[0]
     u = n // 3
     if config is not None:
         outcome = gdd_search(u, m, config)
@@ -718,10 +724,5 @@ def compose_0mod3(n: int, m: int, config: SearchConfig | None = None) -> Constru
     if outcome.best is None:
         raise SearchExhausted(f"no (3m)^{u} design witness found for m={m} in budget")
     psi = psi_e_exact(m).value
-    res = expand_gdd(outcome.best, [inner], branch="nxm/0mod3")
-    claimed = n * (n * m + 2 * psi) // 6
-    if res.code.size() != claimed:
-        raise VerificationFailure(
-            f"nxm/0mod3: size {res.code.size()} does not match formula {claimed}"
-        )
-    return res
+    code = _expand_code(outcome.best, [inner])
+    return _finalize(code, n * (n * m + 2 * psi) // 6, None, "nxm/0mod3")

@@ -19,8 +19,6 @@ from .core import Code, CodeParams, Codeword, make_codeword, normalize
 from .bounds import gdd_exists
 from .verify import verify_code
 
-EXHAUSTIVE = "exhaustive"
-BRANCH_AND_BOUND = "branch_and_bound"
 EXACT_COVER = "exact_cover"
 HILL_CLIMB = "hill_climb_restart"
 
@@ -29,7 +27,7 @@ HILL_CLIMB = "hill_climb_restart"
 class SearchConfig:
     time_budget: float = 60.0
     node_budget: int = 10**9
-    strategy: str = EXHAUSTIVE
+    strategy: str = EXACT_COVER  # gdd_search only; optimal and equi search ignore it
     seed: int = 0
 
 

@@ -83,6 +83,18 @@ class TestCliConstructVerify:
         assert main(["construct", "explicit", "--id", "9x9"]) == 2
         capsys.readouterr()
 
+    def test_unused_flag_exit_2(self, capsys):
+        assert main(["construct", "3xm", "--m", "8", "--s", "2"]) == 2
+        assert capsys.readouterr().err.splitlines() == ["error: family '3xm' does not take --s"]
+        assert main(["construct", "power4", "--s", "1", "--r", "6", "--seed", "3"]) == 2
+        assert main(["construct", "tight", "--r", "13", "--variant", "standard"]) == 2
+        assert capsys.readouterr().out == ""
+
+    def test_provenance_names_a_flag_set_to_zero(self, capsys):
+        assert main(["construct", "tight", "--r", "13", "--s", "0"]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["metadata"]["provenance"] == "construct tight --s 0 --r 13"
+
     def test_search_exhaustion_exit_3(self, capsys):
         rc = main(
             ["construct", "nxm", "--n", "12", "--m", "8",

@@ -1,5 +1,8 @@
+import dataclasses
+
 import pytest
 
+from oockit import construct
 from oockit.bounds import psi_e_exact
 from oockit.construct import (
     EXPLICIT_IDS,
@@ -21,7 +24,7 @@ from oockit.core import (
     make_codeword,
     restrict_to_row,
 )
-from oockit.search import GddBaseBlocks, SearchConfig, gdd_search
+from oockit.search import EXACT_COVER, GddBaseBlocks, SearchConfig, gdd_search
 from oockit.verify import structural_facts, verify_code
 
 
@@ -109,6 +112,14 @@ class TestQuadruple:
 
     def test_from_2mod4(self):
         assert quadruple(equi_2mod4(6)).code.size() == 4
+
+    def test_rejects_unverified_input(self):
+        with pytest.raises(ValueError):
+            quadruple(dataclasses.replace(equi_2mod4(6), verified=False))
+
+    def test_rejects_non_equi_difference_input(self):
+        with pytest.raises(ValueError):
+            quadruple(explicit_code("1d48"))
 
 
 class TestEquiPower4:
@@ -318,6 +329,43 @@ class TestCompose:
             compose_0mod3(7, 8)
 
 
+def _recording(real, calls):
+    def record(code):
+        calls.append(code)
+        return real(code)
+
+    return record
+
+
+def _gdd_4x4():
+    return gdd_search(4, 4, SearchConfig(120.0, 10**9, EXACT_COVER, 0)).best
+
+
+# public builder, its arguments (built before counting), and how many
+# structural_facts calls it may make on codes other than its result: the
+# caller's inputs, or the searched base of prime_derived
+ONE_VERIFICATION_CASES = [
+    (equi_2mod4, lambda: (26,), 0),
+    (g_regular_4g, lambda: (9,), 0),
+    (fill_regular, lambda: (g_regular_4g(6), equi_2mod4(6)), 2),
+    (quadruple, lambda: (tight_derived(5, 0),), 1),
+    (equi_power4, lambda: (3, 6), 0),
+    (equi_power4, lambda: (2, 10, "half_free"), 0),
+    (tight_derived, lambda: (13, 2), 0),
+    (tight_derived, lambda: (15, 1), 0),
+    (prime_derived, lambda: (7, 0), 0),
+    (prime_derived, lambda: (11, 2), 1),
+    (explicit_code, lambda: ("3x20",), 0),
+    (ooc_2xm, lambda: (20,), 0),
+    (ooc_3xm, lambda: (8,), 0),
+    (ooc_3xm, lambda: (24,), 0),
+    (ooc_3xm, lambda: (96,), 0),
+    (ooc_3xm, lambda: (68,), 0),
+    (expand_gdd, lambda: (_gdd_4x4(), [explicit_code("3x4")]), 0),
+    (compose_0mod3, lambda: (12, 8, SearchConfig(30.0, 10**9, EXACT_COVER, 3)), 0),
+]
+
+
 class TestConstructionHygiene:
     def test_every_result_reverifies(self):
         for res in (
@@ -331,3 +379,23 @@ class TestConstructionHygiene:
         ):
             assert res.verified
             assert verify_code(res.code).passed
+
+    @pytest.mark.parametrize(
+        "builder,make_args,other_facts",
+        ONE_VERIFICATION_CASES,
+        ids=[f"{b.__name__}-{i}" for i, (b, _, _) in enumerate(ONE_VERIFICATION_CASES)],
+    )
+    def test_one_verification_per_public_result(
+        self, monkeypatch, builder, make_args, other_facts
+    ):
+        args = make_args()
+        verified, facts = [], []
+        monkeypatch.setattr(construct, "verify_code", _recording(construct.verify_code, verified))
+        monkeypatch.setattr(
+            construct, "structural_facts", _recording(construct.structural_facts, facts)
+        )
+        res = builder(*args)
+        assert res.verified
+        assert len(verified) == 1 and verified[0] is res.code
+        assert sum(c is res.code for c in facts) <= 1
+        assert sum(c is not res.code for c in facts) == other_facts

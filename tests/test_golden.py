@@ -1,8 +1,10 @@
 """Byte-identical CLI output for a fixed golden set of small commands.
 
 Each hash is the sha256 of stdout, recorded before `core.normalize` and the
-candidate enumeration of `optimal_search` were rewritten.  Search commands
-use `--format text`, because their JSON carries `elapsed_ms`.
+candidate enumeration of `optimal_search` were rewritten; the entries after
+the matrix render were recorded before the constructions stopped verifying
+their internal stages.  Search commands use `--format text`, because their
+JSON carries `elapsed_ms`.
 """
 
 import contextlib
@@ -12,6 +14,8 @@ import io
 import pytest
 
 from oockit.cli import main
+
+NXM = "construct nxm --n 12 --m 8 --budget-seconds 30 --strategy exact_cover --seed 3"
 
 GOLDEN = {
     "construct 3xm --m 24": "ab9e855c03174eed60c15426335bd54d9b781012771d8e7b395ba6f98406f25b",
@@ -23,12 +27,23 @@ GOLDEN = {
     "construct prime --p 7 --s 1": "87b7b0e22f3ab93a0dd8797c0c0d6c7b020f4c45c0e76fd91eb72f51d3bfb7fd",
     "construct explicit --id 3x8": "3119a9fe790ec480ed6d5af737f1fe6b0792aa4b741ab48e9fb46f37cb5f96d7",
     # seed 3 finds the design in ~0.05 s; the default seed takes ~1.5 s
-    "construct nxm --n 12 --m 8 --budget-seconds 30 --strategy exact_cover --seed 3": (
-        "097507ce4f4203611645aaf77a9dc96941e478b3a8562eb43eec4f15305caabf"
-    ),
+    NXM: "097507ce4f4203611645aaf77a9dc96941e478b3a8562eb43eec4f15305caabf",
     "construct 3xm --m 24 --format matrix": (
         "86354f3aba98aec91e2ad6b21fd7b49a1ea9da7d6e3b3065d783b60db29f331a"
     ),
+    "construct power4 --s 2 --r 6 --variant half_free": (
+        "c7d8180b167ea36bc6e451ead7af1d5ad559a3c342a0da064f168ac7850d1ff1"
+    ),
+    "construct tight --r 15 --s 1": (
+        "703ec16b4b5b6922e0fe9e9aaa06b9a9d4deac2a230b8289a93b8ddc95d29c99"
+    ),
+    "construct prime --p 11": "6db2991fd72aeb656f7ad7ea26d09f9eabf349e61007a00c6b09d45530e860a2",
+    "construct prime --p 5 --s 2": (
+        "a41a886f80a3bc11057be3c3ff3ae4b7c0bd5efdce9454821bd25b7bf186f664"
+    ),
+    "construct 3xm --m 96": "c87d4df97677ac4e53a0add34325dcc38a9553907644de570e1f56e03a773e7b",
+    "construct 3xm --m 68": "debf234c21b8896f26c5cacdd74a46f74537d03ac9133e761bd6509ab547733a",
+    "construct 3xm --m 116": "111d85f56c02266fcbcf73e3530b39d0b3b10df9933c26b84bedfa660c5633ce",
     "search optimal --n 2 --m 6 --format text": (
         "967138773f014833d923c97a559949000ead4798ecfa59767ab8ee673d52cad6"
     ),
@@ -38,9 +53,17 @@ GOLDEN = {
 }
 
 
-@pytest.mark.parametrize("command", list(GOLDEN))
-def test_output_is_byte_identical(command):
+def _stdout_sha256(command: str) -> str:
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
         assert main(command.split()) == 0
-    assert hashlib.sha256(out.getvalue().encode()).hexdigest() == GOLDEN[command]
+    return hashlib.sha256(out.getvalue().encode()).hexdigest()
+
+
+@pytest.mark.parametrize("command", list(GOLDEN))
+def test_output_is_byte_identical(command):
+    assert _stdout_sha256(command) == GOLDEN[command]
+
+
+def test_seed_alone_reaches_the_search():
+    assert _stdout_sha256("construct nxm --n 12 --m 8 --seed 3") == GOLDEN[NXM]
