@@ -45,7 +45,13 @@ def _err(message: str) -> None:
 
 # flags of `construct` in provenance order; the search flags never enter it
 FLAGS = ("n", "m", "g", "s", "r", "p", "id", "variant")
-SEARCH_FLAGS = ("budget_seconds", "node_budget", "seed", "strategy")
+# search flag -> SearchConfig field; an unset flag keeps the field's default
+SEARCH_FLAGS = {
+    "budget_seconds": "time_budget",
+    "node_budget": "node_budget",
+    "seed": "seed",
+    "strategy": "strategy",
+}
 
 # family -> (builder in `construct`, required flags, optional flags with their
 # defaults).  The builder gets the flags in this order, positionally; an
@@ -67,7 +73,9 @@ FAMILIES = {
 def cmd_construct(args) -> int:
     builder, required, optional = FAMILIES[args.family]
     taken = (*required, *optional)
-    unused = [f for f in FLAGS + SEARCH_FLAGS if getattr(args, f) is not None and f not in taken]
+    unused = [
+        f for f in (*FLAGS, *SEARCH_FLAGS) if getattr(args, f) is not None and f not in taken
+    ]
     if unused:
         _err(f"error: family {args.family!r} does not take --{unused[0].replace('_', '-')}")
         return EXIT_USAGE
@@ -191,14 +199,9 @@ def _need(value, flag: str):
     return value
 
 
-def _search_config(
-    budget_seconds=None, node_budget=None, seed=None, strategy=None
-) -> SearchConfig:
+def _search_config(**flags) -> SearchConfig:
     return SearchConfig(
-        time_budget=budget_seconds or 60.0,
-        node_budget=node_budget or 10**9,
-        strategy=strategy or EXACT_COVER,
-        seed=seed or 0,
+        **{SEARCH_FLAGS[flag]: value for flag, value in flags.items() if value is not None}
     )
 
 

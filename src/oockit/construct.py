@@ -3,6 +3,8 @@
 Private builders only return a Code.  Each public family verifies the code
 it returns once and asserts its claimed size (and, for 1-D codes, its
 claimed difference leave); internal stages are not verified on their own.
+The optimal families claim the exact size from `bounds` (psi_e_exact or
+phi_exact), so the closed forms are written down once.
 The final code holds every stage's codewords scaled by a power of 4, and
 scaling maps differences injectively, so a faulty stage fails that check.
 A mismatch raises VerificationFailure rather than repairing anything
@@ -13,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .bounds import in_S, me_prime, psi_e_exact, tight_admissible
+from .bounds import EXACT, in_S, me_prime, phi_exact, psi_e_exact, tight_admissible
 from .core import (
     Code,
     CodeParams,
@@ -24,7 +26,6 @@ from .core import (
     make_codeword,
 )
 from .search import (
-    EXACT_COVER,
     HILL_CLIMB,
     GddBaseBlocks,
     SearchConfig,
@@ -107,7 +108,7 @@ def equi_2mod4(m: int) -> ConstructionResult:
     """
     if m % 4 != 2:
         raise UnsupportedParameterError(f"family needs m = 2 (mod 4), got {m}")
-    return _finalize(_equi_2mod4_code(m), (m - 2) // 4, {m // 2}, "equi/2mod4")
+    return _finalize(_equi_2mod4_code(m), psi_e_exact(m).value, {m // 2}, "equi/2mod4")
 
 
 def _g_regular_code(g: int) -> Code:
@@ -236,13 +237,13 @@ def equi_power4(s: int, r: int, variant: str = STANDARD) -> ConstructionResult:
         raise UnsupportedParameterError(f"unknown variant {variant!r}")
     if s < 0 or (variant == HALF_FREE and s < 1):
         raise UnsupportedParameterError(f"variant {variant} needs s >= 1, got s={s}")
-    size = (2 ** (2 * s + 1) * r + r - 6) // 12
     half = r // 2
     if variant == STANDARD:
         leave = {half * 4**s}
     else:
         leave = {3 * half * 4 ** (s - 1), 5 * half * 4 ** (s - 1)}
     leave |= _power4_tail(s, r)
+    size = psi_e_exact(4**s * r).value
     return _finalize(_power4_code(s, r, variant), size, leave, f"power4/{variant}")
 
 
@@ -258,16 +259,13 @@ def tight_derived(r: int, s: int = 0) -> ConstructionResult:
     if s < 0:
         raise ValueError(f"need s >= 0, got {s}")
     base = _tight_derived_base(r)
-    step = ((2 ** (2 * s - 1) - 2) // 3) * r if s >= 1 else 0
     leave = _power4_tail(s, r)
     if r % 12 == 3:
-        size = (r - 3) // 4 if s == 0 else step + (3 * r - 1) // 4
         leave |= {4**s * (r // 3), 2 * 4**s * (r // 3)}
         branch = "tight_derived/3mod12"
     else:
-        size = (r - 1) // 4 if s == 0 else step + (3 * r + 1) // 4
         branch = "tight_derived/1or5mod12"
-    return _finalize(_tower(base, s), size, leave, branch)
+    return _finalize(_tower(base, s), psi_e_exact(4**s * r).value, leave, branch)
 
 
 def _tight_derived_base(r: int) -> Code:
@@ -316,11 +314,11 @@ def prime_derived(p: int, s: int = 0) -> ConstructionResult:
             f"prime_derived: search found {outcome.best_size} codewords, formula says {me}"
         )
     base = Code(CodeParams(1, p, 3, 2, 1), list(outcome.best.codewords))
+    size = psi_e_exact(4**s * p).value
     if s == 0:
-        return _finalize(base, me, None, "prime_derived")
+        return _finalize(base, size, None, "prime_derived")
     leave = {4**s * d for d in structural_facts(base).difference_leave}
     leave |= _power4_tail(s, p)
-    size = ((2 ** (2 * s - 1) - 2) // 3) * p + (p + 1) // 2 + me
     return _finalize(_tower(base, s), size, leave, "prime_derived")
 
 
@@ -380,8 +378,7 @@ _PAIRS_3X52 = [
     (36, 17), (37, 20), (38, 23), (39, 26),
 ]
 
-_EXPLICIT_SIZES = {"1d48": 10, "3x4": 6, "3x8": 13, "3x20": 34, "3x32": 53, "3x52": 88}
-EXPLICIT_IDS = tuple(_EXPLICIT_SIZES)
+EXPLICIT_IDS = ("1d48", "3x4", "3x8", "3x20", "3x32", "3x52")
 
 
 def _place_on_rows(sub: Code) -> list[Codeword]:
@@ -421,7 +418,8 @@ def _explicit(code_id: str) -> Code:
 def explicit_code(code_id: str) -> ConstructionResult:
     """Verbatim transcriptions of the individually listed codes."""
     code = _explicit(code_id)
-    return _finalize(code, _EXPLICIT_SIZES[code_id], None, f"explicit/{code_id}")
+    size = phi_exact(code.params.n, code.params.m).value
+    return _finalize(code, size, None, f"explicit/{code_id}")
 
 
 # ---------------------------------------------------------------------------
@@ -433,11 +431,11 @@ def ooc_2xm(m: int) -> ConstructionResult:
     """Optimal two-row code for m = 0 (mod 4): 3m/4 codewords (2 at m = 4)."""
     if m % 4 != 0:
         raise UnsupportedParameterError(f"two-row family needs m = 0 (mod 4), got {m}")
-    if m == 4:
-        cws = [make_codeword(((x, 0), (x, 1), (x, 2))) for x in range(2)]
-        return _finalize(Code(CodeParams(2, 4, 3, 2, 1), cws), 2, None, "2xm/m4")
     cws: list[Codeword] = []
-    if m % 8 == 0:
+    if m == 4:
+        cws += [make_codeword(((x, 0), (x, 1), (x, 2))) for x in range(2)]
+        branch = "2xm/m4"
+    elif m % 8 == 0:
         for i in _odds(3, m // 4 - 1) + [m // 2 - 1]:
             _add(cws, m, (0, 0), (0, i), (0, 2 * i))
         for i in _odds(m // 4 + 1, m // 2 - 1):
@@ -472,7 +470,8 @@ def ooc_2xm(m: int) -> ConstructionResult:
         _add(cws, m, (0, 0), (0, m // 2), (1, 3 * m // 4 + 1))
         _add(cws, m, (0, 0), (0, 2), (0, 4))
         branch = "2xm/4mod8"
-    return _finalize(Code(CodeParams(2, m, 3, 2, 1), cws), 3 * m // 4, None, branch)
+    code = Code(CodeParams(2, m, 3, 2, 1), cws)
+    return _finalize(code, phi_exact(2, m).value, None, branch)
 
 
 # ---------------------------------------------------------------------------
@@ -486,28 +485,28 @@ def ooc_3xm(m: int) -> ConstructionResult:
     Explicit lists for m in {4, 8, 20, 32, 52}; general families for
     m = 8 (mod 16), m = 32 (mod 64), and admissible m = 4, 20 (mod 48).
     """
-    code, size, branch = _three_row(m)
-    return _finalize(code, size, None, branch)
+    code, branch = _three_row(m)
+    return _finalize(code, phi_exact(3, m).value, None, branch)
 
 
-def _three_row(m: int) -> tuple[Code, int, str]:
-    """The code of `ooc_3xm`, unverified, with its claimed size and branch."""
+def _three_row(m: int) -> tuple[Code, str]:
+    """The code of `ooc_3xm`, unverified, with its branch."""
     if m in (4, 8, 20, 32, 52):
         code_id = f"3x{m}"
-        return _explicit(code_id), _EXPLICIT_SIZES[code_id], f"explicit/{code_id}"
+        return _explicit(code_id), f"explicit/{code_id}"
     if m % 16 == 8:
-        body, size, branch = _ooc_3xm_8mod16, (27 * m - 8) // 16, "3xm/8mod16"
+        body, branch = _ooc_3xm_8mod16, "3xm/8mod16"
     elif m % 64 == 32:
-        body, size, branch = _ooc_3xm_32mod64, (107 * m - 32) // 64, "3xm/32mod64"
+        body, branch = _ooc_3xm_32mod64, "3xm/32mod64"
     elif m % 48 in (4, 20) and m > 4:
         if not in_S(m // 4):
             raise UnsupportedParameterError(
                 f"m={m}: m/4 fails the admissibility clauses of the mod-48 family"
             )
-        body, size, branch = _ooc_3xm_4or20mod48, (27 * m + 4) // 16, "3xm/4or20mod48"
+        body, branch = _ooc_3xm_4or20mod48, "3xm/4or20mod48"
     else:
         raise UnsupportedParameterError(f"no three-row family covers m={m}")
-    return Code(CodeParams(3, m, 3, 2, 1), body(m)), size, branch
+    return Code(CodeParams(3, m, 3, 2, 1), body(m)), branch
 
 
 def _ooc_3xm_8mod16(m: int) -> list[Codeword]:
@@ -697,7 +696,7 @@ def compose_0mod3(n: int, m: int, config: SearchConfig | None = None) -> Constru
 
     n = 3 delegates to the three-row catalogue; n >= 12 expands an
     m-cyclic design of type (3m)^(n/3) filled with the three-row code,
-    reaching n(nm + 2 psi)/6 codewords.
+    reaching Phi(n, m) = n(nm + 2 psi)/6 codewords.
     """
     if n % 3 != 0 or n < 3:
         raise UnsupportedParameterError(f"family needs n = 0 (mod 3), got n={n}")
@@ -705,11 +704,8 @@ def compose_0mod3(n: int, m: int, config: SearchConfig | None = None) -> Constru
         raise UnsupportedParameterError(f"n={n} is outside the composition's reach")
     if n == 3:
         return ooc_3xm(m)
-    if not (
-        m % 16 == 8
-        or m % 64 == 32
-        or (m % 48 in (4, 20) and m > 4 and in_S(m // 4))
-    ):
+    phi = phi_exact(n, m)
+    if phi.kind != EXACT:
         raise UnsupportedParameterError(
             f"m={m} is not in a class where the three-row code fills the general cap"
         )
@@ -718,11 +714,10 @@ def compose_0mod3(n: int, m: int, config: SearchConfig | None = None) -> Constru
     if config is not None:
         outcome = gdd_search(u, m, config)
     else:
-        outcome = gdd_search(u, m, SearchConfig(60.0, 10**9, EXACT_COVER, 0))
+        outcome = gdd_search(u, m, SearchConfig())
         if outcome.best is None:
-            outcome = gdd_search(u, m, SearchConfig(240.0, 10**9, HILL_CLIMB, 0))
+            outcome = gdd_search(u, m, SearchConfig(240.0, strategy=HILL_CLIMB))
     if outcome.best is None:
         raise SearchExhausted(f"no (3m)^{u} design witness found for m={m} in budget")
-    psi = psi_e_exact(m).value
     code = _expand_code(outcome.best, [inner])
-    return _finalize(code, n * (n * m + 2 * psi) // 6, None, "nxm/0mod3")
+    return _finalize(code, phi.value, None, "nxm/0mod3")

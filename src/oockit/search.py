@@ -395,30 +395,10 @@ def equi_search(m: int, lambda_a: int = 2, config: SearchConfig | None = None) -
     budget = _Budget(config)
     verts = _equi_vertices(m, lambda_a)
     masks = [sum(1 << d for d in supp) for _, supp in verts]
+    # every support holds at least two of the m - 1 differences, so the p/2
+    # rate bound of _max_packing never prunes below free // (smallest support)
     usage = [(len(supp), 0) for _, supp in verts]
-    min_supp = min((len(supp) for _, supp in verts), default=1)
-    best: list[int] = []
-    complete = True
-
-    def extend(cands: list[int], used: int, chosen: list[int], free: int):
-        nonlocal best
-        if len(chosen) > len(best):
-            best = chosen.copy()
-        for pos, ci in enumerate(cands):
-            if len(chosen) + min(len(cands) - pos, free // min_supp) <= len(best):
-                return
-            if not budget.tick():
-                raise _BudgetExceeded
-            nxt = used | masks[ci]
-            rest = [cj for cj in cands[pos + 1 :] if masks[cj] & nxt == 0]
-            chosen.append(ci)
-            extend(rest, nxt, chosen, free - usage[ci][0])
-            chosen.pop()
-
-    try:
-        extend(list(range(len(verts))), 0, [], m - 1)
-    except _BudgetExceeded:
-        complete = False
+    best, complete = _max_packing(masks, usage, m - 1, 0, budget)
     code = Code(
         CodeParams(1, m, 3, lambda_a, 1),
         [make_codeword(((0, 0), (0, verts[i][0]), (0, 2 * verts[i][0] % m))) for i in best],
@@ -507,8 +487,10 @@ def _gdd_exact_cover(u: int, m: int, budget: _Budget, rng) -> list[Codeword] | N
     while not budget.exhausted:
         rng.shuffle(order)
         cover = _ExactCover(n_cols, [cols[i] for i in order])
-        slice_budget = _Budget(SearchConfig(time_budget=10**9, node_budget=200_000))
-        slice_budget.deadline = budget.deadline
+        # a restart never outlives the caller's node or time budget
+        nodes_left = budget.node_budget - budget.nodes
+        time_left = budget.deadline - time.monotonic()
+        slice_budget = _Budget(SearchConfig(time_left, min(200_000, nodes_left)))
         try:
             picked = cover.solve(slice_budget)
         except _BudgetExceeded:

@@ -157,6 +157,11 @@ class TestCliBoundSearchCatalog:
         out = json.loads(capsys.readouterr().out)
         assert out["best_size"] == 3
 
+    def test_search_budget_of_zero_is_honoured(self, capsys):
+        argv = ["search", "optimal", "--n", "2", "--m", "6", "--node-budget", "0"]
+        assert main([*argv, "--format", "text"]) == 0
+        assert "proven_optimal=False" in capsys.readouterr().out
+
     def test_search_gdd(self, capsys):
         assert main(["search", "gdd", "--u", "4", "--m", "4", "--strategy", "exact_cover"]) == 0
         out = json.loads(capsys.readouterr().out)

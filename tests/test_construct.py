@@ -21,6 +21,7 @@ from oockit.construct import (
 )
 from oockit.core import (
     UnsupportedParameterError,
+    VerificationFailure,
     make_codeword,
     restrict_to_row,
 )
@@ -399,3 +400,38 @@ class TestConstructionHygiene:
         assert len(verified) == 1 and verified[0] is res.code
         assert sum(c is res.code for c in facts) <= 1
         assert sum(c is not res.code for c in facts) == other_facts
+
+
+def _one_above(bound):
+    """`bound` with every value raised by one, still reported exact."""
+
+    def patched(*args):
+        rep = bound(*args)
+        return dataclasses.replace(rep, value=rep.value + 1)
+
+    return patched
+
+
+OPTIMAL_BUILDERS = [
+    (equi_2mod4, (10,)),
+    (equi_power4, (1, 6)),
+    (equi_power4, (2, 6, "half_free")),
+    (tight_derived, (15, 1)),
+    (prime_derived, (7, 1)),
+    (ooc_2xm, (12,)),
+    (ooc_3xm, (24,)),
+    (explicit_code, ("3x8",)),
+    (compose_0mod3, (12, 8, SearchConfig(seed=3))),
+]
+
+
+@pytest.mark.parametrize(
+    "builder,args",
+    OPTIMAL_BUILDERS,
+    ids=[f"{b.__name__}-{i}" for i, (b, _) in enumerate(OPTIMAL_BUILDERS)],
+)
+def test_optimal_builders_claim_the_exact_size_from_bounds(monkeypatch, builder, args):
+    monkeypatch.setattr(construct, "psi_e_exact", _one_above(construct.psi_e_exact))
+    monkeypatch.setattr(construct, "phi_exact", _one_above(construct.phi_exact))
+    with pytest.raises(VerificationFailure, match="claimed"):
+        builder(*args)

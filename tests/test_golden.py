@@ -3,8 +3,10 @@
 Each hash is the sha256 of stdout, recorded before `core.normalize` and the
 candidate enumeration of `optimal_search` were rewritten; the entries after
 the matrix render were recorded before the constructions stopped verifying
-their internal stages.  Search commands use `--format text`, because their
-JSON carries `elapsed_ms`.
+their internal stages, and the last three before `equi_search` moved onto
+the shared branch-and-bound and GDD restarts took the caller's node budget.
+Search commands use `--format text`, because their JSON carries `elapsed_ms`
+and the text carries `nodes`.
 """
 
 import contextlib
@@ -49,6 +51,16 @@ GOLDEN = {
     ),
     "search tight --m 13 --format text": (
         "46fdb7c1fade8be6a19517fd7698e1f9b5fac7b6e0470e2a77dec8cf3da17904"
+    ),
+    # best_size=15 proven_optimal=True nodes=178
+    "search equi --m 61 --lambda-a 3 --format text": (
+        "8276e2e9ef7aca1e09e0d4e51d47df2ac1f2c84b098302c3259d456225266b1b"
+    ),
+    "search equi --m 50 --format text": (
+        "9d72ab254d9ea582d4e225a05d793c39e76a36f1f86043f4b63cf591c9de518f"
+    ),
+    "search gdd --u 3 --m 5 --strategy exact_cover --seed 3 --format text": (
+        "86f48457f2fbab9e8617423938a27b2a8196f9936614bd978a2af4e55b2f1e74"
     ),
 }
 

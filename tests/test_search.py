@@ -141,6 +141,11 @@ class TestGddSearch:
         n = 15
         assert out.best_size == 4 * n * (n - 3) // 6
 
+    def test_restarts_obey_the_node_budget(self):
+        assert gdd_search(4, 8, SearchConfig(node_budget=100)).nodes <= 100
+        out = gdd_search(5, 7, SearchConfig(node_budget=1000, seed=1))
+        assert out.nodes <= 1000 and not out.proven_optimal
+
     def test_too_few_groups(self):
         with pytest.raises(ValueError):
             gdd_search(2, 4)
