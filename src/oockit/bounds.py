@@ -185,17 +185,10 @@ def tight_admissible(m: int) -> AdmissibilityReport:
 def in_S(s: int) -> bool:
     """Membership in the admissible class used by the mod-48 exact branch.
 
-    s = 1,5 (mod 12) and every prime p | s has p = 5 (mod 8), or
-    p = 1 (mod 8) together with 4 | ord_p(2).
+    s = 1,5 (mod 12) and s is tight-admissible; for such s that means every
+    prime p | s has p = 5 (mod 8), or p = 1 (mod 8) together with 4 | ord_p(2).
     """
-    if s < 1:
-        raise ValueError(f"need s >= 1, got {s}")
-    if s % 12 not in (1, 5):
-        return False
-    return all(
-        p % 8 == 5 or (p % 8 == 1 and mult_order(2, p) % 4 == 0)
-        for p, _ in prime_factorization(s)
-    )
+    return s % 12 in (1, 5) and tight_admissible(s).admissible
 
 
 def _tower_2mod4(s: int, r: int) -> int:

@@ -2,7 +2,10 @@
 
 JSON goes to stdout, diagnostics to stderr.  Exit codes: 0 success or pass,
 1 verification failure, 2 usage or parameter error, 3 a construction failed
-its own verification (or a required search witness was not found).
+its own verification (or a required search witness was not found).  Every
+subcommand rejects a flag that its kind does not take with exit 2.  A search
+that exceeds the Python recursion limit still ends in a RecursionError
+traceback (ROADMAP item 2).
 """
 
 from __future__ import annotations
@@ -11,26 +14,16 @@ import argparse
 import sys
 from dataclasses import asdict
 
-from . import bounds, construct
+from . import bounds, construct, search
 from .core import SearchExhausted, UnsupportedParameterError, VerificationFailure
 from .document import (
-    DocumentError,
     code_to_document,
     document_to_code,
     parse_json,
     render_json,
     render_matrix,
 )
-from .search import (
-    EXACT_COVER,
-    HILL_CLIMB,
-    GddBaseBlocks,
-    SearchConfig,
-    equi_search,
-    gdd_search,
-    optimal_search,
-    tight_search,
-)
+from .search import EXACT_COVER, HILL_CLIMB, GddBaseBlocks, SearchConfig
 from .verify import composition_census, parity_census, verify_code
 
 EXIT_OK = 0
@@ -38,13 +31,22 @@ EXIT_VERIFY_FAIL = 1
 EXIT_USAGE = 2
 EXIT_CONSTRUCTION_FAIL = 3
 
+# exception -> (exit code, stderr prefix) for the failures `main` reports; any
+# other exception, RecursionError among them, escapes (ROADMAP item 2)
+FAILURES = {
+    VerificationFailure: (EXIT_CONSTRUCTION_FAIL, "verification failure"),
+    SearchExhausted: (EXIT_CONSTRUCTION_FAIL, "search exhausted"),
+    ValueError: (EXIT_USAGE, "error"),
+    OSError: (EXIT_USAGE, "error"),
+}
+
 
 def _err(message: str) -> None:
     print(message, file=sys.stderr)
 
 
-# flags of `construct` in provenance order; the search flags never enter it
-FLAGS = ("n", "m", "g", "s", "r", "p", "id", "variant")
+# parameter flags in provenance order; `u` and `lambda_a` belong to `search`
+FLAGS = ("n", "m", "g", "s", "r", "p", "id", "variant", "u", "lambda_a")
 # search flag -> SearchConfig field; an unset flag keeps the field's default
 SEARCH_FLAGS = {
     "budget_seconds": "time_budget",
@@ -52,11 +54,14 @@ SEARCH_FLAGS = {
     "seed": "seed",
     "strategy": "strategy",
 }
+BUDGET_FLAGS = dict.fromkeys(("budget_seconds", "node_budget"))
 
-# family -> (builder in `construct`, required flags, optional flags with their
-# defaults).  The builder gets the flags in this order, positionally; an
-# optional flag that is unset and has no default is left out.  Search flags
-# reach the builder as one SearchConfig, last, and only when one is set.
+# kind -> (function name in its module, required flags, optional flags with
+# their defaults), one table per subcommand.  The function gets the flags in
+# this order, positionally; an optional flag that is unset and has no default
+# is left out.  Search flags reach it as one SearchConfig, last, and only when
+# one is set.  Names are looked up on each call, so wrappers that replace
+# module attributes see every call.
 FAMILIES = {
     "equi2mod4": ("equi_2mod4", ("m",), {}),
     "gregular4g": ("g_regular_4g", ("g",), {}),
@@ -68,39 +73,51 @@ FAMILIES = {
     "3xm": ("ooc_3xm", ("m",), {}),
     "nxm": ("compose_0mod3", ("n", "m"), dict.fromkeys(SEARCH_FLAGS)),
 }
+BOUNDS = {
+    "phi": ("phi_exact", ("n", "m"), {}),
+    "psi_e": ("psi_e_exact", ("m",), {}),
+    "cac": ("cac_optimal_size", ("m",), {}),
+    "me": ("me_prime", ("m",), {}),
+}
+SEARCHES = {
+    "optimal": ("optimal_search", ("n", "m"), {"lambda_a": 2, **BUDGET_FLAGS}),
+    "equi": ("equi_search", ("m",), {"lambda_a": 2, **BUDGET_FLAGS}),
+    "tight": ("tight_search", ("m",), BUDGET_FLAGS),
+    "gdd": ("gdd_search", ("u", "m"), dict.fromkeys(SEARCH_FLAGS)),
+}
+
+
+def _call(module, table: dict, noun: str, kind: str, args):
+    """Call the function that `table[kind]` names in `module` with the set flags.
+
+    Returns its result and the flags it got.  A set flag that the kind does
+    not take, or an unset required flag, raises UnsupportedParameterError.
+    """
+    name, required, optional = table[kind]
+    for flag in (*FLAGS, *SEARCH_FLAGS):
+        if getattr(args, flag, None) is not None and flag not in (*required, *optional):
+            raise UnsupportedParameterError(f"{noun} {kind!r} does not take {_option(flag)}")
+    given = {}
+    for flag in (*required, *optional):
+        value = getattr(args, flag)
+        if value is None and flag in required:
+            raise UnsupportedParameterError(f"{noun} {kind!r} needs {_option(flag)}")
+        value = optional.get(flag) if value is None else value
+        if value is not None:
+            given[flag] = value
+    params = [value for flag, value in given.items() if flag not in SEARCH_FLAGS]
+    config = {SEARCH_FLAGS[flag]: value for flag, value in given.items() if flag in SEARCH_FLAGS}
+    if config:
+        params.append(SearchConfig(**config))
+    return getattr(module, name)(*params), given
+
+
+def _option(flag: str) -> str:
+    return "--" + flag.replace("_", "-")
 
 
 def cmd_construct(args) -> int:
-    builder, required, optional = FAMILIES[args.family]
-    taken = (*required, *optional)
-    unused = [
-        f for f in (*FLAGS, *SEARCH_FLAGS) if getattr(args, f) is not None and f not in taken
-    ]
-    if unused:
-        _err(f"error: family {args.family!r} does not take --{unused[0].replace('_', '-')}")
-        return EXIT_USAGE
-    try:
-        given = {flag: _require(args, flag) for flag in required}
-        for flag, default in optional.items():
-            value = default if getattr(args, flag) is None else getattr(args, flag)
-            if value is not None:
-                given[flag] = value
-        params = [value for flag, value in given.items() if flag not in SEARCH_FLAGS]
-        search = {flag: value for flag, value in given.items() if flag in SEARCH_FLAGS}
-        if search:
-            params.append(_search_config(**search))
-        res = getattr(construct, builder)(*params)
-    except (UnsupportedParameterError, ValueError) as exc:
-        _err(f"error: {exc}")
-        return EXIT_USAGE
-    except VerificationFailure as exc:
-        _err(f"verification failure: {exc}")
-        for w in getattr(exc, "witnesses", [])[:20]:
-            _err(f"  witness: {w}")
-        return EXIT_CONSTRUCTION_FAIL
-    except SearchExhausted as exc:
-        _err(f"search exhausted: {exc}")
-        return EXIT_CONSTRUCTION_FAIL
+    res, given = _call(construct, FAMILIES, "family", args.family, args)
     if args.format == "matrix":
         print(render_matrix(res.code))
         return EXIT_OK
@@ -116,24 +133,13 @@ def cmd_construct(args) -> int:
     return EXIT_OK
 
 
-def _require(args, name: str) -> int:
-    value = getattr(args, name, None)
-    if value is None:
-        raise UnsupportedParameterError(f"family {args.family!r} needs --{name}")
-    return value
-
-
 def cmd_verify(args) -> int:
-    try:
-        if args.input == "-":
-            text = sys.stdin.read()
-        else:
-            with open(args.input, "r", encoding="utf-8") as fh:
-                text = fh.read()
-        code, _meta = document_to_code(parse_json(text))
-    except (OSError, DocumentError) as exc:
-        _err(f"error: {exc}")
-        return EXIT_USAGE
+    if args.input == "-":
+        text = sys.stdin.read()
+    else:
+        with open(args.input, "r", encoding="utf-8") as fh:
+            text = fh.read()
+    code, _meta = document_to_code(parse_json(text))
     report = verify_code(code)
     out = {
         "verification": {
@@ -166,20 +172,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_bound(args) -> int:
-    try:
-        if args.which == "phi":
-            rep = bounds.phi_exact(_need(args.n, "--n"), _need(args.m, "--m"))
-        elif args.which == "psi_e":
-            rep = bounds.psi_e_exact(_need(args.m, "--m"))
-        elif args.which == "cac":
-            rep = bounds.cac_optimal_size(_need(args.m, "--m"))
-        elif args.which == "me":
-            rep = bounds.me_prime(_need(args.m, "--m"))
-        else:
-            raise UnsupportedParameterError(f"unknown bound {args.which!r}")
-    except (UnsupportedParameterError, ValueError) as exc:
-        _err(f"error: {exc}")
-        return EXIT_USAGE
+    rep, _ = _call(bounds, BOUNDS, "bound", args.which, args)
     out = {
         "value": rep.value,
         "kind": rep.kind,
@@ -193,36 +186,8 @@ def cmd_bound(args) -> int:
     return EXIT_OK
 
 
-def _need(value, flag: str):
-    if value is None:
-        raise UnsupportedParameterError(f"missing {flag}")
-    return value
-
-
-def _search_config(**flags) -> SearchConfig:
-    return SearchConfig(
-        **{SEARCH_FLAGS[flag]: value for flag, value in flags.items() if value is not None}
-    )
-
-
 def cmd_search(args) -> int:
-    config = _search_config(**{flag: getattr(args, flag) for flag in SEARCH_FLAGS})
-    try:
-        if args.kind == "optimal":
-            outcome = optimal_search(
-                _need(args.n, "--n"), _need(args.m, "--m"), args.lambda_a or 2, config
-            )
-        elif args.kind == "equi":
-            outcome = equi_search(_need(args.m, "--m"), args.lambda_a or 2, config)
-        elif args.kind == "tight":
-            outcome = tight_search(_need(args.m, "--m"), config)
-        elif args.kind == "gdd":
-            outcome = gdd_search(_need(args.u, "--u"), _need(args.m, "--m"), config)
-        else:
-            raise UnsupportedParameterError(f"unknown search kind {args.kind!r}")
-    except (UnsupportedParameterError, ValueError) as exc:
-        _err(f"error: {exc}")
-        return EXIT_USAGE
+    outcome, _ = _call(search, SEARCHES, "search", args.kind, args)
     witness = None
     if isinstance(outcome.best, GddBaseBlocks):
         witness = {
@@ -252,11 +217,14 @@ def cmd_search(args) -> int:
 
 
 def _parse_range(spec: str) -> range:
-    if ".." in spec:
-        lo, hi = spec.split("..", 1)
-        return range(int(lo), int(hi) + 1)
-    value = int(spec)
-    return range(value, value + 1)
+    try:
+        if ".." in spec:
+            lo, hi = spec.split("..", 1)
+            return range(int(lo), int(hi) + 1)
+        value = int(spec)
+        return range(value, value + 1)
+    except ValueError as exc:
+        raise ValueError(f"bad range {spec!r}: {exc}") from None
 
 
 def _try_construct(n: int, m: int):
@@ -267,19 +235,14 @@ def _try_construct(n: int, m: int):
             return construct.ooc_2xm(m)
         if n == 3:
             return construct.ooc_3xm(m)
-    except (UnsupportedParameterError, ValueError):
+    except ValueError:
         return None
     return None
 
 
 def cmd_catalog(args) -> int:
-    try:
-        span = _parse_range(args.m)
-    except ValueError as exc:
-        _err(f"error: bad range {args.m!r}: {exc}")
-        return EXIT_USAGE
     rows = []
-    for m in span:
+    for m in _parse_range(args.m):
         res = _try_construct(args.n, m)
         bound = bounds.phi_exact(args.n, m)
         if bound.value is not None:
@@ -340,14 +303,14 @@ def build_parser() -> argparse.ArgumentParser:
     pv.set_defaults(func=cmd_verify)
 
     pb = sub.add_parser("bound", help="closed-form size bounds")
-    pb.add_argument("which", choices=["phi", "psi_e", "cac", "me"])
+    pb.add_argument("which", choices=list(BOUNDS))
     pb.add_argument("--n", type=int)
     pb.add_argument("--m", type=int)
     _add_format(pb, ["json", "text"])
     pb.set_defaults(func=cmd_bound)
 
     ps = sub.add_parser("search", help="brute-force oracles")
-    ps.add_argument("kind", choices=["optimal", "equi", "tight", "gdd"])
+    ps.add_argument("kind", choices=list(SEARCHES))
     ps.add_argument("--n", type=int)
     ps.add_argument("--m", type=int)
     ps.add_argument("--u", type=int)
@@ -376,9 +339,15 @@ def _add_format(p, choices) -> None:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    return args.func(args)
+    args = build_parser().parse_args(argv)
+    try:
+        return args.func(args)
+    except tuple(FAILURES) as exc:
+        code, prefix = next(FAILURES[c] for c in type(exc).__mro__ if c in FAILURES)
+        _err(f"{prefix}: {exc}")
+        for w in getattr(exc, "witnesses", [])[:20]:
+            _err(f"  witness: {w}")
+        return code
 
 
 if __name__ == "__main__":

@@ -44,10 +44,6 @@ class ConstructionResult:
     branch: str
     verified: bool
 
-    @property
-    def m(self) -> int:
-        return self.code.params.m
-
 
 def _finalize(code, claimed_size, claimed_leave, branch) -> ConstructionResult:
     report = verify_code(code)

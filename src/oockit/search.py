@@ -96,10 +96,11 @@ class _Budget:
         self.exhausted = False
 
     def tick(self, k: int = 1) -> bool:
+        """Count k nodes; the clock is read on the first tick, then once per 1024 nodes."""
         self.nodes += k
         if self.nodes >= self.node_budget:
             self.exhausted = True
-        elif self.nodes % 1024 < k and time.monotonic() > self.deadline:
+        elif (self.nodes % 1024 < k or self.nodes == k) and time.monotonic() > self.deadline:
             self.exhausted = True
         return not self.exhausted
 
@@ -391,6 +392,7 @@ def equi_search(m: int, lambda_a: int = 2, config: SearchConfig | None = None) -
     lambda_a = 2 searches 1-D (m,3,2,1) codes, lambda_a = 3 the
     conflict-avoiding relaxation.
     """
+    params = CodeParams(1, m, 3, lambda_a, 1)  # rejects lambda_a < 1 before the search
     config = config or SearchConfig()
     budget = _Budget(config)
     verts = _equi_vertices(m, lambda_a)
@@ -400,7 +402,7 @@ def equi_search(m: int, lambda_a: int = 2, config: SearchConfig | None = None) -
     usage = [(len(supp), 0) for _, supp in verts]
     best, complete = _max_packing(masks, usage, m - 1, 0, budget)
     code = Code(
-        CodeParams(1, m, 3, lambda_a, 1),
+        params,
         [make_codeword(((0, 0), (0, verts[i][0]), (0, 2 * verts[i][0] % m))) for i in best],
     )
     report = verify_code(code)

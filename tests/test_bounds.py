@@ -10,6 +10,7 @@ from oockit.bounds import (
     phi_exact,
     phi_upper_bound,
     pow4_decompose,
+    prime_factorization,
     psi_e_exact,
     psi_e_upper_bound,
     tight_admissible,
@@ -128,6 +129,15 @@ class TestInS:
         for s in range(1, 400):
             if in_S(s):
                 assert tight_admissible(s).admissible, s
+
+    def test_agrees_with_its_factor_clauses(self):
+        # the clause form in_S had before it deferred to tight_admissible
+        for s in range(1, 20_001):
+            expected = s % 12 in (1, 5) and all(
+                p % 8 == 5 or (p % 8 == 1 and mult_order(2, p) % 4 == 0)
+                for p, _ in prime_factorization(s)
+            )
+            assert in_S(s) is expected, s
 
 
 class TestPhiUpperBound:

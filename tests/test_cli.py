@@ -1,8 +1,10 @@
+import inspect
 import json
 
 import pytest
 
-from oockit.cli import main
+from oockit import bounds, construct, search
+from oockit.cli import BOUNDS, FAMILIES, SEARCH_FLAGS, SEARCHES, build_parser, main
 from oockit.construct import explicit_code, ooc_2xm
 from oockit.core import Code, CodeParams, make_codeword
 from oockit.document import (
@@ -161,6 +163,24 @@ class TestCliBoundSearchCatalog:
         argv = ["search", "optimal", "--n", "2", "--m", "6", "--node-budget", "0"]
         assert main([*argv, "--format", "text"]) == 0
         assert "proven_optimal=False" in capsys.readouterr().out
+        # the clock is read on the first node, not only every 1024 nodes
+        argv = ["search", "optimal", "--n", "2", "--m", "6", "--budget-seconds", "0"]
+        assert main([*argv, "--format", "text"]) == 0
+        assert capsys.readouterr().out.split()[1:] == ["proven_optimal=False", "nodes=1"]
+
+    @pytest.mark.parametrize("kind,flags", [("optimal", ["--n", "2", "--m", "6"]),
+                                            ("equi", ["--m", "13"])])
+    def test_lambda_a_of_zero_is_a_usage_error(self, capsys, kind, flags):
+        assert main(["search", kind, *flags, "--lambda-a", "0"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err == "error: need lambda_a >= 1, got 0\n"
+
+    def test_missing_required_flag_exit_2(self, capsys):
+        assert main(["bound", "phi", "--m", "8"]) == 2
+        assert main(["search", "gdd", "--u", "3"]) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            "error: bound 'phi' needs --n", "error: search 'gdd' needs --m"
+        ]
 
     def test_search_gdd(self, capsys):
         assert main(["search", "gdd", "--u", "4", "--m", "4", "--strategy", "exact_cover"]) == 0
@@ -172,3 +192,57 @@ class TestCliBoundSearchCatalog:
         rows = json.loads(capsys.readouterr().out)["rows"]
         assert [r["m"] for r in rows] == [8, 20, 24, 32, 40, 52, 56, 68, 72, 88, 96, 100, 104]
         assert all(r["constructed"] == r["bound"] and r["verified"] for r in rows)
+
+
+# subcommand -> (module its table names functions of, table)
+TABLES = {
+    "construct": (construct, FAMILIES),
+    "bound": (bounds, BOUNDS),
+    "search": (search, SEARCHES),
+}
+
+
+def _subparsers():
+    (sub,) = [a for a in build_parser()._actions if a.dest == "command"]
+    return sub.choices
+
+
+def _options(subparser) -> dict:
+    """dest -> a value argparse accepts, for every --flag of the subparser."""
+    return {
+        a.dest: (a.choices[0] if a.choices else "1")
+        for a in subparser._actions
+        if a.option_strings and a.dest not in ("help", "format")
+    }
+
+
+class TestCliTables:
+    @pytest.mark.parametrize("command", list(TABLES))
+    def test_entries_bind_to_public_functions(self, command):
+        module, table = TABLES[command]
+        for kind, (name, required, optional) in table.items():
+            fn = getattr(module, name)
+            assert not name.startswith("_") and inspect.isfunction(fn), kind
+            params = [flag for flag in (*required, *optional) if flag not in SEARCH_FLAGS]
+            if any(flag in SEARCH_FLAGS for flag in optional):
+                params.append(search.SearchConfig())
+            inspect.signature(fn).bind(*params)
+
+    @pytest.mark.parametrize("command", list(TABLES))
+    def test_choices_are_the_table_keys(self, command):
+        positional = [a for a in _subparsers()[command]._actions if not a.option_strings]
+        assert [list(a.choices) for a in positional if a.choices] == [list(TABLES[command][1])]
+
+    @pytest.mark.parametrize("command", list(TABLES))
+    def test_every_flag_a_kind_does_not_take_exits_2(self, command, capsys):
+        options = _options(_subparsers()[command])
+        for kind, (_, required, optional) in TABLES[command][1].items():
+            argv = [command, kind]
+            for flag in required:
+                argv += [f"--{flag.replace('_', '-')}", options[flag]]
+            for flag in options.keys() - {*required, *optional}:
+                assert main([*argv, f"--{flag.replace('_', '-')}", options[flag]]) == 2
+                captured = capsys.readouterr()
+                assert captured.out == ""
+                (line,) = captured.err.splitlines()
+                assert line.endswith(f"{kind!r} does not take --{flag.replace('_', '-')}")

@@ -1,0 +1,47 @@
+"""Every `oockit ...` command of the README's command-line block runs clean.
+
+A line of the form `oockit A | oockit verify -` feeds the stdout of A to
+`verify -` on stdin; every command must exit 0.
+"""
+
+import contextlib
+import io
+import re
+import sys
+from pathlib import Path
+
+import pytest
+
+from oockit.cli import main
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+
+def _cli_lines() -> list[str]:
+    text = README.read_text(encoding="utf-8")
+    block = re.search(r"## Command line\n.*?```sh\n(.*?)```", text, re.S).group(1)
+    return [line for line in block.splitlines() if line.startswith("oockit ")]
+
+
+def _run(command: str, stdin: str) -> tuple[int, str]:
+    out = io.StringIO()
+    saved = sys.stdin
+    sys.stdin = io.StringIO(stdin)
+    try:
+        with contextlib.redirect_stdout(out):
+            code = main(command.split()[1:])
+    finally:
+        sys.stdin = saved
+    return code, out.getvalue()
+
+
+def test_the_block_is_found():
+    assert len(_cli_lines()) >= 5
+
+
+@pytest.mark.parametrize("line", _cli_lines())
+def test_readme_command_exits_0(line):
+    piped = ""
+    for command in line.split(" | "):
+        code, piped = _run(command, piped)
+        assert code == 0, command
