@@ -101,7 +101,7 @@ def cac_optimal_size(m: int) -> BoundReport:
     """Exact size of a largest weight-3 conflict-avoiding code of even length."""
     if m < 2 or m % 2 != 0:
         raise UnsupportedParameterError(
-            f"conflict-avoiding sizes are closed-form for even m only, got {m}"
+            f"conflict-avoiding sizes are closed-form for even m >= 2 only, got {m}"
         )
     if m == 48:
         return BoundReport(10, EXACT, "cac/m48_exception")

@@ -5,7 +5,7 @@ JSON goes to stdout, diagnostics to stderr.  Exit codes: 0 success or pass,
 its own verification (or a required search witness was not found).  Every
 subcommand rejects a flag that its kind does not take with exit 2.  A search
 that exceeds the Python recursion limit still ends in a RecursionError
-traceback (ROADMAP item 2).
+traceback (ROADMAP item 1).
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ EXIT_USAGE = 2
 EXIT_CONSTRUCTION_FAIL = 3
 
 # exception -> (exit code, stderr prefix) for the failures `main` reports; any
-# other exception, RecursionError among them, escapes (ROADMAP item 2)
+# other exception, RecursionError among them, escapes (ROADMAP item 1)
 FAILURES = {
     VerificationFailure: (EXIT_CONSTRUCTION_FAIL, "verification failure"),
     SearchExhausted: (EXIT_CONSTRUCTION_FAIL, "search exhausted"),

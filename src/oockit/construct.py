@@ -26,7 +26,6 @@ from .core import (
     make_codeword,
 )
 from .search import (
-    HILL_CLIMB,
     GddBaseBlocks,
     SearchConfig,
     equi_search,
@@ -690,9 +689,11 @@ def expand_gdd(
 def compose_0mod3(n: int, m: int, config: SearchConfig | None = None) -> ConstructionResult:
     """Optimal (n x m) code for n = 0 (mod 3), n not 6 or 9.
 
-    n = 3 delegates to the three-row catalogue; n >= 12 expands an
-    m-cyclic design of type (3m)^(n/3) filled with the three-row code,
-    reaching Phi(n, m) = n(nm + 2 psi)/6 codewords.
+    n = 3 delegates to the three-row catalogue.  For n >= 12 the design of
+    type (3m)^(n/3) is searched only at m0 = m & -m (4, 8 or 32 in every
+    exact class), lifted by the odd factor m / m0, and its groups are filled
+    with the three-row code on Z_m, reaching Phi(n, m) = n(nm + 2 psi)/6
+    codewords.  `config` drives the search at m0.
     """
     if n % 3 != 0 or n < 3:
         raise UnsupportedParameterError(f"family needs n = 0 (mod 3), got n={n}")
@@ -706,14 +707,11 @@ def compose_0mod3(n: int, m: int, config: SearchConfig | None = None) -> Constru
             f"m={m} is not in a class where the three-row code fills the general cap"
         )
     inner = _three_row(m)[0]
-    u = n // 3
-    if config is not None:
-        outcome = gdd_search(u, m, config)
-    else:
-        outcome = gdd_search(u, m, SearchConfig())
-        if outcome.best is None:
-            outcome = gdd_search(u, m, SearchConfig(240.0, strategy=HILL_CLIMB))
+    u, m0 = n // 3, m & -m
+    outcome = gdd_search(u, m0, config or SearchConfig())
     if outcome.best is None:
-        raise SearchExhausted(f"no (3m)^{u} design witness found for m={m} in budget")
-    code = _expand_code(outcome.best, [inner])
+        raise SearchExhausted(f"no (3m)^{u} design witness found for m={m0} in budget")
+    # _finalize is the one check of the lift: the correlation check rules out
+    # a class covered twice, the exact size a class left uncovered
+    code = _expand_code(outcome.best.lift(m // m0), [inner])
     return _finalize(code, phi.value, None, "nxm/0mod3")

@@ -84,6 +84,25 @@ class GddBaseBlocks:
         if sum(coverage.values()) != 3 * len(self.base_blocks):
             raise ValueError("stray coverage outside cross-group classes")
 
+    def lift(self, k: int) -> GddBaseBlocks:
+        """The (m k)-cyclic design on the same groups lifted from this one.
+
+        Each base block {(a, x), (b, y), (c, z)} yields the k blocks
+        {(a, x), (b, y + m t), (c, z + 2 m t)} for t in Z_k.  Over t the
+        differences of every row pair run once through the k lifts of their
+        difference mod m; for the (a, c) pair this needs 2 to be a unit mod
+        k, hence k odd.  k = 1 returns the base blocks unchanged.
+        """
+        if k < 1 or k % 2 == 0:
+            raise ValueError(f"the lift needs an odd factor k >= 1, got {k}")
+        m0, m = self.m, self.m * k
+        blocks = [
+            ((a, x), (b, y + m0 * t), (c, (z + 2 * m0 * t) % m))
+            for (a, x), (b, y), (c, z) in self.base_blocks
+            for t in range(k)
+        ]
+        return GddBaseBlocks(m, list(self.group_type), [list(g) for g in self.groups], blocks)
+
 
 class _Budget:
     """Node and wall-clock budget shared by a search call."""
@@ -417,10 +436,11 @@ def tight_search(m: int, config: SearchConfig | None = None) -> SearchOutcome:
     Exact cover search; a completed run without a solution proves that no
     tight equi-difference conflict-avoiding code of length m exists.
     """
+    params = CodeParams(1, m, 3, 3, 1)  # rejects m < 1 before the search
     config = config or SearchConfig()
     budget = _Budget(config)
     if m == 1:
-        return SearchOutcome(Code(CodeParams(1, 1, 3, 3, 1), []), 0, True, 0, budget.elapsed())
+        return SearchOutcome(Code(params, []), 0, True, 0, budget.elapsed())
     verts = _equi_vertices(m, lambda_a=3)
     rows = [tuple(sorted(d - 1 for d in supp)) for _, supp in verts]
     cover = _ExactCover(m - 1, rows)
@@ -432,7 +452,7 @@ def tight_search(m: int, config: SearchConfig | None = None) -> SearchOutcome:
         return SearchOutcome(None, 0, True, budget.nodes, budget.elapsed())
     gens = sorted(verts[i][0] for i in picked)
     code = Code(
-        CodeParams(1, m, 3, 3, 1),
+        params,
         [make_codeword(((0, 0), (0, a), (0, 2 * a % m))) for a in gens],
     )
     report = verify_code(code)
@@ -486,13 +506,17 @@ def _gdd_exact_cover(u: int, m: int, budget: _Budget, rng) -> list[Codeword] | N
     blocks = _gdd_all_blocks(u, m)
     cols = [_gdd_block_classes(b, m, pair_id) for b in blocks]
     order = list(range(len(blocks)))
+    restart = 0
     while not budget.exhausted:
         rng.shuffle(order)
         cover = _ExactCover(n_cols, [cols[i] for i in order])
-        # a restart never outlives the caller's node or time budget
+        # the first slice costs about as much as the rebuild above and each
+        # later one doubles, so rebuilds never dominate and an unlucky order
+        # is dropped early; no restart outlives the caller's node or time budget
         nodes_left = budget.node_budget - budget.nodes
         time_left = budget.deadline - time.monotonic()
-        slice_budget = _Budget(SearchConfig(time_left, min(200_000, nodes_left)))
+        slice_budget = _Budget(SearchConfig(time_left, min(len(blocks) << restart, nodes_left)))
+        restart += 1
         try:
             picked = cover.solve(slice_budget)
         except _BudgetExceeded:
@@ -635,3 +659,4 @@ def gdd_search(u: int, m: int, config: SearchConfig | None = None) -> SearchOutc
     )
     gdd.validate()
     return SearchOutcome(gdd, len(blocks), proven, budget.nodes, budget.elapsed())
+

@@ -40,6 +40,11 @@ class TestCacOptimalSize:
         with pytest.raises(UnsupportedParameterError):
             cac_optimal_size(9)
 
+    @pytest.mark.parametrize("m", [0, -4, 9])
+    def test_rejection_names_the_requirement(self, m):
+        with pytest.raises(UnsupportedParameterError, match=f"even m >= 2 only, got {m}$"):
+            cac_optimal_size(m)
+
 
 class TestPsiEUpperBound:
     @pytest.mark.parametrize("m,expected", [(6, 1), (8, 1), (4, 1), (1, 0), (64, 11), (48, 8)])

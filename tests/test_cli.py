@@ -97,6 +97,13 @@ class TestCliConstructVerify:
         doc = json.loads(capsys.readouterr().out)
         assert doc["metadata"]["provenance"] == "construct tight --s 0 --r 13"
 
+    @pytest.mark.parametrize("n,m", [(12, 56), (15, 40)])
+    def test_nxm_frontier_shapes_build(self, capsys, n, m):
+        assert main(["construct", "nxm", "--n", str(n), "--m", str(m)]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert len(doc["codewords"]) == bounds.phi_exact(n, m).value
+        assert doc["metadata"]["verified"]
+
     def test_search_exhaustion_exit_3(self, capsys):
         rc = main(
             ["construct", "nxm", "--n", "12", "--m", "8",
@@ -158,6 +165,19 @@ class TestCliBoundSearchCatalog:
         assert main(["search", "tight", "--m", "13"]) == 0
         out = json.loads(capsys.readouterr().out)
         assert out["best_size"] == 3
+
+    @pytest.mark.parametrize("m", ["0", "-5"])
+    def test_search_tight_rejects_lengths_below_one(self, capsys, m):
+        assert main(["search", "tight", "--m", m]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: need n, m >= 1, got n=1, m={m}\n"
+
+    def test_bound_cac_zero_names_the_requirement(self, capsys):
+        assert main(["bound", "cac", "--m", "0"]) == 2
+        assert capsys.readouterr().err == (
+            "error: conflict-avoiding sizes are closed-form for even m >= 2 only, got 0\n"
+        )
 
     def test_search_budget_of_zero_is_honoured(self, capsys):
         argv = ["search", "optimal", "--n", "2", "--m", "6", "--node-budget", "0"]

@@ -3,7 +3,7 @@ import dataclasses
 import pytest
 
 from oockit import construct
-from oockit.bounds import psi_e_exact
+from oockit.bounds import phi_exact, psi_e_exact
 from oockit.construct import (
     EXPLICIT_IDS,
     compose_0mod3,
@@ -318,6 +318,19 @@ class TestCompose:
     def test_twelve_by_eight(self):
         res = compose_0mod3(12, 8)
         assert res.code.size() == 196 == 12 * (8 * 12 * 8 + 3 * 8 - 8) // 48
+
+    @pytest.mark.parametrize("n,m,m0", [(12, 8, 8), (12, 24, 8), (15, 20, 4), (12, 96, 32)])
+    def test_one_search_at_the_two_part_of_m(self, monkeypatch, n, m, m0):
+        calls = []
+
+        def record(u, length, config=None):
+            calls.append((u, length))
+            return gdd_search(u, length, config)
+
+        monkeypatch.setattr(construct, "gdd_search", record)
+        res = compose_0mod3(n, m)
+        assert calls == [(n // 3, m0)]
+        assert res.code.size() == phi_exact(n, m).value and res.verified
 
     def test_unreachable_parameters(self):
         with pytest.raises(UnsupportedParameterError):

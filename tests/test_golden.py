@@ -28,7 +28,7 @@ GOLDEN = {
     "construct tight --r 13": "316fd2a4373e7ce1b471d5fcff95ba1059e7dce4e113b760eccf314e1af68a35",
     "construct prime --p 7 --s 1": "87b7b0e22f3ab93a0dd8797c0c0d6c7b020f4c45c0e76fd91eb72f51d3bfb7fd",
     "construct explicit --id 3x8": "3119a9fe790ec480ed6d5af737f1fe6b0792aa4b741ab48e9fb46f37cb5f96d7",
-    # seed 3 finds the design in ~0.05 s; the default seed takes ~1.5 s
+    # m = 8 is its own base (lift factor 1): the searched design, unlifted
     NXM: "097507ce4f4203611645aaf77a9dc96941e478b3a8562eb43eec4f15305caabf",
     "construct 3xm --m 24 --format matrix": (
         "86354f3aba98aec91e2ad6b21fd7b49a1ea9da7d6e3b3065d783b60db29f331a"

@@ -1,3 +1,4 @@
+import functools
 import itertools
 import time
 
@@ -10,6 +11,7 @@ from oockit.search import (
     HILL_CLIMB,
     GddBaseBlocks,
     SearchConfig,
+    _gdd_all_blocks,
     _orbit_representatives,
     equi_search,
     gdd_search,
@@ -165,3 +167,46 @@ class TestGddSearch:
         )
         with pytest.raises(ValueError):
             gdd.validate()
+
+
+@functools.lru_cache(maxsize=None)
+def _base(u, m0):
+    return gdd_search(u, m0, SearchConfig()).best
+
+
+class TestLiftGdd:
+    @pytest.mark.parametrize(
+        "u,m0,k",
+        [(u, m0, k) for u in (4, 5, 6) for m0 in (4, 8) for k in (1, 3, 5, 7)] + [(4, 32, 3)],
+    )
+    def test_lift_is_a_design(self, u, m0, k):
+        lifted = _base(u, m0).lift(k)
+        assert lifted.m == m0 * k and lifted.groups == _base(u, m0).groups
+        assert len(lifted.base_blocks) == k * len(_base(u, m0).base_blocks)
+        lifted.validate()
+
+    def test_factor_one_returns_the_base(self):
+        base = _base(4, 8)
+        lifted = base.lift(1)
+        assert (lifted.m, lifted.base_blocks) == (base.m, base.base_blocks)
+
+    @pytest.mark.parametrize("k", [0, 2, 4, -3])
+    def test_even_or_nonpositive_factor_rejected(self, k):
+        with pytest.raises(ValueError):
+            _base(4, 4).lift(k)
+
+
+class TestRestartSlices:
+    def test_first_slice_is_the_candidate_count(self):
+        # seed 0 fails its first slice of 6 912 nodes and then finishes within
+        # the doubled one; a fixed 200 000-node first slice took 200 145
+        first = gdd_search(4, 8, SearchConfig())
+        again = gdd_search(4, 8, SearchConfig())
+        assert first.best_size == 144 and first.proven_optimal
+        assert len(_gdd_all_blocks(4, 8)) < first.nodes <= len(_gdd_all_blocks(4, 8)) + 1000
+        assert again.nodes == first.nodes
+        assert again.best.base_blocks == first.best.base_blocks
+
+    def test_a_search_that_fits_its_first_slice_never_restarts(self):
+        out = gdd_search(3, 5, SearchConfig(seed=3))
+        assert out.proven_optimal and out.nodes <= len(_gdd_all_blocks(3, 5))
