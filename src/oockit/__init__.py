@@ -33,6 +33,7 @@ from .verify import (
     Witness,
     composition_census,
     composition_inequalities,
+    difference_leave,
     matrix_correlation,
     matrix_verdicts,
     parity_census,

@@ -32,7 +32,7 @@ from .search import (
     gdd_search,
     tight_search,
 )
-from .verify import structural_facts, verify_code
+from .verify import difference_leave, structural_facts, verify_code
 
 
 @dataclass(frozen=True)
@@ -59,7 +59,7 @@ def _finalize(code, claimed_size, claimed_leave, branch) -> ConstructionResult:
     leave = None
     if claimed_leave is not None:
         leave = frozenset(claimed_leave)
-        actual = structural_facts(code).difference_leave
+        actual = difference_leave(code)
         if actual != leave:
             raise VerificationFailure(
                 f"{branch}: difference leave mismatch; "
@@ -301,6 +301,8 @@ def prime_derived(p: int, s: int = 0) -> ConstructionResult:
     is the base's measured leave scaled by 4^s plus the quadrupling tail.
     """
     me = me_prime(p).value  # validates primality and p >= 5
+    if s < 0:
+        raise ValueError(f"need s >= 0, got {s}")
     outcome = equi_search(p, lambda_a=3)
     if not outcome.proven_optimal:
         raise SearchExhausted(f"equi-difference search for Z_{p} ran out of budget")
@@ -424,6 +426,7 @@ def explicit_code(code_id: str) -> ConstructionResult:
 
 def ooc_2xm(m: int) -> ConstructionResult:
     """Optimal two-row code for m = 0 (mod 4): 3m/4 codewords (2 at m = 4)."""
+    params = CodeParams(2, m, 3, 2, 1)  # rejects m < 1 before the family test
     if m % 4 != 0:
         raise UnsupportedParameterError(f"two-row family needs m = 0 (mod 4), got {m}")
     cws: list[Codeword] = []
@@ -465,8 +468,7 @@ def ooc_2xm(m: int) -> ConstructionResult:
         _add(cws, m, (0, 0), (0, m // 2), (1, 3 * m // 4 + 1))
         _add(cws, m, (0, 0), (0, 2), (0, 4))
         branch = "2xm/4mod8"
-    code = Code(CodeParams(2, m, 3, 2, 1), cws)
-    return _finalize(code, phi_exact(2, m).value, None, branch)
+    return _finalize(Code(params, cws), phi_exact(2, m).value, None, branch)
 
 
 # ---------------------------------------------------------------------------

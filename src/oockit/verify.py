@@ -86,20 +86,23 @@ class StructuralFacts:
     is_tight_cac: bool
 
 
-def _pure_class(m: int, d: int) -> int:
-    """Canonical representative of the symmetric pure difference pair {d, m-d}."""
-    return min(d, (m - d) % m)
-
-
 def verify_code(code: Code) -> VerificationReport:
-    """Check the code by the difference method.
+    """Check the code by the difference method, in one pass over cell pairs.
 
     Autocorrelation: for every codeword the maximum total multiplicity of a
     pure difference (summed over rows) is at most lambda_a.  Cross: no two
     distinct codewords share a difference in the same ordered row pair.
+
+    Each unordered cell pair of a codeword falls in one class, encoded as the
+    int (i*n + j)*m + d: rows i <= j (cells are sorted), d = x - y mod m for
+    mixed pairs and min(d, m - d) for pure ones.  Ints sort as the (i, j, d)
+    tuples do, so cross witnesses come in class order.  Only the first owner
+    of a class is kept; an owner list is built when a second codeword hits
+    the class, so lists exist only on failure, and memory is linear in
+    codewords x k^2.  Witness rows are worked out only for failing codewords.
     """
     code.validate()
-    m = code.params.m
+    n, m = code.params.n, code.params.m
     lam_a = code.params.lambda_a
     witnesses: list[Witness] = []
     violation_count = 0
@@ -110,54 +113,71 @@ def verify_code(code: Code) -> VerificationReport:
         if len(witnesses) < MAX_WITNESSES:
             witnesses.append(w)
 
-    auto_ok = True
+    owner: dict[int, int] = {}
+    shared: dict[int, list[int]] = {}
     max_mult = 0
     for idx, cw in enumerate(code.codewords):
-        pure: Counter = Counter()
-        row_of: dict[int, int] = {}
-        for i, x in cw:
-            for j, y in cw:
-                if i == j and x != y:
-                    d = (x - y) % m
-                    pure[d] += 1
-                    row_of.setdefault(d, i)
-        lam = max(pure.values(), default=0)
-        max_mult = max(max_mult, lam)
-        if lam > lam_a:
-            auto_ok = False
-            for d, count in sorted(pure.items()):
-                if count > lam_a:
-                    emit(Witness("auto", (idx, idx), (row_of[d], row_of[d]), d))
-
-    # cross: one canonical class per unordered cell pair, collisions by dict
-    owners: dict[tuple[int, int, int], list[int]] = {}
-    for idx, cw in enumerate(code.codewords):
-        seen: set[tuple[int, int, int]] = set()
-        for a in range(len(cw)):
-            i, x = cw[a]
-            for b in range(a + 1, len(cw)):
-                j, y = cw[b]
+        # pure classes of this codeword's same-row pairs; the half period is
+        # its own negative, so it is listed twice
+        pure: list[int] = []
+        for a, (i, x) in enumerate(cw):
+            row = i * n
+            for j, y in cw[a + 1 :]:
                 if i == j:
-                    key = (i, i, _pure_class(m, (y - x) % m))
+                    d = (y - x) % m
+                    if d + d > m:
+                        d = m - d
+                    elif d + d == m:
+                        pure.append(d)
+                    pure.append(d)
+                    key = (row + i) * m + d
                 else:
-                    key = (i, j, (x - y) % m)  # cells sorted, so i < j
-                if key in seen:
-                    continue  # repeats inside one codeword are an auto matter
-                seen.add(key)
-                owners.setdefault(key, []).append(idx)
+                    key = (row + j) * m + (x - y) % m
+                first = owner.setdefault(key, idx)
+                if first != idx:  # else new, or a repeat inside one codeword
+                    members = shared.get(key)
+                    if members is None:
+                        shared[key] = [first, idx]
+                    elif members[-1] != idx:
+                        members.append(idx)
+        lam = max(map(pure.count, pure), default=0)
+        if lam > max_mult:
+            max_mult = lam
+        if lam > lam_a:
+            # witness path: a class over lambda_a names both of its differences,
+            # at the lowest row holding the class
+            row_of: dict[int, int] = {}
+            for a, (i, x) in enumerate(cw):
+                for j, y in cw[a + 1 :]:
+                    if i == j:
+                        d = (y - x) % m
+                        row_of.setdefault(min(d, m - d), i)
+            over = {c for c in pure if pure.count(c) > lam_a}
+            for d, c in sorted((d, c) for c in over for d in {c, m - c}):
+                emit(Witness("auto", (idx, idx), (row_of[c], row_of[c]), d))
 
-    cross_ok = True
-    for key in sorted(owners):
-        members = owners[key]
-        if len(members) < 2:
-            continue
-        cross_ok = False
-        i, j, d = key
+    for key in sorted(shared):
+        members = shared[key]
+        i, rest = divmod(key, n * m)
+        j, d = divmod(rest, m)
         for a in range(len(members)):
             for b in range(a + 1, len(members)):
                 emit(Witness("cross", (members[a], members[b]), (i, j), d))
 
-    return VerificationReport(auto_ok, cross_ok, max_mult, witnesses, violation_count)
+    return VerificationReport(max_mult <= lam_a, not shared, max_mult, witnesses, violation_count)
+
+
+def difference_leave(code: Code) -> frozenset[int]:
+    """Nonzero residues of Z_m that no codeword of a 1-D code has as a difference.
+
+    The set of x - y mod m over the slot pairs of every codeword, taken away
+    from 1..m-1.  Construction results assert their claimed leave against it.
+    """
+    if code.params.n != 1:
+        raise ValueError("the difference leave is defined for 1-D codes")
+    m = code.params.m
+    covered = {(x - y) % m for cw in code.codewords for _, x in cw for _, y in cw}
+    return frozenset(range(1, m)).difference(covered)
 
 
 def matrix_correlation(a: Codeword, b: Codeword, r: int, params: CodeParams) -> int:
@@ -253,22 +273,19 @@ def structural_facts(code: Code) -> StructuralFacts:
     if code.params.n != 1:
         raise ValueError("structural facts are defined for 1-D codes")
     m = code.params.m
-    supports = [pure_difference_support(cw, m) for cw in code.codewords]
-    covered: Counter = Counter()
-    for supp in supports:
-        covered.update(supp)
-    leave = frozenset(set(range(1, m)) - set(covered))
+    leave = difference_leave(code)
     regular = frozenset(
         g
         for g in _divisors(m)
-        if g < m and all((t * (m // g)) not in covered for t in range(1, g))
+        if g < m and all(t * (m // g) in leave for t in range(1, g))
     )
     equi = all(is_equi_difference_codeword(cw, m) for cw in code.codewords)
+    # with an empty leave the supports cover 1..m-1; their sizes sum to m - 1
+    # exactly when they are disjoint and cover nothing else
     tight = (
         equi
         and not leave
-        and all(count == 1 for count in covered.values())
-        and len(covered) == m - 1
+        and sum(len(pure_difference_support(cw, m)) for cw in code.codewords) == m - 1
     )
     return StructuralFacts(equi, leave, regular, tight)
 

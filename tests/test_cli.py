@@ -173,6 +173,20 @@ class TestCliBoundSearchCatalog:
         assert captured.out == ""
         assert captured.err == f"error: need n, m >= 1, got n=1, m={m}\n"
 
+    @pytest.mark.parametrize(
+        "argv,m",
+        [
+            (["construct", "2xm", "--m", "0"], 0),
+            (["construct", "2xm", "--m", "-4"], -4),
+            (["catalog", "--n", "2", "--m", "0..3"], 0),
+        ],
+    )
+    def test_two_row_lengths_below_one_exit_2(self, capsys, argv, m):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: need n, m >= 1, got n=2, m={m}\n"
+
     def test_bound_cac_zero_names_the_requirement(self, capsys):
         assert main(["bound", "cac", "--m", "0"]) == 2
         assert capsys.readouterr().err == (

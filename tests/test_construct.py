@@ -202,6 +202,13 @@ class TestPrimeDerived:
         with pytest.raises(ValueError):
             prime_derived(9, 0)
 
+    def test_negative_s_rejected_before_the_search(self, monkeypatch):
+        searched = []
+        monkeypatch.setattr(construct, "equi_search", lambda *a, **k: searched.append(a))
+        with pytest.raises(ValueError, match=r"^need s >= 0, got -2$"):
+            prime_derived(5, -2)
+        assert searched == []
+
 
 class TestExplicitCodes:
     @pytest.mark.parametrize(
@@ -448,3 +455,41 @@ def test_optimal_builders_claim_the_exact_size_from_bounds(monkeypatch, builder,
     monkeypatch.setattr(construct, "phi_exact", _one_above(construct.phi_exact))
     with pytest.raises(VerificationFailure, match="claimed"):
         builder(*args)
+
+
+# builders that claim a difference leave, with their arguments (built before
+# the patch, so the inputs of fill_regular and quadruple pass unchanged)
+LEAVE_BUILDERS = [
+    (equi_2mod4, lambda: (10,)),
+    (g_regular_4g, lambda: (5,)),
+    (equi_power4, lambda: (1, 6)),
+    (equi_power4, lambda: (2, 6, "half_free")),
+    (tight_derived, lambda: (13, 1)),
+    (tight_derived, lambda: (15, 1)),
+    (prime_derived, lambda: (7, 1)),
+    (quadruple, lambda: (tight_derived(5, 0),)),
+    (fill_regular, lambda: (g_regular_4g(6), equi_2mod4(6))),
+]
+
+
+@pytest.mark.parametrize(
+    "builder,make_args",
+    LEAVE_BUILDERS,
+    ids=[f"{b.__name__}-{i}" for i, (b, _) in enumerate(LEAVE_BUILDERS)],
+)
+def test_builders_reject_a_wrong_claimed_leave(monkeypatch, builder, make_args):
+    args = make_args()
+    finalize = construct._finalize
+    moved = []
+
+    def drop_largest_add_least_absent(code, claimed_size, claimed_leave, branch):
+        dropped = max(claimed_leave)
+        added = min(set(range(1, code.params.m)) - set(claimed_leave))
+        moved.append((added, dropped))
+        return finalize(code, claimed_size, (set(claimed_leave) - {dropped}) | {added}, branch)
+
+    monkeypatch.setattr(construct, "_finalize", drop_largest_add_least_absent)
+    with pytest.raises(VerificationFailure, match="leave mismatch") as info:
+        builder(*args)
+    ((added, dropped),) = moved
+    assert str(info.value).endswith(f"missing=[{added}], extra=[{dropped}]")

@@ -6,7 +6,8 @@ the matrix render were recorded before the constructions stopped verifying
 their internal stages, and the last three before `equi_search` moved onto
 the shared branch-and-bound and GDD restarts took the caller's node budget.
 Search commands use `--format text`, because their JSON carries `elapsed_ms`
-and the text carries `nodes`.
+and the text carries `nodes`.  The `verify` entries were recorded before
+`verify_code` became one pass over integer class keys.
 """
 
 import contextlib
@@ -16,6 +17,9 @@ import io
 import pytest
 
 from oockit.cli import main
+from oockit.construct import ooc_3xm
+from oockit.core import Code, make_codeword
+from oockit.document import code_to_document, render_json
 
 NXM = "construct nxm --n 12 --m 8 --budget-seconds 30 --strategy exact_cover --seed 3"
 
@@ -65,10 +69,10 @@ GOLDEN = {
 }
 
 
-def _stdout_sha256(command: str) -> str:
+def _stdout_sha256(command: str, exit_code: int = 0) -> str:
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
-        assert main(command.split()) == 0
+        assert main(command.split()) == exit_code
     return hashlib.sha256(out.getvalue().encode()).hexdigest()
 
 
@@ -79,3 +83,31 @@ def test_output_is_byte_identical(command):
 
 def test_seed_alone_reaches_the_search():
     assert _stdout_sha256("construct nxm --n 12 --m 8 --seed 3") == GOLDEN[NXM]
+
+
+def _verify_documents() -> dict[str, tuple[Code, int]]:
+    """name -> (code, expected exit) for the golden `verify` documents.
+
+    "doubled" lists every codeword of ooc_3xm(96) twice and adds a
+    third-period codeword in row 0: auto and cross witnesses, and more
+    violations than MAX_WITNESSES.
+    """
+    code = ooc_3xm(96).code
+    third = make_codeword(((0, 0), (0, 32), (0, 64)))
+    doubled = Code(code.params, code.codewords * 2 + [third])
+    return {"3xm-96": (code, 0), "3xm-96-doubled": (doubled, 1)}
+
+
+VERIFY_GOLDEN = {
+    "3xm-96": "c63d27c5296b60cd9f15003a6bad185664c1db05f6f6dbb2cb8b2f3b537b8b5b",
+    "3xm-96-doubled": "bb17842b0744a5ee77fa10f16ab52d5a5d312f97abb5f322ad9b22f470b6288e",
+}
+
+
+@pytest.mark.parametrize("name", list(VERIFY_GOLDEN))
+def test_verify_output_is_byte_identical(tmp_path, name):
+    code, exit_code = _verify_documents()[name]
+    path = tmp_path / f"{name}.json"
+    path.write_text(render_json(code_to_document(code)), encoding="utf-8")
+    command = f"verify {path} --format json"
+    assert _stdout_sha256(command, exit_code) == VERIFY_GOLDEN[name]

@@ -1,11 +1,24 @@
+import random
+from collections import Counter
+
 import pytest
 
-from oockit.construct import equi_2mod4, explicit_code, g_regular_4g
-from oockit.core import Code, CodeParams, make_codeword
+from oockit.construct import (
+    equi_2mod4,
+    equi_power4,
+    explicit_code,
+    g_regular_4g,
+    ooc_2xm,
+    ooc_3xm,
+)
+from oockit.core import Code, CodeParams, make_codeword, translate
 from oockit.verify import (
     MAX_WITNESSES,
+    VerificationReport,
+    Witness,
     composition_census,
     composition_inequalities,
+    difference_leave,
     matrix_correlation,
     matrix_verdicts,
     parity_census,
@@ -72,6 +85,116 @@ class TestVerifyCode:
     def test_empty_code(self):
         report = verify_code(Code(CodeParams(1, 8), []))
         assert report.passed and report.max_auto_multiplicity == 0
+
+
+def oracle_verify_code(code: Code) -> VerificationReport:
+    """Reference difference-method check: a Counter per codeword, tuple class keys."""
+    code.validate()
+    m = code.params.m
+    lam_a = code.params.lambda_a
+    witnesses: list[Witness] = []
+    violation_count = 0
+
+    def emit(w: Witness) -> None:
+        nonlocal violation_count
+        violation_count += 1
+        if len(witnesses) < MAX_WITNESSES:
+            witnesses.append(w)
+
+    auto_ok = True
+    max_mult = 0
+    for idx, cw in enumerate(code.codewords):
+        pure: Counter = Counter()
+        row_of: dict[int, int] = {}
+        for i, x in cw:
+            for j, y in cw:
+                if i == j and x != y:
+                    d = (x - y) % m
+                    pure[d] += 1
+                    row_of.setdefault(d, i)
+        lam = max(pure.values(), default=0)
+        max_mult = max(max_mult, lam)
+        if lam > lam_a:
+            auto_ok = False
+            for d, count in sorted(pure.items()):
+                if count > lam_a:
+                    emit(Witness("auto", (idx, idx), (row_of[d], row_of[d]), d))
+
+    owners: dict[tuple[int, int, int], list[int]] = {}
+    for idx, cw in enumerate(code.codewords):
+        seen: set[tuple[int, int, int]] = set()
+        for a in range(len(cw)):
+            i, x = cw[a]
+            for b in range(a + 1, len(cw)):
+                j, y = cw[b]
+                if i == j:
+                    d = (y - x) % m
+                    key = (i, i, min(d, (m - d) % m))
+                else:
+                    key = (i, j, (x - y) % m)
+                if key in seen:
+                    continue
+                seen.add(key)
+                owners.setdefault(key, []).append(idx)
+
+    cross_ok = True
+    for key in sorted(owners):
+        members = owners[key]
+        if len(members) < 2:
+            continue
+        cross_ok = False
+        i, j, d = key
+        for a in range(len(members)):
+            for b in range(a + 1, len(members)):
+                emit(Witness("cross", (members[a], members[b]), (i, j), d))
+
+    return VerificationReport(auto_ok, cross_ok, max_mult, witnesses, violation_count)
+
+
+def random_code(rng: random.Random) -> Code:
+    """A small code of random shape, often failing: repeats and half periods planted."""
+    n, m, lam_a = rng.randint(1, 4), rng.randint(1, 14), rng.randint(1, 3)
+    k = rng.randint(1, min(4, n * m))
+    cells = [(r, s) for r in range(n) for s in range(m)]
+    cws = []
+    for _ in range(rng.randint(0, 8)):
+        roll = rng.random()
+        if cws and roll < 0.15:
+            cws.append(rng.choice(cws))
+        elif m % 2 == 0 and k >= 2 and roll < 0.35:
+            r, s = rng.randrange(n), rng.randrange(m)
+            half = {(r, s), (r, (s + m // 2) % m)}
+            rest = rng.sample([c for c in cells if c not in half], k - 2)
+            cws.append(make_codeword([*half, *rest]))
+        else:
+            cws.append(make_codeword(rng.sample(cells, k)))
+    return Code(CodeParams(n, m, k, lam_a, 1), cws)
+
+
+class TestVerifyCodeAgainstOracle:
+    def test_random_codes(self):
+        rng = random.Random(20261018)
+        failing = 0
+        for _ in range(3000):
+            code = random_code(rng)
+            report = verify_code(code)
+            assert report == oracle_verify_code(code), code
+            failing += not report.passed
+        assert failing > 1000
+
+    @pytest.mark.parametrize(
+        "build",
+        [lambda: ooc_3xm(5408), lambda: equi_power4(3, 330), lambda: ooc_2xm(2000)],
+        ids=["ooc_3xm-5408", "equi_power4-3-330", "ooc_2xm-2000"],
+    )
+    def test_large_codes_with_a_planted_translate(self, build):
+        code = build().code
+        assert verify_code(code) == oracle_verify_code(code)
+        m = code.params.m
+        planted = Code(code.params, code.codewords + [translate(code.codewords[0], m // 3, m)])
+        report = verify_code(planted)
+        assert not report.cross_ok
+        assert report == oracle_verify_code(planted)
 
 
 class TestMatrixCorrelation:
@@ -171,6 +294,14 @@ class TestStructuralFacts:
     def test_needs_one_row(self):
         with pytest.raises(ValueError):
             structural_facts(explicit_code("3x8").code)
+        with pytest.raises(ValueError):
+            difference_leave(explicit_code("3x8").code)
+
+    def test_difference_leave_is_the_facts_leave(self):
+        for code in (equi_2mod4(6).code, g_regular_4g(2).code, one_row_code(9, [(0, 3, 6)])):
+            assert difference_leave(code) == structural_facts(code).difference_leave
+        assert difference_leave(one_row_code(9, [(0, 3, 6)])) == {1, 2, 4, 5, 7, 8}
+        assert difference_leave(Code(CodeParams(1, 1), [])) == frozenset()
 
 
 class TestCensusInequalities:
