@@ -2,10 +2,10 @@
 
 JSON goes to stdout, diagnostics to stderr.  Exit codes: 0 success or pass,
 1 verification failure, 2 usage or parameter error, 3 a construction failed
-its own verification (or a required search witness was not found).  Every
-subcommand rejects a flag that its kind does not take with exit 2.  A search
-that exceeds the Python recursion limit still ends in a RecursionError
-traceback (ROADMAP item 1).
+its own verification (or a required search witness was not found), 4 an
+internal error, such as a search deeper than the Python recursion limit.
+Every failure is one stderr line, never a traceback.  Every subcommand
+rejects a flag that its kind does not take with exit 2.
 """
 
 from __future__ import annotations
@@ -30,14 +30,17 @@ EXIT_OK = 0
 EXIT_VERIFY_FAIL = 1
 EXIT_USAGE = 2
 EXIT_CONSTRUCTION_FAIL = 3
+EXIT_INTERNAL = 4
 
-# exception -> (exit code, stderr prefix) for the failures `main` reports; any
-# other exception, RecursionError among them, escapes (ROADMAP item 1)
+# exception -> (exit code, stderr prefix) for the failures `main` reports; the
+# nearest class in the exception's MRO wins, so `Exception` takes only what no
+# other entry names, RecursionError among them
 FAILURES = {
     VerificationFailure: (EXIT_CONSTRUCTION_FAIL, "verification failure"),
     SearchExhausted: (EXIT_CONSTRUCTION_FAIL, "search exhausted"),
     ValueError: (EXIT_USAGE, "error"),
     OSError: (EXIT_USAGE, "error"),
+    Exception: (EXIT_INTERNAL, "internal error"),
 }
 
 
@@ -62,16 +65,27 @@ BUDGET_FLAGS = dict.fromkeys(("budget_seconds", "node_budget"))
 # is left out.  Search flags reach it as one SearchConfig, last, and only when
 # one is set.  Names are looked up on each call, so wrappers that replace
 # module attributes see every call.
+#
+# A FAMILIES row ends with the Phi optimum the family builds: given (n, m)
+# where phi_exact is exact, the flags that build it, or None.  No two
+# families claim the same (n, m).  The 1-D towers build psi_e optima, so
+# they claim none.
 FAMILIES = {
-    "equi2mod4": ("equi_2mod4", ("m",), {}),
-    "gregular4g": ("g_regular_4g", ("g",), {}),
-    "power4": ("equi_power4", ("s", "r"), {"variant": construct.STANDARD}),
-    "tight": ("tight_derived", ("r",), {"s": None}),
-    "prime": ("prime_derived", ("p",), {"s": None}),
-    "explicit": ("explicit_code", ("id",), {}),
-    "2xm": ("ooc_2xm", ("m",), {}),
-    "3xm": ("ooc_3xm", ("m",), {}),
-    "nxm": ("compose_0mod3", ("n", "m"), dict.fromkeys(SEARCH_FLAGS)),
+    "equi2mod4": ("equi_2mod4", ("m",), {}, None),
+    "gregular4g": ("g_regular_4g", ("g",), {}, None),
+    "power4": ("equi_power4", ("s", "r"), {"variant": construct.STANDARD}, None),
+    "tight": ("tight_derived", ("r",), {"s": None}, None),
+    "prime": ("prime_derived", ("p",), {"s": None}, None),
+    "explicit": (
+        "explicit_code", ("id",), {},
+        lambda n, m: {"id": "1d48"} if (n, m) == (1, 48) else None,
+    ),
+    "2xm": ("ooc_2xm", ("m",), {}, lambda n, m: {"m": m} if n == 2 else None),
+    "3xm": ("ooc_3xm", ("m",), {}, lambda n, m: {"m": m} if n == 3 else None),
+    "nxm": (
+        "compose_0mod3", ("n", "m"), dict.fromkeys(SEARCH_FLAGS),
+        lambda n, m: {"n": n, "m": m} if n % 3 == 0 and n > 3 else None,
+    ),
 }
 BOUNDS = {
     "phi": ("phi_exact", ("n", "m"), {}),
@@ -87,19 +101,20 @@ SEARCHES = {
 }
 
 
-def _call(module, table: dict, noun: str, kind: str, args):
+def _call(module, table: dict, noun: str, kind: str, flags: dict):
     """Call the function that `table[kind]` names in `module` with the set flags.
 
-    Returns its result and the flags it got.  A set flag that the kind does
+    `flags` maps flag names to values, None or absent when unset.  Returns
+    the result and the flags the function got.  A set flag that the kind does
     not take, or an unset required flag, raises UnsupportedParameterError.
     """
-    name, required, optional = table[kind]
+    name, required, optional = table[kind][:3]
     for flag in (*FLAGS, *SEARCH_FLAGS):
-        if getattr(args, flag, None) is not None and flag not in (*required, *optional):
+        if flags.get(flag) is not None and flag not in (*required, *optional):
             raise UnsupportedParameterError(f"{noun} {kind!r} does not take {_option(flag)}")
     given = {}
     for flag in (*required, *optional):
-        value = getattr(args, flag)
+        value = flags.get(flag)
         if value is None and flag in required:
             raise UnsupportedParameterError(f"{noun} {kind!r} needs {_option(flag)}")
         value = optional.get(flag) if value is None else value
@@ -117,7 +132,7 @@ def _option(flag: str) -> str:
 
 
 def cmd_construct(args) -> int:
-    res, given = _call(construct, FAMILIES, "family", args.family, args)
+    res, given = _call(construct, FAMILIES, "family", args.family, vars(args))
     if args.format == "matrix":
         print(render_matrix(res.code))
         return EXIT_OK
@@ -172,7 +187,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_bound(args) -> int:
-    rep, _ = _call(bounds, BOUNDS, "bound", args.which, args)
+    rep, _ = _call(bounds, BOUNDS, "bound", args.which, vars(args))
     out = {
         "value": rep.value,
         "kind": rep.kind,
@@ -187,7 +202,7 @@ def cmd_bound(args) -> int:
 
 
 def cmd_search(args) -> int:
-    outcome, _ = _call(search, SEARCHES, "search", args.kind, args)
+    outcome, _ = _call(search, SEARCHES, "search", args.kind, vars(args))
     witness = None
     if isinstance(outcome.best, GddBaseBlocks):
         witness = {
@@ -227,38 +242,25 @@ def _parse_range(spec: str) -> range:
         raise ValueError(f"bad range {spec!r}: {exc}") from None
 
 
-def _try_construct(n: int, m: int):
-    try:
-        if n == 1:
-            return construct.explicit_code("1d48") if m == 48 else None
-        if n == 2:
-            return construct.ooc_2xm(m)
-        if n == 3:
-            return construct.ooc_3xm(m)
-    except ValueError:
-        return None
-    return None
-
-
 def cmd_catalog(args) -> int:
+    """One row per m where Phi(n, m) is exact, built by the family that claims it."""
     rows = []
     for m in _parse_range(args.m):
-        res = _try_construct(args.n, m)
         bound = bounds.phi_exact(args.n, m)
-        if bound.value is not None:
-            bound_value, bound_kind = bound.value, bound.kind
-        else:
-            bound_value = dict(bound.dependencies).get("upper_bound")
-            bound_kind = "upper_bound"
-        if res is None and bound.kind != "exact":
+        if bound.kind != bounds.EXACT:
             continue
+        res = None
+        for kind, (*_, optimum) in FAMILIES.items():
+            flags = optimum and optimum(args.n, m)
+            if flags:
+                res, _ = _call(construct, FAMILIES, "family", kind, flags)
         rows.append(
             {
                 "n": args.n,
                 "m": m,
                 "constructed": res.code.size() if res else None,
-                "bound": bound_value,
-                "kind": bound_kind,
+                "bound": bound.value,
+                "kind": bound.kind,
                 "verified": bool(res and res.verified),
             }
         )

@@ -230,7 +230,9 @@ def equi_power4(s: int, r: int, variant: str = STANDARD) -> ConstructionResult:
         raise UnsupportedParameterError(f"family needs r = 2 (mod 4), got r={r}")
     if variant not in (STANDARD, HALF_FREE):
         raise UnsupportedParameterError(f"unknown variant {variant!r}")
-    if s < 0 or (variant == HALF_FREE and s < 1):
+    if s < 0:
+        raise ValueError(f"need s >= 0, got {s}")
+    if variant == HALF_FREE and s < 1:
         raise UnsupportedParameterError(f"variant {variant} needs s >= 1, got s={s}")
     half = r // 2
     if variant == STANDARD:
@@ -584,8 +586,6 @@ def _ooc_3xm_32mod64(m: int) -> list[Codeword]:
 
 
 def _ooc_3xm_4or20mod48(m: int) -> list[Codeword]:
-    if m < 68:
-        raise UnsupportedParameterError(f"general mod-48 family starts at m=68, got {m}")
     cws = _place_on_rows(_tower(_tight_derived_base(m // 4), 1))
     for i in range((m - 20) // 8 + 1):
         _add(cws, m, (0, 0), (0, 1 + 2 * i), (1, (7 * m + 4) // 8 + i))
@@ -630,10 +630,6 @@ def _ooc_3xm_4or20mod48(m: int) -> list[Codeword]:
         for i in sorted(t_set - {(m - 68) // 32}):
             _add(cws, m, (0, 0), (1, (3 * m + 20) // 8 + i), (2, 4 + 2 * i))
     else:
-        if m < 116:
-            raise UnsupportedParameterError(
-                f"mod-96 sub-branch of the mod-48 family starts at m=116, got {m}"
-            )
         skip = {(m - 20) // 32, m // 4 - 1, m // 4}
         for i in range((3 * m - 12) // 8 + 1):
             if i in skip:

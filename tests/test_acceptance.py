@@ -17,6 +17,7 @@ from oockit.bounds import (
     psi_e_exact,
     tight_admissible,
 )
+from oockit.cli import FAMILIES
 from oockit.construct import (
     HALF_FREE,
     STANDARD,
@@ -74,10 +75,11 @@ def _tight_branch(r):
 
 @pytest.fixture(scope="module")
 def swept():
+    """builder name -> [(parameters, result)] for each family swept here."""
     families = {
         "equi_2mod4": [(m, equi_2mod4(m)) for m in range(2, 203, 4)],
         "g_regular_4g": [(g, g_regular_4g(g)) for g in range(1, 51)],
-        "explicit": [(cid, explicit_code(cid)) for cid in ("1d48", "3x4", "3x8", "3x20", "3x32", "3x52")],
+        "explicit_code": [(cid, explicit_code(cid)) for cid in ("1d48", "3x4", "3x8", "3x20", "3x32", "3x52")],
         "ooc_2xm": [(m, ooc_2xm(m)) for m in range(4, 201, 4)],
     }
     power4 = []
@@ -116,6 +118,12 @@ def swept():
     return families
 
 
+def test_sweep_names_every_family(swept):
+    # a family added to the `construct` table without a sweep fails here;
+    # compose_0mod3 is exercised by criterion 6
+    assert {*swept, "compose_0mod3"} == {row[0] for row in FAMILIES.values()}
+
+
 def test_criterion_1_correlation_soundness(swept):
     total = 0
     for family, entries in swept.items():
@@ -123,7 +131,7 @@ def test_criterion_1_correlation_soundness(swept):
             assert res.verified, (family, key)
             total += 1
     # spot re-verification through the independent matrix oracle
-    for family, index in (("equi_2mod4", 3), ("ooc_2xm", 5), ("explicit", 2)):
+    for family, index in (("equi_2mod4", 3), ("ooc_2xm", 5), ("explicit_code", 2)):
         code = swept[family][index][1].code
         assert matrix_verdicts(code) == (True, True)
     print(f"\nACCEPTANCE 1 correlation soundness over {total} constructions: PASS")
@@ -171,7 +179,7 @@ def test_criterion_3_point_values(swept):
     assert phi_exact(3, 32).value == 53
     assert phi_exact(3, 20).value == 34
     assert phi_exact(3, 52).value == 88
-    sizes = {cid: res.code.size() for cid, res in swept["explicit"]}
+    sizes = {cid: res.code.size() for cid, res in swept["explicit_code"]}
     assert sizes == {"1d48": 10, "3x4": 6, "3x8": 13, "3x20": 34, "3x32": 53, "3x52": 88}
     assert cac_optimal_size(48).value == 10
     assert cac_optimal_size(64).value == 13

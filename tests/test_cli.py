@@ -227,6 +227,35 @@ class TestCliBoundSearchCatalog:
         assert [r["m"] for r in rows] == [8, 20, 24, 32, 40, 52, 56, 68, 72, 88, 96, 100, 104]
         assert all(r["constructed"] == r["bound"] and r["verified"] for r in rows)
 
+    def test_catalog_builds_rows_0mod3_through_the_family_table(self, capsys):
+        assert main(["catalog", "--n", "12", "--m", "8..56"]) == 0
+        rows = json.loads(capsys.readouterr().out)["rows"]
+        assert [r["m"] for r in rows] == [8, 20, 24, 32, 40, 52, 56]
+        for r in rows:
+            assert r["constructed"] == r["bound"] == bounds.phi_exact(12, r["m"]).value
+            assert r["verified"]
+
+    @pytest.mark.parametrize(
+        "argv", [["construct", "3xm", "--m", "8"], ["catalog", "--n", "3", "--m", "8"]]
+    )
+    def test_unexpected_exception_is_one_line_and_exit_4(self, capsys, monkeypatch, argv):
+        def overflow(m):
+            raise RecursionError("maximum recursion depth exceeded")
+
+        monkeypatch.setattr(construct, "ooc_3xm", overflow)
+        assert main(argv) == 4
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "internal error: maximum recursion depth exceeded\n"
+
+    def test_power4_negative_s_names_the_requirement(self, capsys):
+        assert main(["construct", "power4", "--s", "-1", "--r", "6"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err == "error: need s >= 0, got -1\n"
+        argv = ["construct", "power4", "--s", "0", "--r", "6", "--variant", "half_free"]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == "error: variant half_free needs s >= 1, got s=0\n"
+
 
 # subcommand -> (module its table names functions of, table)
 TABLES = {
@@ -254,13 +283,20 @@ class TestCliTables:
     @pytest.mark.parametrize("command", list(TABLES))
     def test_entries_bind_to_public_functions(self, command):
         module, table = TABLES[command]
-        for kind, (name, required, optional) in table.items():
+        for kind, (name, required, optional, *_) in table.items():
             fn = getattr(module, name)
             assert not name.startswith("_") and inspect.isfunction(fn), kind
             params = [flag for flag in (*required, *optional) if flag not in SEARCH_FLAGS]
             if any(flag in SEARCH_FLAGS for flag in optional):
                 params.append(search.SearchConfig())
             inspect.signature(fn).bind(*params)
+
+    def test_at_most_one_family_claims_each_phi_optimum(self):
+        for n in range(1, 40):
+            for m in range(1, 200):
+                if bounds.phi_exact(n, m).kind == bounds.EXACT:
+                    claims = [kind for kind, row in FAMILIES.items() if row[3] and row[3](n, m)]
+                    assert len(claims) <= 1, (n, m, claims)
 
     @pytest.mark.parametrize("command", list(TABLES))
     def test_choices_are_the_table_keys(self, command):
@@ -270,7 +306,7 @@ class TestCliTables:
     @pytest.mark.parametrize("command", list(TABLES))
     def test_every_flag_a_kind_does_not_take_exits_2(self, command, capsys):
         options = _options(_subparsers()[command])
-        for kind, (_, required, optional) in TABLES[command][1].items():
+        for kind, (_, required, optional, *_) in TABLES[command][1].items():
             argv = [command, kind]
             for flag in required:
                 argv += [f"--{flag.replace('_', '-')}", options[flag]]

@@ -7,7 +7,8 @@ their internal stages, and the last three before `equi_search` moved onto
 the shared branch-and-bound and GDD restarts took the caller's node budget.
 Search commands use `--format text`, because their JSON carries `elapsed_ms`
 and the text carries `nodes`.  The `verify` entries were recorded before
-`verify_code` became one pass over integer class keys.
+`verify_code` became one pass over integer class keys, and the `catalog`
+entries before `catalog` dispatched through the `construct` family table.
 """
 
 import contextlib
@@ -65,6 +66,15 @@ GOLDEN = {
     ),
     "search gdd --u 3 --m 5 --strategy exact_cover --seed 3 --format text": (
         "86f48457f2fbab9e8617423938a27b2a8196f9936614bd978a2af4e55b2f1e74"
+    ),
+    "catalog --n 1 --m 40..56": (
+        "f4a4048cd5db9c29c1e5dd032b69dba2acfd649854740e242af1b5cc63ebcb42"
+    ),
+    "catalog --n 2 --m 4..40": (
+        "157b4380c0bcf9ee0279935ec664a21555f4a98cd6b4a78ac720477e59715356"
+    ),
+    "catalog --n 3 --m 8..104 --format text": (
+        "7dcfc8ef2665c1d6d173977cac6160d53aa26f936f7d979c49a5c5679b21d543"
     ),
 }
 

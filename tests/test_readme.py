@@ -1,7 +1,8 @@
 """Every `oockit ...` command of the README's command-line block runs clean.
 
 A line of the form `oockit A | oockit verify -` feeds the stdout of A to
-`verify -` on stdin; every command must exit 0.
+`verify -` on stdin; every command must exit 0.  The exit-code sentence
+names every code `main` can return.
 """
 
 import contextlib
@@ -12,7 +13,7 @@ from pathlib import Path
 
 import pytest
 
-from oockit.cli import main
+from oockit.cli import EXIT_OK, EXIT_VERIFY_FAIL, FAILURES, main
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -33,6 +34,13 @@ def _run(command: str, stdin: str) -> tuple[int, str]:
     finally:
         sys.stdin = saved
     return code, out.getvalue()
+
+
+def test_exit_code_contract_names_every_code_main_returns():
+    text = README.read_text(encoding="utf-8")
+    sentence = re.search(r"Exit codes: (.*?\.)\s", text, re.S).group(1)
+    named = {int(code) for code in re.findall(r"`(\d+)`", sentence)}
+    assert named == {EXIT_OK, EXIT_VERIFY_FAIL, *(code for code, _ in FAILURES.values())}
 
 
 def test_the_block_is_found():
