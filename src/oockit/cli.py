@@ -3,7 +3,7 @@
 JSON goes to stdout, diagnostics to stderr.  Exit codes: 0 success or pass,
 1 verification failure, 2 usage or parameter error, 3 a construction failed
 its own verification (or a required search witness was not found), 4 an
-internal error, such as a search deeper than the Python recursion limit.
+internal error: an exception raised by a fault in oockit itself.
 Every failure is one stderr line, never a traceback.  Every subcommand
 rejects a flag that its kind does not take with exit 2.
 """
@@ -34,7 +34,7 @@ EXIT_INTERNAL = 4
 
 # exception -> (exit code, stderr prefix) for the failures `main` reports; the
 # nearest class in the exception's MRO wins, so `Exception` takes only what no
-# other entry names, RecursionError among them
+# other entry names
 FAILURES = {
     VerificationFailure: (EXIT_CONSTRUCTION_FAIL, "verification failure"),
     SearchExhausted: (EXIT_CONSTRUCTION_FAIL, "search exhausted"),

@@ -123,12 +123,14 @@ class _Budget:
             self.exhausted = True
         return not self.exhausted
 
+    def check_time(self) -> bool:
+        """Read the clock without counting a node; False once the budget is spent."""
+        if time.monotonic() > self.deadline:
+            self.exhausted = True
+        return not self.exhausted
+
     def elapsed(self) -> float:
         return time.monotonic() - self.t0
-
-
-class _BudgetExceeded(Exception):
-    pass
 
 
 # ---------------------------------------------------------------------------
@@ -149,6 +151,7 @@ class _ExactCover:
         self.S = [0] * (n_cols + 1)
         self.ROW = [-1] * size
         for c in range(n_cols + 1):
+            self.C[c] = c  # a header is its own column, so r == C[r] ends a column
             self.L[c] = c - 1 if c > 0 else n_cols
             self.R[c] = c + 1 if c < n_cols else 0
         node = n_cols + 1
@@ -200,47 +203,41 @@ class _ExactCover:
         L[R[c]] = c
 
     def solve(self, budget: _Budget) -> list[int] | None:
-        """First solution as row ids, or None when provably none exists.
+        """First solution as row ids, or None.
 
-        Raises _BudgetExceeded when the budget runs out first.
+        None proves that no solution exists unless `budget.exhausted` is set.
+        Algorithm X with an explicit level stack (Knuth, TAOCP 7.2.2.1):
+        `rows` holds the row node tried at each level.
         """
-        solution: list[int] = []
-        if self._search(solution, budget):
-            return solution
-        return None
-
-    def _search(self, solution: list[int], budget: _Budget) -> bool:
-        R, D, L, S, C = self.R, self.D, self.L, self.S, self.C
-        if R[0] == 0:
-            return True
-        c = R[0]
-        best, j = S[c], R[c]
-        while j != 0:
-            if S[j] < best:
-                best, c = S[j], j
-            j = R[j]
-        if best == 0:
-            return False
-        self._cover(c)
-        r = D[c]
-        while r != c:
+        L, R, D, C, S = self.L, self.R, self.D, self.C, self.S
+        rows: list[int] = []
+        while R[0] != 0:
+            c = R[0]
+            best, j = S[c], R[c]
+            while j != 0:
+                if S[j] < best:
+                    best, c = S[j], j
+                j = R[j]
+            self._cover(c)
+            r = D[c]
+            while r == C[r]:  # column exhausted: back up one level
+                self._uncover(r)
+                if not rows:
+                    return None
+                r = rows.pop()
+                j = L[r]
+                while j != r:
+                    self._uncover(C[j])
+                    j = L[j]
+                r = D[r]
             if not budget.tick():
-                raise _BudgetExceeded
-            solution.append(self.ROW[r])
+                return None
+            rows.append(r)
             j = R[r]
             while j != r:
                 self._cover(C[j])
                 j = R[j]
-            if self._search(solution, budget):
-                return True
-            j = L[r]
-            while j != r:
-                self._uncover(C[j])
-                j = L[j]
-            solution.pop()
-            r = D[r]
-        self._uncover(c)
-        return False
+        return [self.ROW[r] for r in rows]
 
 
 # ---------------------------------------------------------------------------
@@ -309,28 +306,31 @@ def _max_packing(
             cap = min(cap, (3 * p_free + 2 * q_free) // 6)
         return cap
 
-    def extend(cands: list[int], used: int, chosen: list[int], p_free: int, q_free: int):
-        nonlocal best
+    # one [cands, pos, used, cap, p_free, q_free] frame per chosen index and
+    # one for the root; a frame is done when even its capacity cannot beat best
+    chosen: list[int] = []
+    stack = [[order, 0, 0, capacity(pure_capacity, mixed_capacity), pure_capacity, mixed_capacity]]
+    while stack:
+        frame = stack[-1]
+        cands, pos, used, cap, p_free, q_free = frame
+        if len(chosen) + min(len(cands) - pos, cap) <= len(best):
+            stack.pop()
+            if chosen:
+                chosen.pop()
+            continue
+        if not budget.tick():
+            return best, False
+        frame[1] = pos + 1
+        ci = cands[pos]
+        nxt = used | masks[ci]
+        rest = [cj for cj in cands[pos + 1 :] if masks[cj] & nxt == 0]
+        chosen.append(ci)
         if len(chosen) > len(best):
             best = chosen.copy()
-        cap = capacity(p_free, q_free)
-        for pos, ci in enumerate(cands):
-            if len(chosen) + min(len(cands) - pos, cap) <= len(best):
-                return
-            if not budget.tick():
-                raise _BudgetExceeded
-            mask = masks[ci]
-            nxt = used | mask
-            rest = [cj for cj in cands[pos + 1 :] if masks[cj] & nxt == 0]
-            chosen.append(ci)
-            extend(rest, nxt, chosen, p_free - usage[ci][0], q_free - usage[ci][1])
-            chosen.pop()
-
-    try:
-        extend(order, 0, [], pure_capacity, mixed_capacity)
-        return best, True
-    except _BudgetExceeded:
-        return best, False
+        p_free -= usage[ci][0]
+        q_free -= usage[ci][1]
+        stack.append([rest, 0, nxt, capacity(p_free, q_free), p_free, q_free])
+    return best, True
 
 
 def _orbit_representatives(n: int, m: int, k: int) -> Iterator[Codeword]:
@@ -367,8 +367,8 @@ def optimal_search(
     for idx, cw in enumerate(_orbit_representatives(n, m, k)):
         # the clock is read once per 1024 candidates and adds no nodes, so a
         # search that finishes reports the same outcome as without the check
-        if idx % 1024 == 1023 and time.monotonic() > budget.deadline:
-            return SearchOutcome(Code(params, []), 0, False, budget.nodes, budget.elapsed())
+        if idx % 1024 == 1023 and not budget.check_time():
+            return _witness(Code(params, []), False, budget)
         pure: Counter = Counter()
         for (i, x), (j, y) in itertools.permutations(cw, 2):
             if i == j:
@@ -381,11 +381,14 @@ def optimal_search(
     chosen, complete = _max_packing(
         masks, usage, len(pure_bits), len(mixed_bits), budget
     )
-    code = Code(params, [candidates[i] for i in chosen])
-    report = verify_code(code)
-    if not report.passed:
+    return _witness(Code(params, [candidates[i] for i in chosen]), complete, budget)
+
+
+def _witness(code: Code, proven: bool, budget: _Budget) -> SearchOutcome:
+    """The outcome of a search that returns `code`, verified first."""
+    if not verify_code(code).passed:
         raise AssertionError("search produced an unverifiable witness")
-    return SearchOutcome(code, len(chosen), complete, budget.nodes, budget.elapsed())
+    return SearchOutcome(code, code.size(), proven, budget.nodes, budget.elapsed())
 
 
 def _equi_vertices(m: int, lambda_a: int) -> list[tuple[int, frozenset[int]]]:
@@ -424,10 +427,7 @@ def equi_search(m: int, lambda_a: int = 2, config: SearchConfig | None = None) -
         params,
         [make_codeword(((0, 0), (0, verts[i][0]), (0, 2 * verts[i][0] % m))) for i in best],
     )
-    report = verify_code(code)
-    if not report.passed:
-        raise AssertionError("search produced an unverifiable witness")
-    return SearchOutcome(code, len(best), complete, budget.nodes, budget.elapsed())
+    return _witness(code, complete, budget)
 
 
 def tight_search(m: int, config: SearchConfig | None = None) -> SearchOutcome:
@@ -439,26 +439,15 @@ def tight_search(m: int, config: SearchConfig | None = None) -> SearchOutcome:
     params = CodeParams(1, m, 3, 3, 1)  # rejects m < 1 before the search
     config = config or SearchConfig()
     budget = _Budget(config)
-    if m == 1:
-        return SearchOutcome(Code(params, []), 0, True, 0, budget.elapsed())
     verts = _equi_vertices(m, lambda_a=3)
     rows = [tuple(sorted(d - 1 for d in supp)) for _, supp in verts]
-    cover = _ExactCover(m - 1, rows)
-    try:
-        picked = cover.solve(budget)
-    except _BudgetExceeded:
-        return SearchOutcome(None, 0, False, budget.nodes, budget.elapsed())
+    picked = _ExactCover(m - 1, rows).solve(budget)
     if picked is None:
-        return SearchOutcome(None, 0, True, budget.nodes, budget.elapsed())
+        return SearchOutcome(None, 0, not budget.exhausted, budget.nodes, budget.elapsed())
     gens = sorted(verts[i][0] for i in picked)
-    code = Code(
-        params,
-        [make_codeword(((0, 0), (0, a), (0, 2 * a % m))) for a in gens],
+    return _witness(
+        Code(params, [make_codeword(((0, 0), (0, a), (0, 2 * a % m))) for a in gens]), True, budget
     )
-    report = verify_code(code)
-    if not report.passed:
-        raise AssertionError("search produced an unverifiable witness")
-    return SearchOutcome(code, len(gens), True, budget.nodes, budget.elapsed())
 
 
 # ---------------------------------------------------------------------------
@@ -486,11 +475,13 @@ def _gdd_block_classes(block: Codeword, m: int, pair_id) -> tuple[int, ...]:
     return tuple(out)
 
 
-def _gdd_all_blocks(u: int, m: int) -> list[Codeword]:
+def _gdd_all_blocks(u: int, m: int, budget: _Budget | None = None) -> list[Codeword]:
     """All normalized candidate base blocks: three rows in distinct groups,
-    first slot pinned to zero."""
+    first slot pinned to zero.  Stops early once `budget` is spent."""
     blocks = []
     for g1, g2, g3 in itertools.combinations(range(u), 3):
+        if budget is not None and not budget.check_time():
+            break
         for r1 in range(3 * g1, 3 * g1 + 3):
             for r2 in range(3 * g2, 3 * g2 + 3):
                 for r3 in range(3 * g3, 3 * g3 + 3):
@@ -503,11 +494,16 @@ def _gdd_all_blocks(u: int, m: int) -> list[Codeword]:
 def _gdd_exact_cover(u: int, m: int, budget: _Budget, rng) -> list[Codeword] | None:
     n, _, pairs, pair_id = _gdd_frame(u, m)
     n_cols = len(pairs) * m
-    blocks = _gdd_all_blocks(u, m)
-    cols = [_gdd_block_classes(b, m, pair_id) for b in blocks]
+    blocks = _gdd_all_blocks(u, m, budget)
+    cols: list[tuple[int, ...]] = []
+    # the clock is read once per chunk, which costs nothing next to the chunk
+    for start in range(0, len(blocks), 4096):
+        if not budget.check_time():
+            return None
+        cols.extend(_gdd_block_classes(b, m, pair_id) for b in blocks[start : start + 4096])
     order = list(range(len(blocks)))
     restart = 0
-    while not budget.exhausted:
+    while budget.check_time():
         rng.shuffle(order)
         cover = _ExactCover(n_cols, [cols[i] for i in order])
         # the first slice costs about as much as the rebuild above and each
@@ -517,15 +513,12 @@ def _gdd_exact_cover(u: int, m: int, budget: _Budget, rng) -> list[Codeword] | N
         time_left = budget.deadline - time.monotonic()
         slice_budget = _Budget(SearchConfig(time_left, min(len(blocks) << restart, nodes_left)))
         restart += 1
-        try:
-            picked = cover.solve(slice_budget)
-        except _BudgetExceeded:
-            budget.tick(slice_budget.nodes)
-            continue
+        picked = cover.solve(slice_budget)
         budget.tick(slice_budget.nodes)
         if picked is not None:
             return [blocks[order[i]] for i in picked]
-        return None  # exhausted the whole tree: no cover exists
+        if not slice_budget.exhausted:
+            return None  # the whole tree is searched: no cover exists
     return None
 
 
@@ -633,8 +626,9 @@ def _gdd_hill_climb(u: int, m: int, budget: _Budget, rng) -> list[Codeword] | No
 def gdd_search(u: int, m: int, config: SearchConfig | None = None) -> SearchOutcome:
     """Base blocks of an m-cyclic triple GDD of type (3m)^u.
 
-    Exact cover proves existence; the hill-climb strategy only hunts for a
-    witness.  Either way the witness is validated before being returned.
+    Exact cover proves existence, or non-existence when it searches its
+    whole tree; the hill-climb strategy only hunts for a witness.  Either
+    way the witness is validated before being returned.
     """
     if u < 3:
         raise ValueError(f"need at least u = 3 groups, got {u}")
@@ -648,9 +642,9 @@ def gdd_search(u: int, m: int, config: SearchConfig | None = None) -> SearchOutc
         proven = False
     else:
         blocks = _gdd_exact_cover(u, m, budget, rng)
-        proven = blocks is not None
+        proven = blocks is not None or not budget.exhausted
     if blocks is None:
-        return SearchOutcome(None, 0, False, budget.nodes, budget.elapsed())
+        return SearchOutcome(None, 0, proven, budget.nodes, budget.elapsed())
     gdd = GddBaseBlocks(
         m=m,
         group_type=[(3, u)],

@@ -1,17 +1,23 @@
 import functools
 import itertools
+import sys
 import time
+from unittest import mock
 
 import pytest
 
-from oockit.bounds import cac_optimal_size, me_prime, psi_e_exact
+from oockit import search
+from oockit.bounds import cac_optimal_size, me_prime, phi_exact, psi_e_exact
+from oockit.construct import ooc_3xm
 from oockit.core import make_codeword, normalize
 from oockit.search import (
     EXACT_COVER,
     HILL_CLIMB,
     GddBaseBlocks,
     SearchConfig,
+    _Budget,
     _gdd_all_blocks,
+    _max_packing,
     _orbit_representatives,
     equi_search,
     gdd_search,
@@ -119,7 +125,9 @@ class TestTightSearch:
         assert out.best is None and out.proven_optimal
 
     def test_trivial_modulus(self):
-        assert tight_search(1).best_size == 0
+        # an exact cover over zero columns: the empty code, proven at once
+        out = tight_search(1)
+        assert (out.best_size, out.nodes, out.proven_optimal, out.best.codewords) == (0, 0, True, [])
 
 
 class TestGddSearch:
@@ -147,6 +155,20 @@ class TestGddSearch:
         assert gdd_search(4, 8, SearchConfig(node_budget=100)).nodes <= 100
         out = gdd_search(5, 7, SearchConfig(node_budget=1000, seed=1))
         assert out.nodes <= 1000 and not out.proven_optimal
+
+    def test_exhausted_tree_is_a_proof_of_non_existence(self):
+        # no cyclic (3*2)^3 design exists; with the admissibility test out of
+        # the way the exact cover has to prove it by searching the whole tree
+        with mock.patch.object(search, "gdd_exists", return_value=True):
+            out = gdd_search(3, 2)
+        assert (out.best, out.best_size, out.proven_optimal, out.nodes) == (None, 0, True, 351330)
+
+    def test_budget_covers_setup(self):
+        # block enumeration and the class tuples of (3*40)^6 take seconds
+        start = time.monotonic()
+        out = gdd_search(6, 40, SearchConfig(time_budget=0.2))
+        assert time.monotonic() - start < 1.5
+        assert (out.best, out.nodes, out.proven_optimal) == (None, 0, False)
 
     def test_too_few_groups(self):
         with pytest.raises(ValueError):
@@ -210,3 +232,21 @@ class TestRestartSlices:
     def test_a_search_that_fits_its_first_slice_never_restarts(self):
         out = gdd_search(3, 5, SearchConfig(seed=3))
         assert out.proven_optimal and out.nodes <= len(_gdd_all_blocks(3, 5))
+
+
+class TestDepthBeyondTheRecursionLimit:
+    """Searches deeper than the default recursion limit of 1 000 frames."""
+
+    def test_exact_cover(self):
+        out = tight_search(8005)
+        assert out.best_size == 2001 > sys.getrecursionlimit()
+        assert out.proven_optimal and out.nodes == 2001
+
+    def test_packing(self):
+        masks = [1 << i for i in range(2500)]
+        chosen, complete = _max_packing(masks, [(1, 0)] * 2500, 2500, 0, _Budget(SearchConfig()))
+        assert (sorted(chosen), complete) == (list(range(2500)), True)
+
+    def test_three_row_construction_through_the_tight_search(self):
+        result = ooc_3xm(15892)
+        assert len(result.code.codewords) == phi_exact(3, 15892).value
