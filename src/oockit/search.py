@@ -8,11 +8,12 @@ fixed seed and budget.
 
 from __future__ import annotations
 
+import bisect
 import itertools
 import random
 import time
 from collections import Counter
-from collections.abc import Iterator
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field
 
 from .core import Code, CodeParams, Codeword, make_codeword, normalize
@@ -115,11 +116,11 @@ class _Budget:
         self.exhausted = False
 
     def tick(self, k: int = 1) -> bool:
-        """Count k nodes; the clock is read on the first tick, then once per 1024 nodes."""
+        """Count k nodes; the clock is read on the first tick, then once per 16."""
         self.nodes += k
         if self.nodes >= self.node_budget:
             self.exhausted = True
-        elif (self.nodes % 1024 < k or self.nodes == k) and time.monotonic() > self.deadline:
+        elif (self.nodes % 16 < k or self.nodes == k) and time.monotonic() > self.deadline:
             self.exhausted = True
         return not self.exhausted
 
@@ -139,40 +140,33 @@ class _Budget:
 
 
 class _ExactCover:
-    """Array-based dancing links; rows are tuples of column indices."""
+    """Array-based dancing links; rows are tuples of column indices.  Their
+    nodes are built once, reading the clock once per 4096 rows (a spent budget
+    stops the build there), and each `solve` threads them afresh, so one matrix
+    serves every restart, a half-covered one left by a spent budget too."""
 
-    def __init__(self, n_cols: int, rows: list[tuple[int, ...]]):
-        size = 1 + n_cols + sum(len(r) for r in rows)
-        self.L = list(range(size))
-        self.R = list(range(size))
-        self.U = list(range(size))
-        self.D = list(range(size))
-        self.C = [0] * size
-        self.S = [0] * (n_cols + 1)
-        self.ROW = [-1] * size
-        for c in range(n_cols + 1):
-            self.C[c] = c  # a header is its own column, so r == C[r] ends a column
-            self.L[c] = c - 1 if c > 0 else n_cols
-            self.R[c] = c + 1 if c < n_cols else 0
+    def __init__(self, n_cols: int, rows: Iterable[tuple[int, ...]], budget: _Budget):
+        self.n_cols = n_cols
+        # one int object per node index, shared by every link list that names it
+        self.L = L = list(range(n_cols + 1))
+        self.R = R = L.copy()
+        self.C = C = L.copy()  # a header is its own column, so r == C[r] ends a column
+        self.sizes = sizes = [0] * (n_cols + 1)
+        self.starts = starts = []  # first node of each row, then the end
         node = n_cols + 1
         for rid, cols in enumerate(rows):
-            first = node
+            if rid % 4096 == 4095 and not budget.check_time():
+                break
+            ids = list(range(node, node + len(cols)))
+            starts.append(node)
+            L += ids[-1:] + ids[:-1]
+            R += ids[1:] + ids[:1]
             for col in cols:
-                h = col + 1
-                self.U[node] = self.U[h]
-                self.D[node] = h
-                self.D[self.U[h]] = node
-                self.U[h] = node
-                self.C[node] = h
-                self.ROW[node] = rid
-                self.S[h] += 1
-                if node > first:
-                    self.L[node] = node - 1
-                    self.R[node - 1] = node
-                node += 1
-            last = node - 1
-            self.L[first] = last
-            self.R[last] = first
+                C.append(C[col + 1])
+                sizes[col + 1] += 1
+            node += len(cols)
+        starts.append(node)
+        self.U, self.D = [0] * node, [0] * node
 
     def _cover(self, c: int) -> None:
         L, R, U, D, C, S = self.L, self.R, self.U, self.D, self.C, self.S
@@ -202,14 +196,32 @@ class _ExactCover:
         R[L[c]] = c
         L[R[c]] = c
 
-    def solve(self, budget: _Budget) -> list[int] | None:
+    def solve(self, budget: _Budget, order: Iterable[int] | None = None) -> list[int] | None:
         """First solution as row ids, or None.
 
         None proves that no solution exists unless `budget.exhausted` is set.
-        Algorithm X with an explicit level stack (Knuth, TAOCP 7.2.2.1):
-        `rows` holds the row node tried at each level.
+        Every header is relinked and each column's rows are threaded top to
+        bottom in `order` (default: as built), reading the clock once per
+        4096 rows.  Then Algorithm X with an explicit level stack (Knuth,
+        TAOCP 7.2.2.1): `rows` holds the row node tried at each level.
         """
-        L, R, D, C, S = self.L, self.R, self.D, self.C, self.S
+        n_cols, L, R, U, D, C = self.n_cols, self.L, self.R, self.U, self.D, self.C
+        for c in range(n_cols + 1):
+            L[c], R[c], U[c], D[c] = c - 1, c + 1, c, c
+        L[0], R[n_cols] = n_cols, 0
+        self.S = S = self.sizes.copy()
+        starts = self.starts
+        for k, rid in enumerate(range(len(starts) - 1) if order is None else order):
+            if k % 4096 == 4095 and not budget.check_time():
+                return None
+            first = node = starts[rid]
+            while True:
+                h = C[node]
+                up = U[h]
+                U[node], D[node], D[up], U[h] = up, h, node, node
+                node = R[node]
+                if node == first:
+                    break
         rows: list[int] = []
         while R[0] != 0:
             c = R[0]
@@ -237,7 +249,7 @@ class _ExactCover:
             while j != r:
                 self._cover(C[j])
                 j = R[j]
-        return [self.ROW[r] for r in rows]
+        return [bisect.bisect_right(starts, r) - 1 for r in rows]
 
 
 # ---------------------------------------------------------------------------
@@ -245,39 +257,30 @@ class _ExactCover:
 # ---------------------------------------------------------------------------
 
 
-def _class_maps(n: int, m: int) -> tuple[dict, dict, int]:
-    """Bit indices for canonical pure and mixed difference classes."""
-    pure_bits: dict[tuple[int, int], int] = {}
-    mixed_bits: dict[tuple[int, int, int], int] = {}
-    bit = 0
-    for i in range(n):
-        for d in range(1, m // 2 + 1):
-            pure_bits[(i, d)] = bit
-            bit += 1
-    for i in range(n):
-        for j in range(i + 1, n):
-            for d in range(m):
-                mixed_bits[(i, j, d)] = bit
-                bit += 1
-    return pure_bits, mixed_bits, bit
+def _codeword_mask(cw: Codeword, n: int, m: int) -> tuple[int, int, int, int]:
+    """(mask, pure class count, mixed class count, autocorrelation peak).
 
-
-def _codeword_mask(cw: Codeword, m: int, pure_bits, mixed_bits) -> tuple[int, int, int]:
-    """(mask, pure bit count, mixed bit count) of a codeword's classes."""
-    pure_used, mixed_used = set(), set()
-    for a in range(len(cw)):
-        i, x = cw[a]
-        for b in range(a + 1, len(cw)):
-            j, y = cw[b]
+    Bits are `verify_code`'s class keys (i*n + j)*m + d, d = min(d, m - d)
+    for pure pairs.  The peak counts each pure difference over all rows; the
+    half period is its own negative, so it counts twice.
+    """
+    pure: list[int] = []
+    pure_mask = mixed_mask = 0
+    for a, (i, x) in enumerate(cw):
+        row = i * n
+        for j, y in cw[a + 1 :]:
             if i == j:
                 d = (y - x) % m
-                pure_used.add(pure_bits[(i, min(d, m - d))])
+                if d + d > m:
+                    d = m - d
+                elif d + d == m:
+                    pure.append(d)
+                pure.append(d)
+                pure_mask |= 1 << ((row + i) * m + d)
             else:
-                mixed_used.add(mixed_bits[(i, j, (x - y) % m)])
-    mask = 0
-    for bit in pure_used | mixed_used:
-        mask |= 1 << bit
-    return mask, len(pure_used), len(mixed_used)
+                mixed_mask |= 1 << ((row + j) * m + (x - y) % m)
+    peak = max(map(pure.count, pure), default=0)
+    return pure_mask | mixed_mask, pure_mask.bit_count(), mixed_mask.bit_count(), peak
 
 
 def _max_packing(
@@ -349,38 +352,31 @@ def _orbit_representatives(n: int, m: int, k: int) -> Iterator[Codeword]:
 
 
 def optimal_search(
-    n: int, m: int, lambda_a: int = 2, config: SearchConfig | None = None, k: int = 3
+    n: int, m: int, lambda_a: int = 2, config: SearchConfig | None = None
 ) -> SearchOutcome:
-    """Exhaustive maximum-size (n x m, k, lambda_a, 1) code by backtracking.
+    """Exhaustive maximum-size (n x m, 3, lambda_a, 1) code by backtracking.
 
     The candidates are the translation-orbit representatives, enumerated
     directly (`_orbit_representatives`) rather than by normalizing every
-    k-subset of cells; the code is assembled in lexicographic order, which
+    3-subset of cells; the code is assembled in lexicographic order, which
     breaks the slot-shift symmetry.  The time budget covers this setup too:
     when it runs out there, the empty code returns, not proven optimal.
     """
     config = config or SearchConfig()
     budget = _Budget(config)
-    params = CodeParams(n, m, k, lambda_a, 1)
-    pure_bits, mixed_bits, _ = _class_maps(n, m)
+    params = CodeParams(n, m, 3, lambda_a, 1)
     candidates, masks, usage = [], [], []
-    for idx, cw in enumerate(_orbit_representatives(n, m, k)):
+    for idx, cw in enumerate(_orbit_representatives(n, m, 3)):
         # the clock is read once per 1024 candidates and adds no nodes, so a
         # search that finishes reports the same outcome as without the check
         if idx % 1024 == 1023 and not budget.check_time():
             return _witness(Code(params, []), False, budget)
-        pure: Counter = Counter()
-        for (i, x), (j, y) in itertools.permutations(cw, 2):
-            if i == j:
-                pure[(x - y) % m] += 1
-        if max(pure.values(), default=0) <= lambda_a:
-            mask, p, q = _codeword_mask(cw, m, pure_bits, mixed_bits)
+        mask, p, q, peak = _codeword_mask(cw, n, m)
+        if peak <= lambda_a:
             candidates.append(cw)
             masks.append(mask)
             usage.append((p, q))
-    chosen, complete = _max_packing(
-        masks, usage, len(pure_bits), len(mixed_bits), budget
-    )
+    chosen, complete = _max_packing(masks, usage, n * (m // 2), n * (n - 1) // 2 * m, budget)
     return _witness(Code(params, [candidates[i] for i in chosen]), complete, budget)
 
 
@@ -441,7 +437,7 @@ def tight_search(m: int, config: SearchConfig | None = None) -> SearchOutcome:
     budget = _Budget(config)
     verts = _equi_vertices(m, lambda_a=3)
     rows = [tuple(sorted(d - 1 for d in supp)) for _, supp in verts]
-    picked = _ExactCover(m - 1, rows).solve(budget)
+    picked = _ExactCover(m - 1, rows, budget).solve(budget)
     if picked is None:
         return SearchOutcome(None, 0, not budget.exhausted, budget.nodes, budget.elapsed())
     gens = sorted(verts[i][0] for i in picked)
@@ -475,48 +471,51 @@ def _gdd_block_classes(block: Codeword, m: int, pair_id) -> tuple[int, ...]:
     return tuple(out)
 
 
-def _gdd_all_blocks(u: int, m: int, budget: _Budget | None = None) -> list[Codeword]:
-    """All normalized candidate base blocks: three rows in distinct groups,
-    first slot pinned to zero.  Stops early once `budget` is spent."""
-    blocks = []
-    for g1, g2, g3 in itertools.combinations(range(u), 3):
-        if budget is not None and not budget.check_time():
-            break
-        for r1 in range(3 * g1, 3 * g1 + 3):
-            for r2 in range(3 * g2, 3 * g2 + 3):
-                for r3 in range(3 * g3, 3 * g3 + 3):
-                    for x2 in range(m):
-                        for x3 in range(m):
-                            blocks.append(((r1, 0), (r2, x2), (r3, x3)))
-    return blocks
+def _shuffle(order: list[int], rng: random.Random, budget: _Budget) -> bool:
+    """`rng.shuffle(order)`, draw for draw, reading the clock once per 4096
+    swaps; False, with `order` part shuffled, once the budget is spent."""
+    randbelow = rng._randbelow  # the draws random.shuffle makes
+    for i in reversed(range(1, len(order))):
+        if i % 4096 == 0 and not budget.check_time():
+            return False
+        j = randbelow(i + 1)
+        order[i], order[j] = order[j], order[i]
+    return budget.check_time()
 
 
 def _gdd_exact_cover(u: int, m: int, budget: _Budget, rng) -> list[Codeword] | None:
-    n, _, pairs, pair_id = _gdd_frame(u, m)
-    n_cols = len(pairs) * m
-    blocks = _gdd_all_blocks(u, m, budget)
-    cols: list[tuple[int, ...]] = []
-    # the clock is read once per chunk, which costs nothing next to the chunk
-    for start in range(0, len(blocks), 4096):
-        if not budget.check_time():
-            return None
-        cols.extend(_gdd_block_classes(b, m, pair_id) for b in blocks[start : start + 4096])
-    order = list(range(len(blocks)))
+    """Candidate (t*m + x2)*m + x3 is the normalized base block
+    {(r1, 0), (r2, x2), (r3, x3)} on row triple t: three rows in distinct groups."""
+    _, _, pairs, pair_id = _gdd_frame(u, m)
+    triples = [
+        triple
+        for groups in itertools.combinations(range(u), 3)
+        for triple in itertools.product(*(range(3 * g, 3 * g + 3) for g in groups))
+    ]
+
+    def rows() -> Iterator[tuple[int, int, int]]:
+        for r1, r2, r3 in triples:
+            c12, c13, c23 = pair_id[(r1, r2)] * m, pair_id[(r1, r3)] * m, pair_id[(r2, r3)] * m
+            for x2 in range(m):
+                for x3 in range(m):
+                    yield c12 + x2, c13 + x3, c23 + (x3 - x2) % m
+
+    cover = _ExactCover(len(pairs) * m, rows(), budget)
+    order = list(range(len(triples) * m * m))
     restart = 0
-    while budget.check_time():
-        rng.shuffle(order)
-        cover = _ExactCover(n_cols, [cols[i] for i in order])
-        # the first slice costs about as much as the rebuild above and each
-        # later one doubles, so rebuilds never dominate and an unlucky order
+    while _shuffle(order, rng, budget):
+        # the first slice costs about as much as threading the rows and each
+        # later one doubles, so threading never dominates and an unlucky order
         # is dropped early; no restart outlives the caller's node or time budget
         nodes_left = budget.node_budget - budget.nodes
         time_left = budget.deadline - time.monotonic()
-        slice_budget = _Budget(SearchConfig(time_left, min(len(blocks) << restart, nodes_left)))
+        slice_budget = _Budget(SearchConfig(time_left, min(len(order) << restart, nodes_left)))
         restart += 1
-        picked = cover.solve(slice_budget)
+        picked = cover.solve(slice_budget, order)
         budget.tick(slice_budget.nodes)
         if picked is not None:
-            return [blocks[order[i]] for i in picked]
+            blocks = [(triples[c // (m * m)], c // m % m, c % m) for c in picked]
+            return [((r1, 0), (r2, x2), (r3, x3)) for (r1, r2, r3), x2, x3 in blocks]
         if not slice_budget.exhausted:
             return None  # the whole tree is searched: no cover exists
     return None
@@ -574,7 +573,7 @@ def _gdd_hill_climb(u: int, m: int, budget: _Budget, rng) -> list[Codeword] | No
                     overcovered.discard(c)
 
         # greedy start: favour blocks whose classes are all uncovered
-        while sum(count.values()) < target:
+        while sum(count.values()) < target and budget.check_time():
             cid = rng.choice(tuple(uncovered))
             cands = covering(cid)
             gains = [

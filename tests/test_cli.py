@@ -197,7 +197,7 @@ class TestCliBoundSearchCatalog:
         argv = ["search", "optimal", "--n", "2", "--m", "6", "--node-budget", "0"]
         assert main([*argv, "--format", "text"]) == 0
         assert "proven_optimal=False" in capsys.readouterr().out
-        # the clock is read on the first node, not only every 1024 nodes
+        # the clock is read on the first node, not only every 16 nodes
         argv = ["search", "optimal", "--n", "2", "--m", "6", "--budget-seconds", "0"]
         assert main([*argv, "--format", "text"]) == 0
         assert capsys.readouterr().out.split()[1:] == ["proven_optimal=False", "nodes=1"]

@@ -1,7 +1,10 @@
 import functools
+import hashlib
+import inspect
 import itertools
 import sys
 import time
+from math import comb
 from unittest import mock
 
 import pytest
@@ -16,7 +19,6 @@ from oockit.search import (
     GddBaseBlocks,
     SearchConfig,
     _Budget,
-    _gdd_all_blocks,
     _max_packing,
     _orbit_representatives,
     equi_search,
@@ -170,6 +172,20 @@ class TestGddSearch:
         assert time.monotonic() - start < 1.5
         assert (out.best, out.nodes, out.proven_optimal) == (None, 0, False)
 
+    def test_budget_covers_the_build_and_every_restart(self):
+        # (3*40)^6 has 864 000 candidates: building and threading its cover
+        # matrix take seconds each, and a budget may end during either
+        start = time.monotonic()
+        out = gdd_search(6, 40, SearchConfig(time_budget=2.5))
+        assert time.monotonic() - start < 3.0
+        assert (out.best, out.proven_optimal) == (None, False)
+
+    def test_hill_climb_budget_covers_the_greedy_start(self):
+        start = time.monotonic()
+        out = gdd_search(6, 40, SearchConfig(time_budget=0.2, strategy=HILL_CLIMB))
+        assert time.monotonic() - start < 1.0
+        assert (out.best, out.proven_optimal) == (None, False)
+
     def test_too_few_groups(self):
         with pytest.raises(ValueError):
             gdd_search(2, 4)
@@ -224,14 +240,48 @@ class TestRestartSlices:
         # the doubled one; a fixed 200 000-node first slice took 200 145
         first = gdd_search(4, 8, SearchConfig())
         again = gdd_search(4, 8, SearchConfig())
+        candidates = comb(4, 3) * 27 * 8 * 8
         assert first.best_size == 144 and first.proven_optimal
-        assert len(_gdd_all_blocks(4, 8)) < first.nodes <= len(_gdd_all_blocks(4, 8)) + 1000
+        assert candidates < first.nodes <= candidates + 1000
         assert again.nodes == first.nodes
         assert again.best.base_blocks == first.best.base_blocks
 
     def test_a_search_that_fits_its_first_slice_never_restarts(self):
         out = gdd_search(3, 5, SearchConfig(seed=3))
-        assert out.proven_optimal and out.nodes <= len(_gdd_all_blocks(3, 5))
+        assert out.proven_optimal and out.nodes <= comb(3, 3) * 27 * 5 * 5
+
+
+def _blocks_digest(out) -> str:
+    return hashlib.sha256(repr(sorted(out.best.base_blocks)).encode()).hexdigest()
+
+
+class TestPinnedGddOutcomes:
+    """Node counts and witnesses of the search that enumerated every
+    candidate block and rebuilt the cover matrix on each restart."""
+
+    @pytest.mark.parametrize(
+        "u, m, seed, nodes, digest",
+        [
+            (4, 8, 0, 7057, "0b95de13c7eb3e8e24554423cde2154e4ec16e7142092cc2b874ff25ee4c6c0d"),
+            (5, 7, 1, 4128, "1212c8251136010f797a40b0c91fd7e0f58f7ebdb86dfc19416e323928ef7393"),
+            (3, 9, 5, 81, "1b42cbe645e76ce0abbc09fb569130606aa4e8f4e02d56d8e2b6117667c6e759"),
+        ],
+    )
+    def test_exact_cover(self, u, m, seed, nodes, digest):
+        out = gdd_search(u, m, SearchConfig(seed=seed))
+        assert (out.nodes, out.proven_optimal, _blocks_digest(out)) == (nodes, True, digest)
+
+    @pytest.mark.parametrize(
+        "u, m, seed, nodes, digest",
+        [
+            (3, 3, 1, 1667, "975ea818ce956f45f78fd2ffe337658ece4f0145258e70c66fef4f9b558868ec"),
+            (4, 8, 0, 465, "b7d326b409f578440887667343f91fcfd599c902d8ce7afed8aed58364f237be"),
+            (3, 5, 7, 5367, "421cd17836a6c94d2667717d2319743fb41ce6a21049438795933797a5314ae8"),
+        ],
+    )
+    def test_hill_climb(self, u, m, seed, nodes, digest):
+        out = gdd_search(u, m, SearchConfig(strategy=HILL_CLIMB, seed=seed))
+        assert (out.nodes, _blocks_digest(out)) == (nodes, digest)
 
 
 class TestDepthBeyondTheRecursionLimit:
@@ -250,3 +300,13 @@ class TestDepthBeyondTheRecursionLimit:
     def test_three_row_construction_through_the_tight_search(self):
         result = ooc_3xm(15892)
         assert len(result.code.codewords) == phi_exact(3, 15892).value
+
+
+def test_public_functions_are_the_four_searches():
+    # the per-layer trace reads `proven_optimal` off every public function here
+    public = {
+        name
+        for name, fn in vars(search).items()
+        if not name.startswith("_") and inspect.isfunction(fn) and fn.__module__ == search.__name__
+    }
+    assert public == {"optimal_search", "equi_search", "tight_search", "gdd_search"}
