@@ -661,9 +661,7 @@ def _expand_code(gdd: GddBaseBlocks, inputs: list[Code]) -> Code:
     return Code(CodeParams(gdd.n_rows(), gdd.m, 3, lam, 1), cws)
 
 
-def expand_gdd(
-    gdd: GddBaseBlocks, inputs: list[ConstructionResult], branch: str = "gdd/expand"
-) -> ConstructionResult:
+def expand_gdd(gdd: GddBaseBlocks, inputs: list[ConstructionResult]) -> ConstructionResult:
     """Union of GDD base blocks with a relabeled input code per group.
 
     Base blocks contribute each cross-group mixed difference exactly once;
@@ -681,7 +679,7 @@ def expand_gdd(
     code = _expand_code(gdd, [res.code for res in inputs])
     sizes = {res.code.params.n: res.code.size() for res in inputs}
     total = len(gdd.base_blocks) + sum(sizes[len(rows)] for rows in gdd.groups)
-    return _finalize(code, total, None, branch)
+    return _finalize(code, total, None, "gdd/expand")
 
 
 def compose_0mod3(n: int, m: int, config: SearchConfig | None = None) -> ConstructionResult:

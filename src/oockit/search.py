@@ -12,9 +12,8 @@ import bisect
 import itertools
 import random
 import time
-from collections import Counter
 from collections.abc import Iterable, Iterator
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 
 from .core import Code, CodeParams, Codeword, make_codeword, normalize
 from .bounds import gdd_exists
@@ -47,43 +46,35 @@ class GddBaseBlocks:
 
     Developing every block by +1 mod m on slots must cover each cross-group
     (row pair, difference) class exactly once; rows of a block lie in three
-    distinct groups.
+    distinct groups.  `group_type` is accepted and ignored: the groups say
+    how many rows there are.
     """
 
     m: int
-    group_type: list[tuple[int, int]]  # (rows per group, group count) pairs
     groups: list[list[int]]
     base_blocks: list[Codeword] = field(default_factory=list)
+    group_type: InitVar[object] = field(default=None, kw_only=True)
 
     def n_rows(self) -> int:
-        return sum(v * u for v, u in self.group_type)
+        return sum(map(len, self.groups))
 
     def validate(self) -> None:
+        """ValueError unless the groups partition the rows, each block meets
+        three groups, no class is covered twice and none is left uncovered."""
         n, m = self.n_rows(), self.m
-        group_of: dict[int, int] = {}
-        for gid, rows in enumerate(self.groups):
-            for r in rows:
-                group_of[r] = gid
+        group_of = {r: g for g, rows in enumerate(self.groups) for r in rows}
         if sorted(group_of) != list(range(n)):
             raise ValueError("groups must partition the row set")
-        coverage: Counter = Counter()
         for block in self.base_blocks:
-            rows = [r for r, _ in block]
-            if len(block) != 3 or len({group_of[r] for r in rows}) != 3:
+            met = {group_of.get(r) for r, _ in block}
+            if len(block) != 3 or len(met) != 3 or None in met:
                 raise ValueError(f"block {block} does not meet three distinct groups")
-            for (i, x), (j, y) in itertools.combinations(block, 2):
-                coverage[(i, j, (y - x) % m)] += 1
-        for i in range(n):
-            for j in range(i + 1, n):
-                if group_of[i] == group_of[j]:
-                    continue
-                for d in range(m):
-                    if coverage[(i, j, d)] != 1:
-                        raise ValueError(
-                            f"class ({i},{j},{d}) covered {coverage[(i, j, d)]} times"
-                        )
-        if sum(coverage.values()) != 3 * len(self.base_blocks):
-            raise ValueError("stray coverage outside cross-group classes")
+        blocks = [make_codeword(b) for b in self.base_blocks]  # verify_code keys cells in order
+        if not verify_code(Code(CodeParams(n, m), blocks)).cross_ok:
+            raise ValueError("a cross-group class is covered twice")
+        cross_pairs = (n * n - sum(len(rows) ** 2 for rows in self.groups)) // 2
+        if 3 * len(blocks) != cross_pairs * m:
+            raise ValueError(f"{len(blocks)} blocks leave cross-group classes uncovered")
 
     def lift(self, k: int) -> GddBaseBlocks:
         """The (m k)-cyclic design on the same groups lifted from this one.
@@ -102,7 +93,7 @@ class GddBaseBlocks:
             for (a, x), (b, y), (c, z) in self.base_blocks
             for t in range(k)
         ]
-        return GddBaseBlocks(m, list(self.group_type), [list(g) for g in self.groups], blocks)
+        return GddBaseBlocks(m, [list(g) for g in self.groups], blocks)
 
 
 class _Budget:
@@ -451,24 +442,30 @@ def tight_search(m: int, config: SearchConfig | None = None) -> SearchOutcome:
 # ---------------------------------------------------------------------------
 
 
-def _gdd_frame(u: int, m: int):
+def _gdd_candidates(u: int, m: int):
+    """Row triples, cross-group row pairs, and each triple's class offsets.
+
+    Rows 3g, 3g + 1 and 3g + 2 form group g.  Class p*m + d is row pair p
+    with difference d.  Candidate (t*m + x2)*m + x3 is the normalized base
+    block {(r1, 0), (r2, x2), (r3, x3)} on row triple t, three rows in
+    distinct groups; its classes are the offsets of (r1, r2), (r1, r3) and
+    (r2, r3) plus x2, x3 and x3 - x2 (mod m).
+    """
     n = 3 * u
-    group_of = [r // 3 for r in range(n)]
-    pairs = [
-        (i, j)
-        for i in range(n)
-        for j in range(i + 1, n)
-        if group_of[i] != group_of[j]
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n) if i // 3 != j // 3]
+    pair_id = {pr: p for p, pr in enumerate(pairs)}
+    triples = [
+        triple
+        for groups in itertools.combinations(range(u), 3)
+        for triple in itertools.product(*(range(3 * g, 3 * g + 3) for g in groups))
     ]
-    pair_id = {pr: t for t, pr in enumerate(pairs)}
-    return n, group_of, pairs, pair_id
+    offsets = [(pair_id[a, b] * m, pair_id[a, c] * m, pair_id[b, c] * m) for a, b, c in triples]
+    return triples, pairs, offsets
 
 
-def _gdd_block_classes(block: Codeword, m: int, pair_id) -> tuple[int, ...]:
-    out = []
-    for (i, x), (j, y) in itertools.combinations(block, 2):
-        out.append(pair_id[(i, j)] * m + (y - x) % m)
-    return tuple(out)
+def _gdd_block(triples: list[tuple[int, int, int]], m: int, c: int) -> Codeword:
+    (r1, r2, r3), x2, x3 = triples[c // (m * m)], c // m % m, c % m
+    return (r1, 0), (r2, x2), (r3, x3)
 
 
 def _shuffle(order: list[int], rng: random.Random, budget: _Budget) -> bool:
@@ -484,18 +481,11 @@ def _shuffle(order: list[int], rng: random.Random, budget: _Budget) -> bool:
 
 
 def _gdd_exact_cover(u: int, m: int, budget: _Budget, rng) -> list[Codeword] | None:
-    """Candidate (t*m + x2)*m + x3 is the normalized base block
-    {(r1, 0), (r2, x2), (r3, x3)} on row triple t: three rows in distinct groups."""
-    _, _, pairs, pair_id = _gdd_frame(u, m)
-    triples = [
-        triple
-        for groups in itertools.combinations(range(u), 3)
-        for triple in itertools.product(*(range(3 * g, 3 * g + 3) for g in groups))
-    ]
+    """Exact cover of the cross-group classes by the `_gdd_candidates`."""
+    triples, pairs, offsets = _gdd_candidates(u, m)
 
     def rows() -> Iterator[tuple[int, int, int]]:
-        for r1, r2, r3 in triples:
-            c12, c13, c23 = pair_id[(r1, r2)] * m, pair_id[(r1, r3)] * m, pair_id[(r2, r3)] * m
+        for c12, c13, c23 in offsets:
             for x2 in range(m):
                 for x3 in range(m):
                     yield c12 + x2, c13 + x3, c23 + (x3 - x2) % m
@@ -514,99 +504,91 @@ def _gdd_exact_cover(u: int, m: int, budget: _Budget, rng) -> list[Codeword] | N
         picked = cover.solve(slice_budget, order)
         budget.tick(slice_budget.nodes)
         if picked is not None:
-            blocks = [(triples[c // (m * m)], c // m % m, c % m) for c in picked]
-            return [((r1, 0), (r2, x2), (r3, x3)) for (r1, r2, r3), x2, x3 in blocks]
+            return [_gdd_block(triples, m, c) for c in picked]
         if not slice_budget.exhausted:
             return None  # the whole tree is searched: no cover exists
     return None
 
 
 def _gdd_hill_climb(u: int, m: int, budget: _Budget, rng) -> list[Codeword] | None:
-    n, group_of, pairs, pair_id = _gdd_frame(u, m)
+    """Min-conflicts hill climb (Minton et al., 1992) on `_gdd_candidates`.
+
+    A greedy start places as many blocks as a design has; each move adds a
+    block on a random uncovered class and drops one from a random class
+    covered twice.  A stall restarts from a fresh greedy start, which counts
+    no nodes.
+    """
+    triples, pairs, offsets = _gdd_candidates(u, m)
+    n, mm = 3 * u, m * m
     n_classes = len(pairs) * m
     target = m * n * (n - 3) // 6
+    triple_id = {triple: t for t, triple in enumerate(triples)}
 
-    def covering(cid: int) -> list[Codeword]:
-        i, j = pairs[cid // m]
-        d = cid % m
-        out = []
+    def classes(b: int) -> tuple[int, int, int]:
+        c12, c13, c23 = offsets[b // mm]
+        x2, x3 = b // m % m, b % m
+        return c12 + x2, c13 + x3, c23 + (x3 - x2) % m
+
+    def covering(cid: int) -> list[int]:
+        """Candidates on class cid's pair (i, j): third row t ascending, then its slot z."""
+        (i, j), d = pairs[cid // m], cid % m
+        out: list[int] = []
         for t in range(n):
-            if group_of[t] in (group_of[i], group_of[j]):
+            if t // 3 == i // 3 or t // 3 == j // 3:
                 continue
-            for z in range(m):
-                cells = sorted(((i, 0), (j, d), (t, z)))
-                shift = cells[0][1]
-                out.append(tuple((r, (s - shift) % m) for r, s in cells))
+            if t < i:  # {(t, z), (i, 0), (j, d)} shifted by -z
+                first = triple_id[t, i, j] * mm
+                out += [first + (-z % m) * m + (d - z) % m for z in range(m)]
+            elif t < j:
+                first = triple_id[i, t, j] * mm + d
+                out += range(first, first + mm, m)
+            else:
+                first = (triple_id[i, j, t] * m + d) * m
+                out += range(first, first + m)
         return out
 
-    classes_of = {}
+    def pick(cands: list[int], level: int, best) -> int:
+        """A random candidate among those with the `best` count of classes at `level`."""
+        scores = [(cov[a], cov[b], cov[c]).count(level) for a, b, c in map(classes, cands)]
+        top = best(scores)
+        return rng.choice([b for b, s in zip(cands, scores) if s == top])
 
-    def block_classes(block):
-        if block not in classes_of:
-            classes_of[block] = _gdd_block_classes(block, m, pair_id)
-        return classes_of[block]
+    def add(b: int) -> None:
+        chosen[b] = cls = classes(b)
+        for c in cls:
+            cov[c] += 1
+            if cov[c] == 1:
+                uncovered.discard(c)
+            elif cov[c] == 2:
+                overcovered.add(c)
+
+    def remove(b: int) -> None:
+        for c in chosen.pop(b):
+            cov[c] -= 1
+            if cov[c] == 0:
+                uncovered.add(c)
+            elif cov[c] == 1:
+                overcovered.discard(c)
 
     while not budget.exhausted:
         cov = [0] * n_classes
-        count: Counter = Counter()
+        chosen: dict[int, tuple[int, int, int]] = {}  # placed blocks and their classes
         uncovered = set(range(n_classes))
         overcovered: set[int] = set()
-
-        def add(block):
-            count[block] += 1
-            for c in block_classes(block):
-                cov[c] += 1
-                if cov[c] == 1:
-                    uncovered.discard(c)
-                elif cov[c] == 2:
-                    overcovered.add(c)
-
-        def remove(block):
-            count[block] -= 1
-            if count[block] == 0:
-                del count[block]
-            for c in block_classes(block):
-                cov[c] -= 1
-                if cov[c] == 0:
-                    uncovered.add(c)
-                elif cov[c] == 1:
-                    overcovered.discard(c)
-
         # greedy start: favour blocks whose classes are all uncovered
-        while sum(count.values()) < target and budget.check_time():
-            cid = rng.choice(tuple(uncovered))
-            cands = covering(cid)
-            gains = [
-                sum(1 for c in block_classes(b) if cov[c] == 0) for b in cands
-            ]
-            top = max(gains)
-            add(rng.choice([b for b, g in zip(cands, gains) if g == top]))
+        for _ in range(target):
+            if not budget.check_time():
+                return None
+            add(pick(covering(rng.choice(tuple(uncovered))), 0, max))
 
         stall = 0
         best_deficit = len(uncovered)
         while uncovered and budget.tick():
-            cid = rng.choice(tuple(uncovered))
-            cands = covering(cid)
-            if rng.random() < 0.02:
-                blk = rng.choice(cands)
-            else:
-                gains = [
-                    sum(1 for c in block_classes(b) if cov[c] == 0) for b in cands
-                ]
-                top = max(gains)
-                blk = rng.choice([b for b, g in zip(cands, gains) if g == top])
-            add(blk)
+            cands = covering(rng.choice(tuple(uncovered)))
+            add(rng.choice(cands) if rng.random() < 0.02 else pick(cands, 0, max))
             oid = rng.choice(tuple(overcovered))
-            victims = [b for b in count if oid in block_classes(b)]
-            if rng.random() < 0.02:
-                victim = rng.choice(victims)
-            else:
-                damages = [
-                    sum(1 for c in block_classes(b) if cov[c] == 1) for b in victims
-                ]
-                low = min(damages)
-                victim = rng.choice([b for b, g in zip(victims, damages) if g == low])
-            remove(victim)
+            victims = [b for b, cls in chosen.items() if oid in cls]
+            remove(rng.choice(victims) if rng.random() < 0.02 else pick(victims, 1, min))
             if len(uncovered) < best_deficit:
                 best_deficit = len(uncovered)
                 stall = 0
@@ -615,10 +597,7 @@ def _gdd_hill_climb(u: int, m: int, budget: _Budget, rng) -> list[Codeword] | No
                 if stall > 4000 + 40 * n_classes:
                     break  # restart from a fresh greedy state
         if not uncovered:
-            out = []
-            for block, c in count.items():
-                out.extend([block] * c)
-            return out
+            return [_gdd_block(triples, m, b) for b in chosen]
     return None
 
 
@@ -644,12 +623,7 @@ def gdd_search(u: int, m: int, config: SearchConfig | None = None) -> SearchOutc
         proven = blocks is not None or not budget.exhausted
     if blocks is None:
         return SearchOutcome(None, 0, proven, budget.nodes, budget.elapsed())
-    gdd = GddBaseBlocks(
-        m=m,
-        group_type=[(3, u)],
-        groups=[[3 * t, 3 * t + 1, 3 * t + 2] for t in range(u)],
-        base_blocks=sorted(blocks),
-    )
+    gdd = GddBaseBlocks(m, [[3 * t, 3 * t + 1, 3 * t + 2] for t in range(u)], sorted(blocks))
     gdd.validate()
     return SearchOutcome(gdd, len(blocks), proven, budget.nodes, budget.elapsed())
 

@@ -283,7 +283,7 @@ class TestThreeRows:
 class TestExpandGdd:
     def test_degenerate_single_group(self):
         inner = explicit_code("3x8")
-        gdd = GddBaseBlocks(m=8, group_type=[(3, 1)], groups=[[0, 1, 2]], base_blocks=[])
+        gdd = GddBaseBlocks(m=8, groups=[[0, 1, 2]], base_blocks=[])
         res = expand_gdd(gdd, [inner])
         assert res.code.size() == 13
         assert sorted(res.code.codewords) == sorted(inner.code.codewords)
@@ -295,7 +295,7 @@ class TestExpandGdd:
         assert res.code.params.n == 12
 
     def test_rejects_mismatched_modulus(self):
-        gdd = GddBaseBlocks(m=4, group_type=[(3, 1)], groups=[[0, 1, 2]], base_blocks=[])
+        gdd = GddBaseBlocks(m=4, groups=[[0, 1, 2]], base_blocks=[])
         with pytest.raises(ValueError):
             expand_gdd(gdd, [explicit_code("3x8")])
 

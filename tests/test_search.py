@@ -185,6 +185,7 @@ class TestGddSearch:
         out = gdd_search(6, 40, SearchConfig(time_budget=0.2, strategy=HILL_CLIMB))
         assert time.monotonic() - start < 1.0
         assert (out.best, out.proven_optimal) == (None, False)
+        assert out.nodes == 0
 
     def test_too_few_groups(self):
         with pytest.raises(ValueError):
@@ -197,14 +198,14 @@ class TestGddSearch:
         assert a.nodes == b.nodes
 
     def test_validation_rejects_bad_blocks(self):
-        gdd = GddBaseBlocks(
-            m=2,
-            group_type=[(3, 3)],
-            groups=[[0, 1, 2], [3, 4, 5], [6, 7, 8]],
-            base_blocks=[make_codeword(((0, 0), (1, 0), (3, 1)))],
-        )
-        with pytest.raises(ValueError):
-            gdd.validate()
+        # two rows of one group; a row outside the groups
+        for groups, block in [
+            ([[0, 1, 2], [3, 4, 5], [6, 7, 8]], ((0, 0), (1, 0), (3, 1))),
+            ([[0, 1, 2], [3, 4, 5]], ((0, 0), (3, 0), (6, 1))),
+        ]:
+            gdd = GddBaseBlocks(m=2, groups=groups, base_blocks=[make_codeword(block)])
+            with pytest.raises(ValueError):
+                gdd.validate()
 
 
 @functools.lru_cache(maxsize=None)
@@ -277,6 +278,7 @@ class TestPinnedGddOutcomes:
             (3, 3, 1, 1667, "975ea818ce956f45f78fd2ffe337658ece4f0145258e70c66fef4f9b558868ec"),
             (4, 8, 0, 465, "b7d326b409f578440887667343f91fcfd599c902d8ce7afed8aed58364f237be"),
             (3, 5, 7, 5367, "421cd17836a6c94d2667717d2319743fb41ce6a21049438795933797a5314ae8"),
+            (5, 4, 0, 1849, "93e6bf126cdc85d17289c57b87524e6d2896ab606fef1893b33f01769c2dfce9"),
         ],
     )
     def test_hill_climb(self, u, m, seed, nodes, digest):
