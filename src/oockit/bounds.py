@@ -1,7 +1,10 @@
 """Closed-form sizes, upper bounds, and number-theoretic admissibility tests.
 
 Every report carries a branch tag naming the residue class or special case
-that produced the value, plus the sub-values it depended on.
+that produced the value, plus the sub-values it depended on.  Each exact
+size is the cap of `phi_upper_bound` or `psi_e_upper_bound`, met in the
+classes `phi_exact` and `psi_e_exact` name; the two exceptions are
+Phi(1, 64) = 13 and the me(p) shortfall of a prime base.
 """
 
 from __future__ import annotations
@@ -191,36 +194,29 @@ def in_S(s: int) -> bool:
     return s % 12 in (1, 5) and tight_admissible(s).admissible
 
 
-def _tower_2mod4(s: int, r: int) -> int:
-    return (2 ** (2 * s + 1) * r + r - 6) // 12
-
-
 def psi_e_exact(m: int) -> BoundReport:
-    """Exact equi-difference 1-D size where a closed form is known.
+    """Exact equi-difference 1-D size where it is known.
 
-    Decomposes m = 4^s * r with 4 not dividing r and dispatches on r;
-    outside every branch the report is `unknown` with the recursive upper
-    bound attached.
+    Decomposes m = 4^s * r with 4 not dividing r.  The size is the cap of
+    `psi_e_upper_bound` at r = 2 (mod 4) and in the two tight classes of r;
+    at a prime r >= 5 outside them it is the cap less (r-1)/4 - me(r), the
+    shortfall of a largest base on Z_r.  Elsewhere the report is `unknown`
+    with the cap attached.
     """
-    if m < 1:
-        raise ValueError(f"need m >= 1, got {m}")
+    cap = psi_e_upper_bound(m).value
     s, r = pow4_decompose(m)
     deps: tuple[tuple[str, int], ...] = (("s", s), ("r", r))
     if r % 4 == 2:
-        return BoundReport(_tower_2mod4(s, r), EXACT, "psi_e/tower_2mod4", deps)
-    step = ((2 ** (2 * s - 1) - 2) // 3) * r if s >= 1 else 0
-    if r % 12 in (1, 5) and tight_admissible(r).admissible:
-        value = (r - 1) // 4 if s == 0 else step + (3 * r + 1) // 4
-        return BoundReport(value, EXACT, "psi_e/tight_1or5mod12", deps)
+        return BoundReport(cap, EXACT, "psi_e/tower_2mod4", deps)
+    if in_S(r):
+        return BoundReport(cap, EXACT, "psi_e/tight_1or5mod12", deps)
     if r % 12 == 3 and tight_admissible(r // 3).admissible:
-        value = (r - 3) // 4 if s == 0 else step + (3 * r - 1) // 4
-        return BoundReport(value, EXACT, "psi_e/tight_3mod12", deps)
+        return BoundReport(cap, EXACT, "psi_e/tight_3mod12", deps)
     if r >= 5 and is_prime(r):
         me = me_prime(r)
-        value = me.value if s == 0 else step + (r + 1) // 2 + me.value
+        value = cap - (r - 1) // 4 + me.value
         return BoundReport(value, EXACT, "psi_e/prime", deps + ((f"me({r})", me.value),))
-    ub = psi_e_upper_bound(m)
-    return BoundReport(None, UNKNOWN, "psi_e/unknown", (("upper_bound", ub.value),))
+    return BoundReport(None, UNKNOWN, "psi_e/unknown", (("upper_bound", cap),))
 
 
 def _psi_e_best(m: int) -> tuple[int, str]:
@@ -263,40 +259,32 @@ def phi_upper_bound(n: int, m: int) -> BoundReport:
 def phi_exact(n: int, m: int) -> BoundReport:
     """Exact largest size of an (n x m, 3, 2, 1) code where determined.
 
-    Covers n = 1 and n = 2 with m = 0 (mod 4), the (2,4) and (3,4)
-    specials, and n = 0 (mod 3), n not 6 or 9, for m = 8 (mod 16),
-    m = 32 (mod 64), and admissible m = 4,20 (mod 48).  Everywhere else
-    the report is `unknown` with the applicable upper bound attached.
+    In every class it names, the size is the cap of `phi_upper_bound`, save
+    Phi(1, 64) = 13, one below it.  The classes: n = 1 and n = 2 with
+    m = 0 (mod 4), the (3,4) special, and n = 0 (mod 3), n not 6 or 9, for
+    m = 8 (mod 16), m = 32 (mod 64), and admissible m = 4,20 (mod 48).
+    Everywhere else the report is `unknown` with the cap attached.
     """
-    if n < 1 or m < 1:
-        raise ValueError(f"need n, m >= 1, got n={n}, m={m}")
+    cap = phi_upper_bound(n, m).value
+    if (n, m) == (1, 64):
+        return BoundReport(13, EXACT, "phi/one_row_m64")
+    branch = None
     if n == 1 and m % 4 == 0:
-        if m == 64:
-            return BoundReport(13, EXACT, "phi/one_row_m64")
-        if m % 8 == 0:
-            return BoundReport(7 * m // 32, EXACT, "phi/one_row_0mod8")
-        return BoundReport((7 * m + 4) // 32, EXACT, "phi/one_row_4mod8")
-    if n == 2 and m % 4 == 0:
-        if m == 4:
-            return BoundReport(2, EXACT, "phi/two_rows_m4")
-        return BoundReport(3 * m // 4, EXACT, "phi/two_rows_0mod4")
-    if n == 3 and m == 4:
-        return BoundReport(6, EXACT, "phi/three_rows_m4")
-    if n % 3 == 0 and n not in (6, 9):
+        branch = "phi/one_row_0mod8" if m % 8 == 0 else "phi/one_row_4mod8"
+    elif n == 2 and m % 4 == 0:
+        branch = "phi/two_rows_m4" if m == 4 else "phi/two_rows_0mod4"
+    elif (n, m) == (3, 4):
+        branch = "phi/three_rows_m4"
+    elif n % 3 == 0 and n not in (6, 9):
         if m % 16 == 8:
-            return BoundReport(
-                n * (8 * n * m + 3 * m - 8) // 48, EXACT, "phi/rows0mod3_8mod16"
-            )
-        if m % 64 == 32:
-            return BoundReport(
-                n * (32 * n * m + 11 * m - 32) // 192, EXACT, "phi/rows0mod3_32mod64"
-            )
-        if m % 48 in (4, 20) and m > 4 and in_S(m // 4):
-            return BoundReport(
-                n * (8 * n * m + 3 * m + 4) // 48, EXACT, "phi/rows0mod3_4or20mod48"
-            )
-    ub = phi_upper_bound(n, m)
-    return BoundReport(None, UNKNOWN, "phi/unknown", (("upper_bound", ub.value),))
+            branch = "phi/rows0mod3_8mod16"
+        elif m % 64 == 32:
+            branch = "phi/rows0mod3_32mod64"
+        elif m % 48 in (4, 20) and m > 4 and in_S(m // 4):
+            branch = "phi/rows0mod3_4or20mod48"
+    if branch is None:
+        return BoundReport(None, UNKNOWN, "phi/unknown", (("upper_bound", cap),))
+    return BoundReport(cap, EXACT, branch)
 
 
 def gdd_exists(v: int, u: int, m: int) -> bool:

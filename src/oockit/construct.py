@@ -4,7 +4,7 @@ Private builders only return a Code.  Each public family verifies the code
 it returns once and asserts its claimed size (and, for 1-D codes, its
 claimed difference leave); internal stages are not verified on their own.
 The optimal families claim the exact size from `bounds` (psi_e_exact or
-phi_exact), so the closed forms are written down once.
+phi_exact), and the tight bases their class, so none is written twice.
 The final code holds every stage's codewords scaled by a power of 4, and
 scaling maps differences injectively, so a faulty stage fails that check.
 A mismatch raises VerificationFailure rather than repairing anything
@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .bounds import EXACT, in_S, me_prime, phi_exact, psi_e_exact, tight_admissible
+from .bounds import EXACT, in_S, me_prime, phi_exact, psi_e_exact
 from .core import (
     Code,
     CodeParams,
@@ -266,22 +266,16 @@ def tight_derived(r: int, s: int = 0) -> ConstructionResult:
 
 
 def _tight_derived_base(r: int) -> Code:
-    """The base on Z_r of `tight_derived`, for odd r."""
-    if r == 1:
-        return Code(CodeParams(1, 1, 3, 2, 1), [])
-    if r % 12 in (1, 5):
-        if not tight_admissible(r).admissible:
-            raise UnsupportedParameterError(f"r={r} fails the tight admissibility clauses")
-        return _tight_base(r)
+    """The base on Z_r of `tight_derived`, for odd r in a tight class of `psi_e_exact`."""
+    branch = psi_e_exact(r).branch
+    if branch not in ("psi_e/tight_1or5mod12", "psi_e/tight_3mod12"):
+        raise UnsupportedParameterError(
+            f"r={r} is in class {branch}, outside both tight-derived branches"
+        )
+    code = _tight_base(r)
     if r % 12 == 3:
-        if not tight_admissible(r // 3).admissible:
-            raise UnsupportedParameterError(
-                f"r={r} fails the tight admissibility clauses for r/3"
-            )
-        code = _tight_base(r)
         code.codewords.remove(_triple(r, r // 3))
-        return code
-    raise UnsupportedParameterError(f"r={r} is outside both tight-derived branches")
+    return code
 
 
 def _tight_base(r: int) -> Code:
@@ -302,16 +296,12 @@ def prime_derived(p: int, s: int = 0) -> ConstructionResult:
     (p,3,2,1) code, and quadrupling lifts it.  At s >= 1 the claimed leave
     is the base's measured leave scaled by 4^s plus the quadrupling tail.
     """
-    me = me_prime(p).value  # validates primality and p >= 5
+    me_prime(p)  # validates primality and p >= 5
     if s < 0:
         raise ValueError(f"need s >= 0, got {s}")
     outcome = equi_search(p, lambda_a=3)
     if not outcome.proven_optimal:
         raise SearchExhausted(f"equi-difference search for Z_{p} ran out of budget")
-    if outcome.best_size != me:
-        raise VerificationFailure(
-            f"prime_derived: search found {outcome.best_size} codewords, formula says {me}"
-        )
     base = Code(CodeParams(1, p, 3, 2, 1), list(outcome.best.codewords))
     size = psi_e_exact(4**s * p).value
     if s == 0:

@@ -52,15 +52,17 @@ def document_to_code(doc: dict) -> tuple[Code, dict]:
     params = doc.get("params")
     if not isinstance(params, dict):
         raise DocumentError("missing params object")
+    # JSON integers only: `type(...) is int` turns away floats, strings and
+    # booleans, which int() would read as some other code
+    values = []
+    for key, default in (("n", None), ("m", None), ("k", 3), ("lambda_a", 2), ("lambda_c", 1)):
+        value = params.get(key, default)
+        if type(value) is not int:
+            raise DocumentError(f"bad params: {key} must be an integer, got {value!r}")
+        values.append(value)
     try:
-        p = CodeParams(
-            int(params["n"]),
-            int(params["m"]),
-            int(params.get("k", 3)),
-            int(params.get("lambda_a", 2)),
-            int(params.get("lambda_c", 1)),
-        )
-    except (KeyError, TypeError, ValueError) as exc:
+        p = CodeParams(*values)
+    except ValueError as exc:
         raise DocumentError(f"bad params: {exc}") from exc
     raw = doc.get("codewords")
     if not isinstance(raw, list):
@@ -68,12 +70,13 @@ def document_to_code(doc: dict) -> tuple[Code, dict]:
     codewords: list[Codeword] = []
     for entry in raw:
         if not isinstance(entry, list) or not all(
-            isinstance(c, list) and len(c) == 2 for c in entry
+            isinstance(c, list) and len(c) == 2 and type(c[0]) is int and type(c[1]) is int
+            for c in entry
         ):
             raise DocumentError(f"malformed codeword entry {entry!r}")
         try:
-            codewords.append(make_codeword((int(r), int(s)) for r, s in entry))
-        except (TypeError, ValueError) as exc:
+            codewords.append(make_codeword(entry))
+        except ValueError as exc:
             raise DocumentError(f"bad codeword {entry!r}: {exc}") from exc
     metadata = doc.get("metadata") or {}
     if not isinstance(metadata, dict):

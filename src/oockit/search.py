@@ -69,7 +69,7 @@ class GddBaseBlocks:
             met = {group_of.get(r) for r, _ in block}
             if len(block) != 3 or len(met) != 3 or None in met:
                 raise ValueError(f"block {block} does not meet three distinct groups")
-        blocks = [make_codeword(b) for b in self.base_blocks]  # verify_code keys cells in order
+        blocks = [make_codeword(b) for b in self.base_blocks]  # hashable cells for Code.validate
         if not verify_code(Code(CodeParams(n, m), blocks)).cross_ok:
             raise ValueError("a cross-group class is covered twice")
         cross_pairs = (n * n - sum(len(rows) ** 2 for rows in self.groups)) // 2

@@ -94,9 +94,9 @@ def verify_code(code: Code) -> VerificationReport:
     distinct codewords share a difference in the same ordered row pair.
 
     Each unordered cell pair of a codeword falls in one class, encoded as the
-    int (i*n + j)*m + d: rows i <= j (cells are sorted), d = x - y mod m for
-    mixed pairs and min(d, m - d) for pure ones.  Ints sort as the (i, j, d)
-    tuples do, so cross witnesses come in class order.  Only the first owner
+    int (i*n + j)*m + d: rows i <= j whatever order the cells come in,
+    d = x - y mod m for mixed pairs and min(d, m - d) for pure ones.  Ints
+    sort as the (i, j, d) tuples do, so cross witnesses come in class order.  Only the first owner
     of a class is kept; an owner list is built when a second codeword hits
     the class, so lists exist only on failure, and memory is linear in
     codewords x k^2.  Witness rows are worked out only for failing codewords.
@@ -131,8 +131,10 @@ def verify_code(code: Code) -> VerificationReport:
                         pure.append(d)
                     pure.append(d)
                     key = (row + i) * m + d
-                else:
+                elif i < j:
                     key = (row + j) * m + (x - y) % m
+                else:
+                    key = (j * n + i) * m + (y - x) % m
                 first = owner.setdefault(key, idx)
                 if first != idx:  # else new, or a repeat inside one codeword
                     members = shared.get(key)

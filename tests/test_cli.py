@@ -1,4 +1,5 @@
 import inspect
+import io
 import json
 
 import pytest
@@ -46,6 +47,17 @@ class TestDocument:
             document_to_code({"schema_version": "2"})
         with pytest.raises(DocumentError):
             document_to_code({"schema_version": "1", "params": {"n": 1, "m": 8}, "codewords": [[[0, 0], [0, 9], [0, 1]]]})
+        # int() would read each of these as some other code, which then passes
+        for params, cell in [
+            ({"n": 1, "m": 7.9}, [0, 1]),
+            ({"n": 1, "m": 7}, [0, 1.5]),
+            ({"n": 1, "m": 7}, [False, 1]),
+            ({"n": "1", "m": 7}, [0, 1]),
+            ({"n": 1, "m": 7, "lambda_a": True}, [0, 1]),
+        ]:
+            doc = {"schema_version": "1", "params": params, "codewords": [[[0, 0], cell, [0, 3]]]}
+            with pytest.raises(DocumentError):
+                document_to_code(doc)
 
     def test_matrix_rendering(self):
         code = Code(CodeParams(2, 4), [make_codeword(((0, 0), (0, 2), (1, 3)))])
@@ -123,6 +135,34 @@ class TestCliConstructVerify:
         report = json.loads(capsys.readouterr().out)
         assert report["verification"]["violation_count"] > 0
 
+    def test_verify_stdin_fills_the_parity_census(self, capsys, monkeypatch):
+        assert main(["construct", "power4", "--s", "1", "--r", "6"]) == 0
+        doc = capsys.readouterr().out
+        monkeypatch.setattr("sys.stdin", io.StringIO(doc))
+        assert main(["verify", "-"]) == 0
+        census = json.loads(capsys.readouterr().out)["parity_census"]
+        assert census == {"c_o": 3, "c_e": 0, "c_d": 1, "n_oe": 0, "n_od": 0, "n_e": 0, "n_d": 0}
+        assert sum(census.values()) == len(json.loads(doc)["codewords"])
+
+    def test_third_period_codeword_has_no_parity_census(self, capsys, tmp_path):
+        code = Code(
+            CodeParams(1, 12, 3, 3, 1),
+            [make_codeword(((0, 0), (0, 4), (0, 8))), make_codeword(((0, 0), (0, 1), (0, 3)))],
+        )
+        path = tmp_path / "third.json"
+        path.write_text(render_json(code_to_document(code)))
+        assert main(["verify", str(path)]) == 0
+        out = json.loads(capsys.readouterr().out)
+        assert out["parity_census"] is None and out["composition_census"]["alpha"] == 2
+
+    def test_verify_text_format(self, capsys, tmp_path):
+        path = tmp_path / "ok.json"
+        path.write_text(render_json(code_to_document(explicit_code("3x8").code)))
+        assert main(["verify", str(path), "--format", "text"]) == 0
+        assert capsys.readouterr().out == (
+            "PASS auto_ok=True cross_ok=True max_auto_multiplicity=2 violations=0\n"
+        )
+
     def test_verify_malformed_exit_2(self, capsys, tmp_path):
         path = tmp_path / "trunc.json"
         path.write_text('{"schema_version": "1", "params"')
@@ -140,6 +180,12 @@ class TestCliBoundSearchCatalog:
             "kind": "exact",
             "value": 53,
         }
+
+    def test_bound_phi_text(self, capsys):
+        assert main(["bound", "phi", "--n", "3", "--m", "32", "--format", "text"]) == 0
+        assert capsys.readouterr().out == (
+            "phi value=53 kind=exact branch=phi/rows0mod3_32mod64\n"
+        )
 
     def test_bound_psi_e(self, capsys):
         assert main(["bound", "psi_e", "--m", "20"]) == 0
@@ -226,6 +272,12 @@ class TestCliBoundSearchCatalog:
         rows = json.loads(capsys.readouterr().out)["rows"]
         assert [r["m"] for r in rows] == [8, 20, 24, 32, 40, 52, 56, 68, 72, 88, 96, 100, 104]
         assert all(r["constructed"] == r["bound"] and r["verified"] for r in rows)
+
+    def test_catalog_bad_range_exit_2(self, capsys):
+        assert main(["catalog", "--n", "3", "--m", "8..x"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: bad range '8..x': ")
 
     def test_catalog_builds_rows_0mod3_through_the_family_table(self, capsys):
         assert main(["catalog", "--n", "12", "--m", "8..56"]) == 0

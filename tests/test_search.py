@@ -187,6 +187,10 @@ class TestGddSearch:
         assert (out.best, out.proven_optimal) == (None, False)
         assert out.nodes == 0
 
+    def test_hill_climb_node_budget_ends_during_its_moves(self):
+        out = gdd_search(4, 8, SearchConfig(node_budget=50, strategy=HILL_CLIMB))
+        assert (out.best, out.proven_optimal, out.nodes) == (None, False, 50)
+
     def test_too_few_groups(self):
         with pytest.raises(ValueError):
             gdd_search(2, 4)

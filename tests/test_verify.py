@@ -220,6 +220,12 @@ class TestMatrixCorrelation:
         assert matrix_verdicts(good) == (True, True)
         bad = one_row_code(9, [(0, 3, 6), (0, 2, 5)])
         assert matrix_verdicts(bad) == (False, False)
+        # cells out of row order: both codewords hold rows (0, 1) at difference 6
+        unsorted = Code(
+            CodeParams(2, 7), [((0, 0), (1, 1), (1, 3)), ((1, 2), (0, 1), (0, 5))]
+        )
+        report = verify_code(unsorted)
+        assert matrix_verdicts(unsorted) == (report.auto_ok, report.cross_ok) == (True, False)
 
 
 class TestCompositionCensus:
