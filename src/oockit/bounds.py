@@ -224,8 +224,7 @@ def _psi_e_best(m: int) -> tuple[int, str]:
     exact = psi_e_exact(m)
     if exact.value is not None:
         return exact.value, f"psi_e({m})"
-    ub = psi_e_upper_bound(m)
-    return ub.value, f"psi_e_ub({m})"
+    return dict(exact.dependencies)["upper_bound"], f"psi_e_ub({m})"
 
 
 def phi_upper_bound(n: int, m: int) -> BoundReport:

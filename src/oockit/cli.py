@@ -48,8 +48,6 @@ def _err(message: str) -> None:
     print(message, file=sys.stderr)
 
 
-# parameter flags in provenance order; `u` and `lambda_a` belong to `search`
-FLAGS = ("n", "m", "g", "s", "r", "p", "id", "variant", "u", "lambda_a")
 # search flag -> SearchConfig field; an unset flag keeps the field's default
 SEARCH_FLAGS = {
     "budget_seconds": "time_budget",
@@ -57,6 +55,15 @@ SEARCH_FLAGS = {
     "seed": "seed",
     "strategy": "strategy",
 }
+# flag a table row may name -> its argparse type or a tuple of its choices;
+# parameter flags first, in provenance order (`u`, `lambda_a`: `search` only)
+FLAG_TYPES = {
+    "n": int, "m": int, "g": int, "s": int, "r": int, "p": int, "id": str,
+    "variant": (construct.STANDARD, construct.HALF_FREE), "u": int, "lambda_a": int,
+    "budget_seconds": float, "node_budget": int, "seed": int,
+    "strategy": (EXACT_COVER, HILL_CLIMB),
+}
+FLAGS = tuple(flag for flag in FLAG_TYPES if flag not in SEARCH_FLAGS)
 BUDGET_FLAGS = dict.fromkeys(("budget_seconds", "node_budget"))
 
 # kind -> (function name in its module, required flags, optional flags with
@@ -109,7 +116,7 @@ def _call(module, table: dict, noun: str, kind: str, flags: dict):
     not take, or an unset required flag, raises UnsupportedParameterError.
     """
     name, required, optional = table[kind][:3]
-    for flag in (*FLAGS, *SEARCH_FLAGS):
+    for flag in FLAG_TYPES:
         if flags.get(flag) is not None and flag not in (*required, *optional):
             raise UnsupportedParameterError(f"{noun} {kind!r} does not take {_option(flag)}")
     given = {}
@@ -287,15 +294,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     pc = sub.add_parser("construct", help="emit a verified code as JSON")
     pc.add_argument("family", choices=list(FAMILIES))
-    pc.add_argument("--n", type=int)
-    pc.add_argument("--m", type=int)
-    pc.add_argument("--g", type=int)
-    pc.add_argument("--s", type=int)
-    pc.add_argument("--r", type=int)
-    pc.add_argument("--p", type=int)
-    pc.add_argument("--id", type=str)
-    pc.add_argument("--variant", choices=[construct.STANDARD, construct.HALF_FREE])
-    _add_search_flags(pc)
+    _add_table_flags(pc, FAMILIES)
     _add_format(pc, ["json", "matrix"])
     pc.set_defaults(func=cmd_construct)
 
@@ -306,18 +305,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     pb = sub.add_parser("bound", help="closed-form size bounds")
     pb.add_argument("which", choices=list(BOUNDS))
-    pb.add_argument("--n", type=int)
-    pb.add_argument("--m", type=int)
+    _add_table_flags(pb, BOUNDS)
     _add_format(pb, ["json", "text"])
     pb.set_defaults(func=cmd_bound)
 
     ps = sub.add_parser("search", help="brute-force oracles")
     ps.add_argument("kind", choices=list(SEARCHES))
-    ps.add_argument("--n", type=int)
-    ps.add_argument("--m", type=int)
-    ps.add_argument("--u", type=int)
-    ps.add_argument("--lambda-a", dest="lambda_a", type=int)
-    _add_search_flags(ps)
+    _add_table_flags(ps, SEARCHES)
     _add_format(ps, ["json", "text"])
     ps.set_defaults(func=cmd_search)
 
@@ -329,11 +323,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _add_search_flags(p) -> None:
-    p.add_argument("--budget-seconds", dest="budget_seconds", type=float)
-    p.add_argument("--node-budget", dest="node_budget", type=int)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--strategy", choices=[EXACT_COVER, HILL_CLIMB])
+def _add_table_flags(p, table: dict) -> None:
+    """Add, in `FLAG_TYPES` order, every flag that a row of `table` names."""
+    named = {flag for row in table.values() for flag in (*row[1], *row[2])}
+    for flag, kind in FLAG_TYPES.items():
+        if flag in named:
+            typed = {"choices": kind} if isinstance(kind, tuple) else {"type": kind}
+            p.add_argument(_option(flag), dest=flag, **typed)
 
 
 def _add_format(p, choices) -> None:

@@ -4,7 +4,8 @@ Private builders only return a Code.  Each public family verifies the code
 it returns once and asserts its claimed size (and, for 1-D codes, its
 claimed difference leave); internal stages are not verified on their own.
 The optimal families claim the exact size from `bounds` (psi_e_exact or
-phi_exact), and the tight bases their class, so none is written twice.
+phi_exact) and build in the class it names, so no residue rule is written
+twice; a family rejects the classes it has no code for by that name.
 The final code holds every stage's codewords scaled by a power of 4, and
 scaling maps differences injectively, so a faulty stage fails that check.
 A mismatch raises VerificationFailure rather than repairing anything
@@ -15,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .bounds import EXACT, in_S, me_prime, phi_exact, psi_e_exact
+from .bounds import me_prime, phi_exact, psi_e_exact
 from .core import (
     Code,
     CodeParams,
@@ -255,27 +256,25 @@ def tight_derived(r: int, s: int = 0) -> ConstructionResult:
         raise UnsupportedParameterError(f"family needs odd r >= 1, got {r}")
     if s < 0:
         raise ValueError(f"need s >= 0, got {s}")
-    base = _tight_derived_base(r)
+    base, branch = _tight_derived_base(r)
     leave = _power4_tail(s, r)
-    if r % 12 == 3:
+    if branch == "psi_e/tight_3mod12":
         leave |= {4**s * (r // 3), 2 * 4**s * (r // 3)}
-        branch = "tight_derived/3mod12"
-    else:
-        branch = "tight_derived/1or5mod12"
+    branch = "tight_derived/" + branch.removeprefix("psi_e/tight_")
     return _finalize(_tower(base, s), psi_e_exact(4**s * r).value, leave, branch)
 
 
-def _tight_derived_base(r: int) -> Code:
-    """The base on Z_r of `tight_derived`, for odd r in a tight class of `psi_e_exact`."""
+def _tight_derived_base(r: int) -> tuple[Code, str]:
+    """The base on Z_r of `tight_derived`, with the tight class `psi_e_exact` names for r."""
     branch = psi_e_exact(r).branch
     if branch not in ("psi_e/tight_1or5mod12", "psi_e/tight_3mod12"):
         raise UnsupportedParameterError(
             f"r={r} is in class {branch}, outside both tight-derived branches"
         )
     code = _tight_base(r)
-    if r % 12 == 3:
+    if branch == "psi_e/tight_3mod12":
         code.codewords.remove(_triple(r, r // 3))
-    return code
+    return code, branch
 
 
 def _tight_base(r: int) -> Code:
@@ -417,15 +416,17 @@ def explicit_code(code_id: str) -> ConstructionResult:
 
 
 def ooc_2xm(m: int) -> ConstructionResult:
-    """Optimal two-row code for m = 0 (mod 4): 3m/4 codewords (2 at m = 4)."""
-    params = CodeParams(2, m, 3, 2, 1)  # rejects m < 1 before the family test
-    if m % 4 != 0:
-        raise UnsupportedParameterError(f"two-row family needs m = 0 (mod 4), got {m}")
+    """Optimal two-row code in the classes of phi_exact(2, m): 3m/4 codewords (2 at m = 4)."""
+    phi = phi_exact(2, m)
+    if phi.branch not in ("phi/two_rows_m4", "phi/two_rows_0mod4"):
+        raise UnsupportedParameterError(
+            f"m={m} is in class {phi.branch}, outside the two-row family"
+        )
     cws: list[Codeword] = []
-    if m == 4:
+    if phi.branch == "phi/two_rows_m4":
         cws += [make_codeword(((x, 0), (x, 1), (x, 2))) for x in range(2)]
         branch = "2xm/m4"
-    elif m % 8 == 0:
+    elif m % 8 == 0:  # a split of the construction, not a class of the bound
         for i in _odds(3, m // 4 - 1) + [m // 2 - 1]:
             _add(cws, m, (0, 0), (0, i), (0, 2 * i))
         for i in _odds(m // 4 + 1, m // 2 - 1):
@@ -460,7 +461,7 @@ def ooc_2xm(m: int) -> ConstructionResult:
         _add(cws, m, (0, 0), (0, m // 2), (1, 3 * m // 4 + 1))
         _add(cws, m, (0, 0), (0, 2), (0, 4))
         branch = "2xm/4mod8"
-    return _finalize(Code(params, cws), phi_exact(2, m).value, None, branch)
+    return _finalize(Code(CodeParams(2, m, 3, 2, 1), cws), phi.value, None, branch)
 
 
 # ---------------------------------------------------------------------------
@@ -469,32 +470,27 @@ def ooc_2xm(m: int) -> ConstructionResult:
 
 
 def ooc_3xm(m: int) -> ConstructionResult:
-    """Optimal three-row code in the residue classes the catalogue covers.
+    """Optimal three-row code in every class where `phi_exact(3, m)` is exact.
 
     Explicit lists for m in {4, 8, 20, 32, 52}; general families for
     m = 8 (mod 16), m = 32 (mod 64), and admissible m = 4, 20 (mod 48).
     """
-    code, branch = _three_row(m)
-    return _finalize(code, phi_exact(3, m).value, None, branch)
+    phi = phi_exact(3, m)
+    code, branch = _three_row(3, m, phi.branch)
+    return _finalize(code, phi.value, None, branch)
 
 
-def _three_row(m: int) -> tuple[Code, str]:
-    """The code of `ooc_3xm`, unverified, with its branch."""
+def _three_row(n: int, m: int, phi_branch: str) -> tuple[Code, str]:
+    """The three-row code on Z_m, unverified, with its branch, in phi_exact(n, m)'s class."""
+    if phi_branch not in _THREE_ROW_BODIES:
+        raise UnsupportedParameterError(
+            f"n={n}, m={m} is in class {phi_branch}, outside every three-row family"
+        )
     if m in (4, 8, 20, 32, 52):
         code_id = f"3x{m}"
         return _explicit(code_id), f"explicit/{code_id}"
-    if m % 16 == 8:
-        body, branch = _ooc_3xm_8mod16, "3xm/8mod16"
-    elif m % 64 == 32:
-        body, branch = _ooc_3xm_32mod64, "3xm/32mod64"
-    elif m % 48 in (4, 20) and m > 4:
-        if not in_S(m // 4):
-            raise UnsupportedParameterError(
-                f"m={m}: m/4 fails the admissibility clauses of the mod-48 family"
-            )
-        body, branch = _ooc_3xm_4or20mod48, "3xm/4or20mod48"
-    else:
-        raise UnsupportedParameterError(f"no three-row family covers m={m}")
+    body = _THREE_ROW_BODIES[phi_branch]
+    branch = "3xm/" + phi_branch.removeprefix("phi/rows0mod3_")
     return Code(CodeParams(3, m, 3, 2, 1), body(m)), branch
 
 
@@ -576,7 +572,7 @@ def _ooc_3xm_32mod64(m: int) -> list[Codeword]:
 
 
 def _ooc_3xm_4or20mod48(m: int) -> list[Codeword]:
-    cws = _place_on_rows(_tower(_tight_derived_base(m // 4), 1))
+    cws = _place_on_rows(_tower(_tight_derived_base(m // 4)[0], 1))
     for i in range((m - 20) // 8 + 1):
         _add(cws, m, (0, 0), (0, 1 + 2 * i), (1, (7 * m + 4) // 8 + i))
     for i in range((m - 12) // 8 + 1):
@@ -632,6 +628,15 @@ def _ooc_3xm_4or20mod48(m: int) -> list[Codeword]:
     return cws
 
 
+# phi_exact class -> the general three-row family that meets it (m = 4: explicit)
+_THREE_ROW_BODIES = {
+    "phi/three_rows_m4": None,
+    "phi/rows0mod3_8mod16": _ooc_3xm_8mod16,
+    "phi/rows0mod3_32mod64": _ooc_3xm_32mod64,
+    "phi/rows0mod3_4or20mod48": _ooc_3xm_4or20mod48,
+}
+
+
 # ---------------------------------------------------------------------------
 # recursive expansion through cyclic group divisible designs
 # ---------------------------------------------------------------------------
@@ -673,7 +678,7 @@ def expand_gdd(gdd: GddBaseBlocks, inputs: list[ConstructionResult]) -> Construc
 
 
 def compose_0mod3(n: int, m: int, config: SearchConfig | None = None) -> ConstructionResult:
-    """Optimal (n x m) code for n = 0 (mod 3), n not 6 or 9.
+    """Optimal (n x m) code in the `rows0mod3_*` classes of `phi_exact`.
 
     n = 3 delegates to the three-row catalogue.  For n >= 12 the design of
     type (3m)^(n/3) is searched only at m0 = m & -m (4, 8 or 32 in every
@@ -681,18 +686,12 @@ def compose_0mod3(n: int, m: int, config: SearchConfig | None = None) -> Constru
     with the three-row code on Z_m, reaching Phi(n, m) = n(nm + 2 psi)/6
     codewords.  `config` drives the search at m0.
     """
-    if n % 3 != 0 or n < 3:
-        raise UnsupportedParameterError(f"family needs n = 0 (mod 3), got n={n}")
-    if n in (6, 9):
-        raise UnsupportedParameterError(f"n={n} is outside the composition's reach")
+    if n < 3:  # phi_exact takes n >= 1 only
+        raise UnsupportedParameterError(f"family needs n >= 3, got n={n}")
     if n == 3:
         return ooc_3xm(m)
     phi = phi_exact(n, m)
-    if phi.kind != EXACT:
-        raise UnsupportedParameterError(
-            f"m={m} is not in a class where the three-row code fills the general cap"
-        )
-    inner = _three_row(m)[0]
+    inner = _three_row(n, m, phi.branch)[0]
     u, m0 = n // 3, m & -m
     outcome = gdd_search(u, m0, config or SearchConfig())
     if outcome.best is None:

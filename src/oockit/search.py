@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import bisect
 import itertools
+import math
 import random
 import time
 from collections.abc import Iterable, Iterator
@@ -29,6 +30,10 @@ class SearchConfig:
     node_budget: int = 10**9
     strategy: str = EXACT_COVER  # gdd_search only; optimal and equi search ignore it
     seed: int = 0
+
+    def __post_init__(self):  # a NaN budget compares False with everything: no stop
+        if math.isnan(self.time_budget) or math.isnan(self.node_budget):
+            raise ValueError("a search budget must not be NaN")
 
 
 @dataclass

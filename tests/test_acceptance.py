@@ -252,6 +252,7 @@ def test_criterion_6_gdd_pipeline():
     print("\nACCEPTANCE 6 group-divisible-design pipeline: PASS")
 
 
+@pytest.mark.slow
 def test_stretch_exhaustive_three_by_eight_certification():
     # beyond the required criteria: certify the 13-codeword optimum for
     # (3 x 8) exhaustively; skipped (not failed) if the budget runs out

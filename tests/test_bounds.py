@@ -1,5 +1,6 @@
 import pytest
 
+from oockit import bounds
 from oockit.bounds import (
     cac_optimal_size,
     gdd_exists,
@@ -187,6 +188,18 @@ class TestPhiExact:
             for m in (8, 24, 40, 56):
                 psi = psi_e_exact(m).value
                 assert phi_exact(n, m).value == n * (n * m + 2 * psi) // 6
+
+    def test_unknown_psi_e_cap_is_computed_once(self, monkeypatch):
+        # psi_e(9) is unknown: the cap comes from psi_e_exact's report
+        calls = []
+
+        def record(m):
+            calls.append(m)
+            return psi_e_upper_bound(m)
+
+        monkeypatch.setattr(bounds, "psi_e_upper_bound", record)
+        assert phi_exact(5, 9).kind == "unknown"
+        assert calls == [9]
 
     def test_cac_relaxation_dominates(self):
         for m in range(4, 201, 4):

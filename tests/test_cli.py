@@ -248,6 +248,17 @@ class TestCliBoundSearchCatalog:
         assert main([*argv, "--format", "text"]) == 0
         assert capsys.readouterr().out.split()[1:] == ["proven_optimal=False", "nodes=1"]
 
+    def test_nan_budget_is_a_usage_error(self, capsys):
+        assert main(["search", "tight", "--m", "13", "--budget-seconds", "nan"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err == "error: a search budget must not be NaN\n"
+
+    def test_three_row_rejection_names_the_bounds_class(self, capsys):
+        assert main(["construct", "3xm", "--m", "12"]) == 2
+        captured = capsys.readouterr()
+        (line,) = captured.err.splitlines()
+        assert captured.out == "" and "phi/unknown" in line
+
     @pytest.mark.parametrize("kind,flags", [("optimal", ["--n", "2", "--m", "6"]),
                                             ("equi", ["--m", "13"])])
     def test_lambda_a_of_zero_is_a_usage_error(self, capsys, kind, flags):
@@ -349,6 +360,16 @@ class TestCliTables:
                 if bounds.phi_exact(n, m).kind == bounds.EXACT:
                     claims = [kind for kind, row in FAMILIES.items() if row[3] and row[3](n, m)]
                     assert len(claims) <= 1, (n, m, claims)
+
+    @pytest.mark.parametrize("command,flags", [
+        ("construct", {"n", "m", "g", "s", "r", "p", "id", "variant", *SEARCH_FLAGS}),
+        ("bound", {"n", "m"}),
+        ("search", {"n", "m", "u", "lambda_a", *SEARCH_FLAGS}),
+    ])
+    def test_each_subcommand_takes_the_flags_its_table_rows_name(self, command, flags):
+        table = TABLES[command][1]
+        named = {flag for row in table.values() for flag in (*row[1], *row[2])}
+        assert set(_options(_subparsers()[command])) == named == flags
 
     @pytest.mark.parametrize("command", list(TABLES))
     def test_choices_are_the_table_keys(self, command):

@@ -250,6 +250,15 @@ class TestTwoRows:
         with pytest.raises(UnsupportedParameterError):
             ooc_2xm(10)
 
+    def test_builds_exactly_where_phi_is_exact(self):
+        for m in range(1, 201):
+            phi = phi_exact(2, m)
+            if phi.kind == "exact":
+                assert ooc_2xm(m).code.size() == phi.value, m
+            else:
+                with pytest.raises(UnsupportedParameterError, match=f"class {phi.branch},"):
+                    ooc_2xm(m)
+
 
 class TestThreeRows:
     def test_dispatch_to_explicit(self):
@@ -278,6 +287,15 @@ class TestThreeRows:
         for m in (10, 16, 48, 64, 196):  # 196/4 = 49 fails admissibility
             with pytest.raises(UnsupportedParameterError):
                 ooc_3xm(m)
+
+    def test_builds_exactly_where_phi_is_exact(self):
+        for m in range(1, 601):
+            phi = phi_exact(3, m)
+            if phi.kind == "exact":
+                assert ooc_3xm(m).code.size() == phi.value, m
+            else:
+                with pytest.raises(UnsupportedParameterError, match=f"class {phi.branch},"):
+                    ooc_3xm(m)
 
 
 class TestExpandGdd:
@@ -348,6 +366,16 @@ class TestCompose:
             compose_0mod3(9, 8)
         with pytest.raises(UnsupportedParameterError):
             compose_0mod3(7, 8)
+
+    def test_rejects_every_class_without_a_three_row_code(self, monkeypatch):
+        # a rejection needs no search
+        monkeypatch.setattr(construct, "gdd_search", None)
+        for n in range(-2, 16):
+            for m in range(1, 65):
+                if n == 3 or n >= 1 and phi_exact(n, m).branch.startswith("phi/rows0mod3_"):
+                    continue
+                with pytest.raises(UnsupportedParameterError):
+                    compose_0mod3(n, m)
 
 
 def _recording(real, calls):

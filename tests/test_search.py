@@ -52,6 +52,14 @@ class TestOptimalSearch:
         out = optimal_search(3, 4, 2)
         assert verify_code(out.best).passed
 
+    @pytest.mark.parametrize("field", ["time_budget", "node_budget"])
+    def test_nan_budget_rejected(self, field):
+        # a NaN deadline or node cap would never stop a search
+        with pytest.raises(ValueError, match="NaN"):
+            SearchConfig(**{field: float("nan")})
+        SearchConfig(**{field: float("inf")})
+        SearchConfig(**{field: 0})
+
     def test_budget_exhaustion_reports_partial(self):
         out = optimal_search(3, 8, 2, SearchConfig(node_budget=50))
         assert not out.proven_optimal
