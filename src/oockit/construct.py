@@ -29,6 +29,7 @@ from .core import (
 from .search import (
     GddBaseBlocks,
     SearchConfig,
+    _triple,
     equi_search,
     gdd_search,
     tight_search,
@@ -74,11 +75,6 @@ def _odds(lo: int, hi: int) -> list[int]:
     return list(range(start, hi + 1, 2))
 
 
-def _triple(m: int, a: int) -> Codeword:
-    """The codeword {0, a, 2a} of Z_m."""
-    return make_codeword(((0, 0), (0, a % m), (0, 2 * a % m)))
-
-
 def _one_row_code(m: int, generators) -> Code:
     return Code(CodeParams(1, m, 3, 2, 1), [_triple(m, a) for a in generators])
 
@@ -120,7 +116,7 @@ def g_regular_4g(g: int) -> ConstructionResult:
     """
     if g < 1:
         raise ValueError(f"need g >= 1, got {g}")
-    leave = _power4_tail(1, g) | {4 * t for t in range(1, g)}
+    leave = _quadrupled_leave(range(1, g), g)
     return _finalize(_g_regular_code(g), (g + 1) // 2, leave, "gregular/4g")
 
 
@@ -185,19 +181,21 @@ def quadruple(inner: ConstructionResult) -> ConstructionResult:
     if not inner_facts.is_equi_difference:
         raise ValueError("quadrupling requires an equi-difference input")
     g = inner.code.params.m
-    leave = {4 * d for d in inner_facts.difference_leave} | _power4_tail(1, g)
+    leave = _quadrupled_leave(inner_facts.difference_leave, g)
     size = (g + 1) // 2 + inner.code.size()
     return _finalize(_quadruple_code(inner.code), size, leave, "quadruple")
 
 
-def _power4_tail(s: int, r: int) -> set[int]:
-    """Odd intervals accumulated by s rounds of quadrupling Z_r."""
-    out: set[int] = set()
-    for i in range(1, s + 1):
-        scale = 4 ** (s - i)
-        base = 4 ** (i - 1) * r
-        for x in _odds(1, base - 1) + _odds(3 * base + 1, 4 * base - 1):
-            out.add(scale * x)
+def _quadrupled_leave(leave, g: int, s: int = 1) -> set[int]:
+    """The leave on Z_{4^s g} of s quadruplings of a code on Z_g with this leave.
+
+    One quadrupling fills the g-regular code on Z_{4g} with the code on Z_g:
+    the leave L becomes 4.L plus the odd residues below g and above 3g.
+    """
+    out = set(leave)
+    for _ in range(s):
+        out = {4 * d for d in out}.union(_odds(1, g - 1), _odds(3 * g + 1, 4 * g - 1))
+        g *= 4
     return out
 
 
@@ -235,14 +233,13 @@ def equi_power4(s: int, r: int, variant: str = STANDARD) -> ConstructionResult:
         raise ValueError(f"need s >= 0, got {s}")
     if variant == HALF_FREE and s < 1:
         raise UnsupportedParameterError(f"variant {variant} needs s >= 1, got s={s}")
-    half = r // 2
-    if variant == STANDARD:
-        leave = {half * 4**s}
-    else:
-        leave = {3 * half * 4 ** (s - 1), 5 * half * 4 ** (s - 1)}
-    leave |= _power4_tail(s, r)
-    size = psi_e_exact(4**s * r).value
-    return _finalize(_power4_code(s, r, variant), size, leave, f"power4/{variant}")
+    code = _power4_code(s, r, variant)
+    leave = {r // 2}  # the leave of the 2 (mod 4) base on Z_r
+    if variant == HALF_FREE:
+        leave = _quadrupled_leave(leave, r) - {2 * r} | {3 * r // 2, 5 * r // 2}
+        r, s = 4 * r, s - 1
+    leave = _quadrupled_leave(leave, r, s)
+    return _finalize(code, psi_e_exact(code.params.m).value, leave, f"power4/{variant}")
 
 
 def tight_derived(r: int, s: int = 0) -> ConstructionResult:
@@ -257,11 +254,11 @@ def tight_derived(r: int, s: int = 0) -> ConstructionResult:
     if s < 0:
         raise ValueError(f"need s >= 0, got {s}")
     base, branch = _tight_derived_base(r)
-    leave = _power4_tail(s, r)
-    if branch == "psi_e/tight_3mod12":
-        leave |= {4**s * (r // 3), 2 * 4**s * (r // 3)}
+    leave = {r // 3, 2 * r // 3} if branch == "psi_e/tight_3mod12" else set()
+    code = _tower(base, s)
+    leave = _quadrupled_leave(leave, r, s)
     branch = "tight_derived/" + branch.removeprefix("psi_e/tight_")
-    return _finalize(_tower(base, s), psi_e_exact(4**s * r).value, leave, branch)
+    return _finalize(code, psi_e_exact(code.params.m).value, leave, branch)
 
 
 def _tight_derived_base(r: int) -> tuple[Code, str]:
@@ -293,7 +290,7 @@ def prime_derived(p: int, s: int = 0) -> ConstructionResult:
     The base is a largest equi-difference conflict-avoiding code of length
     p found by search; since 3 does not divide p it is already a
     (p,3,2,1) code, and quadrupling lifts it.  At s >= 1 the claimed leave
-    is the base's measured leave scaled by 4^s plus the quadrupling tail.
+    is the base's measured leave carried through s quadruplings.
     """
     me_prime(p)  # validates primality and p >= 5
     if s < 0:
@@ -302,12 +299,9 @@ def prime_derived(p: int, s: int = 0) -> ConstructionResult:
     if not outcome.proven_optimal:
         raise SearchExhausted(f"equi-difference search for Z_{p} ran out of budget")
     base = Code(CodeParams(1, p, 3, 2, 1), list(outcome.best.codewords))
-    size = psi_e_exact(4**s * p).value
-    if s == 0:
-        return _finalize(base, size, None, "prime_derived")
-    leave = {4**s * d for d in structural_facts(base).difference_leave}
-    leave |= _power4_tail(s, p)
-    return _finalize(_tower(base, s), size, leave, "prime_derived")
+    code = _tower(base, s)
+    leave = _quadrupled_leave(difference_leave(base), p, s) if s else None
+    return _finalize(code, psi_e_exact(code.params.m).value, leave, "prime_derived")
 
 
 # ---------------------------------------------------------------------------
@@ -689,6 +683,8 @@ def compose_0mod3(n: int, m: int, config: SearchConfig | None = None) -> Constru
     if n < 3:  # phi_exact takes n >= 1 only
         raise UnsupportedParameterError(f"family needs n >= 3, got n={n}")
     if n == 3:
+        if config is not None:
+            raise UnsupportedParameterError("n = 3 takes no search flags: it runs no search")
         return ooc_3xm(m)
     phi = phi_exact(n, m)
     inner = _three_row(n, m, phi.branch)[0]

@@ -18,7 +18,7 @@ from dataclasses import InitVar, dataclass, field
 
 from .core import Code, CodeParams, Codeword, make_codeword, normalize
 from .bounds import gdd_exists
-from .verify import verify_code
+from .verify import _pair_classes, verify_code
 
 EXACT_COVER = "exact_cover"
 HILL_CLIMB = "hill_climb_restart"
@@ -256,27 +256,14 @@ class _ExactCover:
 def _codeword_mask(cw: Codeword, n: int, m: int) -> tuple[int, int, int, int]:
     """(mask, pure class count, mixed class count, autocorrelation peak).
 
-    Bits are `verify_code`'s class keys (i*n + j)*m + d, d = min(d, m - d)
-    for pure pairs.  The peak counts each pure difference over all rows; the
-    half period is its own negative, so it counts twice.
+    Bits are `verify_code`'s class keys.  The peak counts each pure
+    difference over all rows; the half period counts twice.
     """
-    pure: list[int] = []
-    pure_mask = mixed_mask = 0
-    for a, (i, x) in enumerate(cw):
-        row = i * n
-        for j, y in cw[a + 1 :]:
-            if i == j:
-                d = (y - x) % m
-                if d + d > m:
-                    d = m - d
-                elif d + d == m:
-                    pure.append(d)
-                pure.append(d)
-                pure_mask |= 1 << ((row + i) * m + d)
-            else:
-                mixed_mask |= 1 << ((row + j) * m + (x - y) % m)
-    peak = max(map(pure.count, pure), default=0)
-    return pure_mask | mixed_mask, pure_mask.bit_count(), mixed_mask.bit_count(), peak
+    keys, pure = _pair_classes(cw, n, m)
+    classes, p = set(keys), len(set(pure))
+    diffs = [key % m for key in pure]
+    peak = max(map(diffs.count, diffs), default=0)
+    return sum(1 << key for key in classes), p, len(classes) - p, peak
 
 
 def _max_packing(
@@ -383,17 +370,22 @@ def _witness(code: Code, proven: bool, budget: _Budget) -> SearchOutcome:
     return SearchOutcome(code, code.size(), proven, budget.nodes, budget.elapsed())
 
 
+def _triple(m: int, a: int) -> Codeword:
+    """The codeword {0, a, 2a} of Z_m."""
+    return make_codeword(((0, 0), (0, a % m), (0, 2 * a % m)))
+
+
 def _equi_vertices(m: int, lambda_a: int) -> list[tuple[int, frozenset[int]]]:
     """Generators of distinct {0, a, 2a} difference supports, smallest first.
 
-    lambda_a < 3 rules out generators with 3a = 0 (mod m), whose difference
-    multiset peaks at three.
+    A generator is dropped when its codeword's autocorrelation peak exceeds
+    lambda_a: three at 3a = 0 (mod m), else two.
     """
     by_support: dict[frozenset[int], int] = {}
     for a in range(1, m):
         if (2 * a) % m == 0:
             continue
-        if lambda_a < 3 and (3 * a) % m == 0:
+        if _codeword_mask(_triple(m, a), 1, m)[3] > lambda_a:
             continue
         supp = frozenset({a, m - a, (2 * a) % m, (m - 2 * a) % m})
         by_support.setdefault(supp, a)
@@ -415,11 +407,7 @@ def equi_search(m: int, lambda_a: int = 2, config: SearchConfig | None = None) -
     # rate bound of _max_packing never prunes below free // (smallest support)
     usage = [(len(supp), 0) for _, supp in verts]
     best, complete = _max_packing(masks, usage, m - 1, 0, budget)
-    code = Code(
-        params,
-        [make_codeword(((0, 0), (0, verts[i][0]), (0, 2 * verts[i][0] % m))) for i in best],
-    )
-    return _witness(code, complete, budget)
+    return _witness(Code(params, [_triple(m, verts[i][0]) for i in best]), complete, budget)
 
 
 def tight_search(m: int, config: SearchConfig | None = None) -> SearchOutcome:
@@ -437,9 +425,7 @@ def tight_search(m: int, config: SearchConfig | None = None) -> SearchOutcome:
     if picked is None:
         return SearchOutcome(None, 0, not budget.exhausted, budget.nodes, budget.elapsed())
     gens = sorted(verts[i][0] for i in picked)
-    return _witness(
-        Code(params, [make_codeword(((0, 0), (0, a), (0, 2 * a % m))) for a in gens]), True, budget
-    )
+    return _witness(Code(params, [_triple(m, a) for a in gens]), True, budget)
 
 
 # ---------------------------------------------------------------------------

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+from itertools import combinations
 
 from .core import (
     Code,
@@ -86,6 +87,36 @@ class StructuralFacts:
     is_tight_cac: bool
 
 
+def _pair_classes(cw: Codeword, n: int, m: int) -> tuple[list[int], list[int]]:
+    """The class key of each cell pair of a codeword, and its pure keys.
+
+    Each unordered cell pair falls in one class, encoded as the int
+    (i*n + j)*m + d: rows i <= j whatever order the cells come in,
+    d = x - y mod m for mixed pairs and min(d, m - d) for pure ones.  `keys`
+    lists every pair's class in pair order; `pure` lists the same-row ones,
+    the half period twice, since it is its own negative.  The packing search
+    builds its masks from these keys.  Private, because `perfbench/spans.py`
+    wraps every public function here and this one runs once per codeword.
+    """
+    keys: list[int] = []
+    pure: list[int] = []
+    for (i, x), (j, y) in combinations(cw, 2):
+        if i == j:
+            d = (y - x) % m
+            if d + d > m:
+                d = m - d
+            key = (i * n + i) * m + d
+            if d + d == m:
+                pure.append(key)
+            pure.append(key)
+        elif i < j:
+            key = (i * n + j) * m + (x - y) % m
+        else:
+            key = (j * n + i) * m + (y - x) % m
+        keys.append(key)
+    return keys, pure
+
+
 def verify_code(code: Code) -> VerificationReport:
     """Check the code by the difference method, in one pass over cell pairs.
 
@@ -93,13 +124,11 @@ def verify_code(code: Code) -> VerificationReport:
     pure difference (summed over rows) is at most lambda_a.  Cross: no two
     distinct codewords share a difference in the same ordered row pair.
 
-    Each unordered cell pair of a codeword falls in one class, encoded as the
-    int (i*n + j)*m + d: rows i <= j whatever order the cells come in,
-    d = x - y mod m for mixed pairs and min(d, m - d) for pure ones.  Ints
-    sort as the (i, j, d) tuples do, so cross witnesses come in class order.  Only the first owner
-    of a class is kept; an owner list is built when a second codeword hits
-    the class, so lists exist only on failure, and memory is linear in
-    codewords x k^2.  Witness rows are worked out only for failing codewords.
+    Classes are the `_pair_classes` keys; ints sort as the (i, j, d) tuples
+    do, so cross witnesses come in class order.  Only the first owner of a
+    class is kept; an owner list is built when a second codeword hits the
+    class, so lists exist only on failure, and memory is linear in
+    codewords x k^2.
     """
     code.validate()
     n, m = code.params.n, code.params.m
@@ -117,46 +146,28 @@ def verify_code(code: Code) -> VerificationReport:
     shared: dict[int, list[int]] = {}
     max_mult = 0
     for idx, cw in enumerate(code.codewords):
-        # pure classes of this codeword's same-row pairs; the half period is
-        # its own negative, so it is listed twice
-        pure: list[int] = []
-        for a, (i, x) in enumerate(cw):
-            row = i * n
-            for j, y in cw[a + 1 :]:
-                if i == j:
-                    d = (y - x) % m
-                    if d + d > m:
-                        d = m - d
-                    elif d + d == m:
-                        pure.append(d)
-                    pure.append(d)
-                    key = (row + i) * m + d
-                elif i < j:
-                    key = (row + j) * m + (x - y) % m
-                else:
-                    key = (j * n + i) * m + (y - x) % m
-                first = owner.setdefault(key, idx)
-                if first != idx:  # else new, or a repeat inside one codeword
-                    members = shared.get(key)
-                    if members is None:
-                        shared[key] = [first, idx]
-                    elif members[-1] != idx:
-                        members.append(idx)
-        lam = max(map(pure.count, pure), default=0)
+        keys, pure = _pair_classes(cw, n, m)
+        for key in keys:
+            first = owner.setdefault(key, idx)
+            if first != idx:  # else new, or a repeat inside one codeword
+                members = shared.get(key)
+                if members is None:
+                    shared[key] = [first, idx]
+                elif members[-1] != idx:
+                    members.append(idx)
+        if not pure:
+            continue
+        diffs = pure if n == 1 else [key % m for key in pure]  # one row: key = difference
+        lam = max(map(diffs.count, diffs))
         if lam > max_mult:
             max_mult = lam
         if lam > lam_a:
-            # witness path: a class over lambda_a names both of its differences,
-            # at the lowest row holding the class
-            row_of: dict[int, int] = {}
-            for a, (i, x) in enumerate(cw):
-                for j, y in cw[a + 1 :]:
-                    if i == j:
-                        d = (y - x) % m
-                        row_of.setdefault(min(d, m - d), i)
-            over = {c for c in pure if pure.count(c) > lam_a}
+            # witness path: a difference over lambda_a names both of its
+            # residues, at the row of its first pure key
+            over = {c for c in diffs if diffs.count(c) > lam_a}
             for d, c in sorted((d, c) for c in over for d in {c, m - c}):
-                emit(Witness("auto", (idx, idx), (row_of[c], row_of[c]), d))
+                row = pure[diffs.index(c)] // ((n + 1) * m)
+                emit(Witness("auto", (idx, idx), (row, row), d))
 
     for key in sorted(shared):
         members = shared[key]

@@ -104,6 +104,19 @@ class TestCliConstructVerify:
         assert main(["construct", "tight", "--r", "13", "--variant", "standard"]) == 2
         assert capsys.readouterr().out == ""
 
+    def test_nxm_with_three_rows_takes_no_search_flags(self, capsys):
+        argv = ["construct", "nxm", "--n", "3", "--m", "8"]
+        assert main([*argv, "--seed", "1", "--budget-seconds", "0"]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.splitlines() == ["error: n = 3 takes no search flags: it runs no search"]
+        assert main(argv) == 0
+        assert len(json.loads(capsys.readouterr().out)["codewords"]) == 13
+
+    def test_equi_search_at_lambda_one_is_empty(self, capsys):
+        assert main(["search", "equi", "--m", "13", "--lambda-a", "1", "--format", "text"]) == 0
+        assert capsys.readouterr().out == "best_size=0 proven_optimal=True nodes=0\n"
+
     def test_provenance_names_a_flag_set_to_zero(self, capsys):
         assert main(["construct", "tight", "--r", "13", "--s", "0"]) == 0
         doc = json.loads(capsys.readouterr().out)

@@ -340,6 +340,10 @@ class TestCompose:
     def test_three_rows_delegates(self):
         assert compose_0mod3(3, 8).code.size() == 13
 
+    def test_three_rows_take_no_search_config(self):
+        with pytest.raises(UnsupportedParameterError, match="no search flags"):
+            compose_0mod3(3, 8, SearchConfig(seed=1))
+
     def test_twelve_by_eight(self):
         res = compose_0mod3(12, 8)
         assert res.code.size() == 196 == 12 * (8 * 12 * 8 + 3 * 8 - 8) // 48
@@ -392,7 +396,7 @@ def _gdd_4x4():
 
 # public builder, its arguments (built before counting), and how many
 # structural_facts calls it may make on codes other than its result: the
-# caller's inputs, or the searched base of prime_derived
+# caller's inputs (prime_derived reads its searched base's leave directly)
 ONE_VERIFICATION_CASES = [
     (equi_2mod4, lambda: (26,), 0),
     (g_regular_4g, lambda: (9,), 0),
@@ -403,7 +407,7 @@ ONE_VERIFICATION_CASES = [
     (tight_derived, lambda: (13, 2), 0),
     (tight_derived, lambda: (15, 1), 0),
     (prime_derived, lambda: (7, 0), 0),
-    (prime_derived, lambda: (11, 2), 1),
+    (prime_derived, lambda: (11, 2), 0),
     (explicit_code, lambda: ("3x20",), 0),
     (ooc_2xm, lambda: (20,), 0),
     (ooc_3xm, lambda: (8,), 0),

@@ -8,17 +8,19 @@ from math import comb
 from unittest import mock
 
 import pytest
+from hypothesis import assume, example, given, strategies as st
 
 from oockit import search
 from oockit.bounds import cac_optimal_size, me_prime, phi_exact, psi_e_exact
 from oockit.construct import ooc_3xm
-from oockit.core import make_codeword, normalize
+from oockit.core import Code, CodeParams, make_codeword, normalize
 from oockit.search import (
     EXACT_COVER,
     HILL_CLIMB,
     GddBaseBlocks,
     SearchConfig,
     _Budget,
+    _codeword_mask,
     _max_packing,
     _orbit_representatives,
     equi_search,
@@ -113,6 +115,68 @@ class TestEquiSearch:
     def test_trivial_moduli(self):
         assert equi_search(1, 2).best_size == 0
         assert equi_search(2, 2).best_size == 0
+
+    def test_lambda_one_gives_the_empty_code(self):
+        # every {0, a, 2a} repeats the difference a, so its peak is at least two
+        for m in range(1, 61):
+            out = equi_search(m, 1)
+            assert out.best.codewords == [] and out.proven_optimal and out.nodes == 0
+
+
+def _equi_vertices_by_hand(m, lambda_a):
+    """The generator rule written out: 2a = 0 is no codeword, and
+    lambda_a < 3 drops the third-period generators (3a = 0)."""
+    by_support = {}
+    for a in range(1, m):
+        if (2 * a) % m == 0 or lambda_a < 3 and (3 * a) % m == 0:
+            continue
+        by_support.setdefault(frozenset({a, m - a, (2 * a) % m, (m - 2 * a) % m}), a)
+    return sorted((a, supp) for supp, a in by_support.items())
+
+
+@pytest.mark.parametrize("lambda_a", [2, 3, 4])
+def test_equi_vertices_follow_the_peak_rule(lambda_a):
+    for m in range(1, 400):
+        assert search._equi_vertices(m, lambda_a) == _equi_vertices_by_hand(m, lambda_a)
+
+
+@st.composite
+def _shape_and_codewords(draw, count):
+    """n <= 4, m <= 14 and `count` codewords of one weight k <= 4 (k = 0: empty)."""
+    n, m = draw(st.integers(1, 4)), draw(st.integers(1, 14))
+    k = draw(st.integers(0, min(4, n * m)))
+    cell = st.tuples(st.integers(0, n - 1), st.integers(0, m - 1))
+    cws = [make_codeword(draw(st.sets(cell, min_size=k, max_size=k))) for _ in range(count)]
+    return n, m, cws
+
+
+def _verified(n, m, cws):
+    """verify_code on the (n x m, k, 2, 1) code of these codewords of weight k;
+    the empty codeword gives the empty code."""
+    k = max(len(cws[0]), 1)
+    return verify_code(Code(CodeParams(n, m, k, 2, 1), [cw for cw in cws if cw]))
+
+
+HALF = make_codeword([(1, 0), (1, 3), (1, 4)])  # 0 and 3 at the half period of Z_6
+
+
+class TestMasksAgreeWithVerify:
+    @given(_shape_and_codewords(1))
+    @example((2, 6, [HALF]))
+    @example((1, 9, [make_codeword([(0, 0), (0, 3), (0, 6)])]))
+    @example((3, 5, [()]))
+    def test_peak_is_the_auto_multiplicity(self, case):
+        n, m, (cw,) = case
+        assert _codeword_mask(cw, n, m)[3] == _verified(n, m, [cw]).max_auto_multiplicity
+
+    @given(_shape_and_codewords(2))
+    @example((2, 6, [HALF, make_codeword([(0, 1), (1, 1), (1, 2)])]))
+    @example((2, 8, [make_codeword([(0, 0), (1, 3)]), make_codeword([(0, 5), (1, 0)])]))
+    def test_disjoint_masks_are_cross_clean(self, case):
+        n, m, (a, b) = case
+        assume(_verified(n, m, [a]).passed and _verified(n, m, [b]).passed)
+        disjoint = _codeword_mask(a, n, m)[0] & _codeword_mask(b, n, m)[0] == 0
+        assert disjoint == _verified(n, m, [a, b]).cross_ok
 
 
 class TestTightSearch:
