@@ -43,16 +43,22 @@ class AdmissibilityReport:
 
 
 def mult_order(a: int, m: int) -> int:
-    """Least l >= 1 with a^l = 1 (mod m)."""
+    """Least l >= 1 with a^l = 1 (mod m).
+
+    The order divides phi(m): start there and divide out each prime q of
+    phi(m) while a^(l/q) = 1 still holds; O(sqrt(m)) by trial division.
+    """
     if m < 2:
         raise ValueError(f"need modulus m >= 2, got {m}")
     a %= m
     if gcd(a, m) != 1:
         raise ValueError(f"{a} is not a unit mod {m}")
-    order, acc = 1, a
-    while acc != 1:
-        acc = (acc * a) % m
-        order += 1
+    order = 1
+    for p, e in prime_factorization(m):
+        order *= p ** (e - 1) * (p - 1)
+    for q, _ in prime_factorization(order):
+        while order % q == 0 and pow(a, order // q, m) == 1:
+            order //= q
     return order
 
 

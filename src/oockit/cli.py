@@ -1,6 +1,9 @@
 """Command-line surface: construct / verify / bound / search / catalog.
 
-JSON goes to stdout, diagnostics to stderr.  Exit codes: 0 success or pass,
+Each `cmd_*` returns a function that builds its JSON object, one that builds
+its text form, and its verdict.  `main` writes the one form that `--format`
+names to stdout, once the command has finished, and picks the exit code;
+diagnostics go to stderr.  Exit codes: 0 success or pass,
 1 verification failure, 2 usage or parameter error, 3 a construction failed
 its own verification (or a required search witness was not found), 4 an
 internal error: an exception raised by a fault in oockit itself.
@@ -138,11 +141,8 @@ def _option(flag: str) -> str:
     return "--" + flag.replace("_", "-")
 
 
-def cmd_construct(args) -> int:
+def cmd_construct(args):
     res, given = _call(construct, FAMILIES, "family", args.family, vars(args))
-    if args.format == "matrix":
-        print(render_matrix(res.code))
-        return EXIT_OK
     flags = [f"--{flag} {given[flag]}" for flag in FLAGS if flag in given]
     meta = {
         "branch": res.branch,
@@ -151,11 +151,10 @@ def cmd_construct(args) -> int:
         "verified": res.verified,
         "provenance": " ".join([f"construct {args.family}", *flags]),
     }
-    print(render_json(code_to_document(res.code, meta)))
-    return EXIT_OK
+    return lambda: code_to_document(res.code, meta), lambda: render_matrix(res.code), True
 
 
-def cmd_verify(args) -> int:
+def cmd_verify(args):
     if args.input == "-":
         text = sys.stdin.read()
     else:
@@ -181,19 +180,15 @@ def cmd_verify(args) -> int:
             out["parity_census"] = asdict(parity_census(code))
         except ValueError:
             pass  # third-period codewords have no parity class
-    if args.format == "text":
-        verdict = "PASS" if report.passed else "FAIL"
-        print(
-            f"{verdict} auto_ok={report.auto_ok} cross_ok={report.cross_ok} "
-            f"max_auto_multiplicity={report.max_auto_multiplicity} "
-            f"violations={report.violation_count}"
-        )
-    else:
-        print(render_json(out))
-    return EXIT_OK if report.passed else EXIT_VERIFY_FAIL
+    summary = (
+        f"{'PASS' if report.passed else 'FAIL'} auto_ok={report.auto_ok} "
+        f"cross_ok={report.cross_ok} max_auto_multiplicity={report.max_auto_multiplicity} "
+        f"violations={report.violation_count}"
+    )
+    return lambda: out, lambda: summary, report.passed
 
 
-def cmd_bound(args) -> int:
+def cmd_bound(args):
     rep, _ = _call(bounds, BOUNDS, "bound", args.which, vars(args))
     out = {
         "value": rep.value,
@@ -201,14 +196,11 @@ def cmd_bound(args) -> int:
         "branch": rep.branch,
         "dependencies": [[name, value] for name, value in rep.dependencies],
     }
-    if args.format == "text":
-        print(f"{args.which} value={rep.value} kind={rep.kind} branch={rep.branch}")
-    else:
-        print(render_json(out))
-    return EXIT_OK
+    summary = f"{args.which} value={rep.value} kind={rep.kind} branch={rep.branch}"
+    return lambda: out, lambda: summary, True
 
 
-def cmd_search(args) -> int:
+def cmd_search(args):
     outcome, _ = _call(search, SEARCHES, "search", args.kind, vars(args))
     witness = None
     if isinstance(outcome.best, GddBaseBlocks):
@@ -228,14 +220,11 @@ def cmd_search(args) -> int:
         "elapsed_ms": int(outcome.elapsed * 1000),
         "witness": witness,
     }
-    if args.format == "text":
-        print(
-            f"best_size={outcome.best_size} proven_optimal={outcome.proven_optimal} "
-            f"nodes={outcome.nodes}"
-        )
-    else:
-        print(render_json(out))
-    return EXIT_OK
+    summary = (
+        f"best_size={outcome.best_size} proven_optimal={outcome.proven_optimal} "
+        f"nodes={outcome.nodes}"
+    )
+    return lambda: out, lambda: summary, True
 
 
 def _parse_range(spec: str) -> range:
@@ -249,7 +238,7 @@ def _parse_range(spec: str) -> range:
         raise ValueError(f"bad range {spec!r}: {exc}") from None
 
 
-def cmd_catalog(args) -> int:
+def cmd_catalog(args):
     """One row per m where Phi(n, m) is exact, built by the family that claims it."""
     rows = []
     for m in _parse_range(args.m):
@@ -271,17 +260,13 @@ def cmd_catalog(args) -> int:
                 "verified": bool(res and res.verified),
             }
         )
-    if args.format == "text":
-        print(f"{'n':>4} {'m':>6} {'built':>7} {'bound':>7} {'kind':<12} verified")
-        for r in rows:
-            built = "-" if r["constructed"] is None else r["constructed"]
-            print(
-                f"{r['n']:>4} {r['m']:>6} {built:>7} {r['bound']:>7} "
-                f"{r['kind']:<12} {r['verified']}"
-            )
-    else:
-        print(render_json({"rows": rows}))
-    return EXIT_OK
+    table = [f"{'n':>4} {'m':>6} {'built':>7} {'bound':>7} {'kind':<12} verified"]
+    for r in rows:
+        built = "-" if r["constructed"] is None else r["constructed"]
+        table.append(
+            f"{r['n']:>4} {r['m']:>6} {built:>7} {r['bound']:>7} {r['kind']:<12} {r['verified']}"
+        )
+    return lambda: {"rows": rows}, lambda: "\n".join(table), True
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -339,13 +324,16 @@ def _add_format(p, choices) -> None:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        document, text, passed = args.func(args)
+        report = render_json(document()) if args.format == "json" else text()
     except tuple(FAILURES) as exc:
         code, prefix = next(FAILURES[c] for c in type(exc).__mro__ if c in FAILURES)
         _err(f"{prefix}: {exc}")
         for w in getattr(exc, "witnesses", [])[:20]:
             _err(f"  witness: {w}")
         return code
+    print(report)
+    return EXIT_OK if passed else EXIT_VERIFY_FAIL
 
 
 if __name__ == "__main__":

@@ -433,24 +433,26 @@ def tight_search(m: int, config: SearchConfig | None = None) -> SearchOutcome:
 # ---------------------------------------------------------------------------
 
 
-def _gdd_candidates(u: int, m: int):
+def _gdd_candidates(u: int, m: int, budget: _Budget):
     """Row triples, cross-group row pairs, and each triple's class offsets.
 
     Rows 3g, 3g + 1 and 3g + 2 form group g.  Class p*m + d is row pair p
     with difference d.  Candidate (t*m + x2)*m + x3 is the normalized base
     block {(r1, 0), (r2, x2), (r3, x3)} on row triple t, three rows in
     distinct groups; its classes are the offsets of (r1, r2), (r1, r3) and
-    (r2, r3) plus x2, x3 and x3 - x2 (mod m).
+    (r2, r3) plus x2, x3 and x3 - x2 (mod m).  The clock is read once per
+    1024 group triples, and a spent budget cuts the lists short there.
     """
     n = 3 * u
     pairs = [(i, j) for i in range(n) for j in range(i + 1, n) if i // 3 != j // 3]
     pair_id = {pr: p for p, pr in enumerate(pairs)}
-    triples = [
-        triple
-        for groups in itertools.combinations(range(u), 3)
-        for triple in itertools.product(*(range(3 * g, 3 * g + 3) for g in groups))
-    ]
-    offsets = [(pair_id[a, b] * m, pair_id[a, c] * m, pair_id[b, c] * m) for a, b, c in triples]
+    triples, offsets = [], []
+    for k, groups in enumerate(itertools.combinations(range(u), 3)):
+        if k % 1024 == 1023 and not budget.check_time():
+            break
+        batch = list(itertools.product(*(range(3 * g, 3 * g + 3) for g in groups)))
+        triples += batch
+        offsets += [(pair_id[a, b] * m, pair_id[a, c] * m, pair_id[b, c] * m) for a, b, c in batch]
     return triples, pairs, offsets
 
 
@@ -473,7 +475,7 @@ def _shuffle(order: list[int], rng: random.Random, budget: _Budget) -> bool:
 
 def _gdd_exact_cover(u: int, m: int, budget: _Budget, rng) -> list[Codeword] | None:
     """Exact cover of the cross-group classes by the `_gdd_candidates`."""
-    triples, pairs, offsets = _gdd_candidates(u, m)
+    triples, pairs, offsets = _gdd_candidates(u, m, budget)
 
     def rows() -> Iterator[tuple[int, int, int]]:
         for c12, c13, c23 in offsets:
@@ -482,6 +484,8 @@ def _gdd_exact_cover(u: int, m: int, budget: _Budget, rng) -> list[Codeword] | N
                     yield c12 + x2, c13 + x3, c23 + (x3 - x2) % m
 
     cover = _ExactCover(len(pairs) * m, rows(), budget)
+    if budget.exhausted:
+        return None
     order = list(range(len(triples) * m * m))
     restart = 0
     while _shuffle(order, rng, budget):
@@ -509,7 +513,7 @@ def _gdd_hill_climb(u: int, m: int, budget: _Budget, rng) -> list[Codeword] | No
     covered twice.  A stall restarts from a fresh greedy start, which counts
     no nodes.
     """
-    triples, pairs, offsets = _gdd_candidates(u, m)
+    triples, pairs, offsets = _gdd_candidates(u, m, budget)
     n, mm = 3 * u, m * m
     n_classes = len(pairs) * m
     target = m * n * (n - 3) // 6

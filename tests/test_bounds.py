@@ -1,3 +1,6 @@
+import math
+import time
+
 import pytest
 
 from oockit import bounds
@@ -27,6 +30,26 @@ class TestMultOrder:
     def test_non_unit_rejected(self):
         with pytest.raises(ValueError):
             mult_order(6, 9)
+
+    def test_agrees_with_walking_the_powers(self):
+        def walked(a, m):
+            order, acc = 1, a % m
+            while acc != 1:
+                acc = acc * a % m
+                order += 1
+            return order
+
+        for m in range(2, 300):
+            for a in range(m):
+                if math.gcd(a, m) == 1:
+                    assert mult_order(a, m) == walked(a, m), (a, m)
+
+    def test_large_prime_modulus(self):
+        # ord(2) = (p - 1) / 2 here: walking the powers takes minutes
+        start = time.monotonic()
+        assert mult_order(2, 1000000007) == 500000003
+        assert me_prime(1000000007).value == 250000001
+        assert time.monotonic() - start < 1.0
 
 
 class TestCacOptimalSize:

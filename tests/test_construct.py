@@ -4,6 +4,7 @@ import pytest
 
 from oockit import construct
 from oockit.bounds import phi_exact, psi_e_exact
+from oockit.cli import main
 from oockit.construct import (
     EXPLICIT_IDS,
     compose_0mod3,
@@ -20,6 +21,7 @@ from oockit.construct import (
     tight_derived,
 )
 from oockit.core import (
+    Code,
     UnsupportedParameterError,
     VerificationFailure,
     make_codeword,
@@ -99,6 +101,11 @@ class TestFillRegular:
         outer = equi_2mod4(10)  # 2-regular only
         with pytest.raises(ValueError):
             fill_regular(outer, tight_derived(5, 0))
+
+    def test_rejects_unverified_input(self):
+        outer = dataclasses.replace(g_regular_4g(6), verified=False)
+        with pytest.raises(ValueError, match="filling requires verified inputs"):
+            fill_regular(outer, equi_2mod4(6))
 
 
 class TestQuadruple:
@@ -317,6 +324,12 @@ class TestExpandGdd:
         with pytest.raises(ValueError):
             expand_gdd(gdd, [explicit_code("3x8")])
 
+    def test_rejects_unverified_input(self):
+        gdd = GddBaseBlocks(m=8, groups=[[0, 1, 2]], base_blocks=[])
+        inner = dataclasses.replace(explicit_code("3x8"), verified=False)
+        with pytest.raises(ValueError, match="expansion requires verified input codes"):
+            expand_gdd(gdd, [inner])
+
     def test_group_restriction_recovers_input(self):
         inner = explicit_code("3x4")
         outcome = gdd_search(4, 4, SearchConfig(120.0, 10**9, "exact_cover", 0))
@@ -525,3 +538,22 @@ def test_builders_reject_a_wrong_claimed_leave(monkeypatch, builder, make_args):
         builder(*args)
     ((added, dropped),) = moved
     assert str(info.value).endswith(f"missing=[{added}], extra=[{dropped}]")
+
+
+def test_a_correlation_failure_exits_3_with_its_witnesses(monkeypatch, capsys):
+    build = construct._equi_2mod4_code
+
+    def doubled(m):
+        code = build(m)
+        return Code(code.params, code.codewords * 2)
+
+    monkeypatch.setattr(construct, "_equi_2mod4_code", doubled)
+    assert main(["construct", "equi2mod4", "--m", "202"]) == 3
+    out, err = capsys.readouterr()
+    first, *witnesses = err.splitlines()
+    assert out == ""
+    assert first == (
+        "verification failure: equi/2mod4: correlation check failed (auto_ok=True, cross_ok=False)"
+    )
+    assert len(witnesses) == 20
+    assert all(w.startswith("  witness: Witness(kind='cross', ") for w in witnesses)

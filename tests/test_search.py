@@ -259,6 +259,15 @@ class TestGddSearch:
         assert (out.best, out.proven_optimal) == (None, False)
         assert out.nodes == 0
 
+    @pytest.mark.parametrize("strategy", [EXACT_COVER, HILL_CLIMB])
+    def test_budget_covers_candidate_numbering(self, strategy):
+        # (3*8)^40 numbers 266 760 row triples and has 17 M candidates: its
+        # row order alone outlasts the budget
+        start = time.monotonic()
+        out = gdd_search(40, 8, SearchConfig(0.5, strategy=strategy))
+        assert time.monotonic() - start < 1.0
+        assert (out.best, out.proven_optimal) == (None, False)
+
     def test_hill_climb_node_budget_ends_during_its_moves(self):
         out = gdd_search(4, 8, SearchConfig(node_budget=50, strategy=HILL_CLIMB))
         assert (out.best, out.proven_optimal, out.nodes) == (None, False, 50)
@@ -274,13 +283,18 @@ class TestGddSearch:
         assert a.nodes == b.nodes
 
     def test_validation_rejects_bad_blocks(self):
-        # two rows of one group; a row outside the groups
-        for groups, block in [
-            ([[0, 1, 2], [3, 4, 5], [6, 7, 8]], ((0, 0), (1, 0), (3, 1))),
-            ([[0, 1, 2], [3, 4, 5]], ((0, 0), (3, 0), (6, 1))),
+        design = gdd_search(3, 3).best
+        m, groups, blocks = design.m, design.groups, design.base_blocks
+        three = [[0, 1, 2], [3, 4, 5], [6, 7, 8]]
+        for gdd, message in [
+            # two rows of one group; a row outside the groups
+            (GddBaseBlocks(2, three, [make_codeword(((0, 0), (1, 0), (3, 1)))]), "three distinct"),
+            (GddBaseBlocks(2, three[:2], [make_codeword(((0, 0), (3, 0), (6, 1)))]), "three distinct"),
+            (GddBaseBlocks(2, [[0, 1, 2], [2, 3, 4], [5, 6, 7]]), "must partition the row set"),
+            (GddBaseBlocks(m, groups, blocks + blocks[:1]), "covered twice"),
+            (GddBaseBlocks(m, groups, blocks[1:]), "leave cross-group classes uncovered"),
         ]:
-            gdd = GddBaseBlocks(m=2, groups=groups, base_blocks=[make_codeword(block)])
-            with pytest.raises(ValueError):
+            with pytest.raises(ValueError, match=message):
                 gdd.validate()
 
 
