@@ -3,19 +3,20 @@
 Each `cmd_*` returns a function that builds its JSON object, one that builds
 its text form, and its verdict.  `main` writes the one form that `--format`
 names to stdout, once the command has finished, and picks the exit code;
-diagnostics go to stderr.  Exit codes: 0 success or pass,
-1 verification failure, 2 usage or parameter error, 3 a construction failed
-its own verification (or a required search witness was not found), 4 an
-internal error: an exception raised by a fault in oockit itself.
-Every failure is one stderr line, never a traceback.  Every subcommand
-rejects a flag that its kind does not take with exit 2.
+diagnostics go to stderr.  Exit codes: 0 success or pass, 1 verification
+failure, 2 usage or parameter error, 3 a construction failed its own
+verification (or a required search witness was not found), 4 an internal
+error: an exception raised by a fault in oockit itself.  Every failure, a
+usage error included, is one stderr line, never a traceback.  `--help` prints
+the usage that `COMMANDS` states.  Every subcommand rejects a flag that its
+kind does not take with exit 2.
 """
 
 from __future__ import annotations
 
-import argparse
 import sys
 from dataclasses import asdict
+from types import SimpleNamespace
 
 from . import bounds, construct, search
 from .core import SearchExhausted, UnsupportedParameterError, VerificationFailure
@@ -58,7 +59,7 @@ SEARCH_FLAGS = {
     "seed": "seed",
     "strategy": "strategy",
 }
-# flag a table row may name -> its argparse type or a tuple of its choices;
+# flag a table row may name -> its type or a tuple of its choices;
 # parameter flags first, in provenance order (`u`, `lambda_a`: `search` only)
 FLAG_TYPES = {
     "n": int, "m": int, "g": int, "s": int, "r": int, "p": int, "id": str,
@@ -189,14 +190,14 @@ def cmd_verify(args):
 
 
 def cmd_bound(args):
-    rep, _ = _call(bounds, BOUNDS, "bound", args.which, vars(args))
+    rep, _ = _call(bounds, BOUNDS, "bound", args.bound, vars(args))
     out = {
         "value": rep.value,
         "kind": rep.kind,
         "branch": rep.branch,
         "dependencies": [[name, value] for name, value in rep.dependencies],
     }
-    summary = f"{args.which} value={rep.value} kind={rep.kind} branch={rep.branch}"
+    summary = f"{args.bound} value={rep.value} kind={rep.kind} branch={rep.branch}"
     return lambda: out, lambda: summary, True
 
 
@@ -269,63 +270,101 @@ def cmd_catalog(args):
     return lambda: {"rows": rows}, lambda: "\n".join(table), True
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="oockit",
-        description="Construct, verify, bound, and search weight-3 "
-        "wavelength-time optical orthogonal codes.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    pc = sub.add_parser("construct", help="emit a verified code as JSON")
-    pc.add_argument("family", choices=list(FAMILIES))
-    _add_table_flags(pc, FAMILIES)
-    _add_format(pc, ["json", "matrix"])
-    pc.set_defaults(func=cmd_construct)
-
-    pv = sub.add_parser("verify", help="verify a code document (stdin with '-')")
-    pv.add_argument("input", nargs="?", default="-")
-    _add_format(pv, ["json", "text"])
-    pv.set_defaults(func=cmd_verify)
-
-    pb = sub.add_parser("bound", help="closed-form size bounds")
-    pb.add_argument("which", choices=list(BOUNDS))
-    _add_table_flags(pb, BOUNDS)
-    _add_format(pb, ["json", "text"])
-    pb.set_defaults(func=cmd_bound)
-
-    ps = sub.add_parser("search", help="brute-force oracles")
-    ps.add_argument("kind", choices=list(SEARCHES))
-    _add_table_flags(ps, SEARCHES)
-    _add_format(ps, ["json", "text"])
-    ps.set_defaults(func=cmd_search)
-
-    pk = sub.add_parser("catalog", help="sweep a parameter range")
-    pk.add_argument("--n", type=int, required=True)
-    pk.add_argument("--m", type=str, required=True, help="single value or A..B")
-    _add_format(pk, ["json", "text"])
-    pk.set_defaults(func=cmd_catalog)
-    return parser
+class UsageError(ValueError):
+    """A command line outside the grammar that `COMMANDS` states."""
 
 
-def _add_table_flags(p, table: dict) -> None:
-    """Add, in `FLAG_TYPES` order, every flag that a row of `table` names."""
+def _table_flags(table: dict) -> dict:
+    """Every flag that a row of `table` names, in `FLAG_TYPES` order, with its type."""
     named = {flag for row in table.values() for flag in (*row[1], *row[2])}
-    for flag, kind in FLAG_TYPES.items():
-        if flag in named:
-            typed = {"choices": kind} if isinstance(kind, tuple) else {"type": kind}
-            p.add_argument(_option(flag), dest=flag, **typed)
+    return {flag: kind for flag, kind in FLAG_TYPES.items() if flag in named}
 
 
-def _add_format(p, choices) -> None:
-    p.add_argument("--format", choices=choices, default="json")
+# command -> (function name, positional, flags with their types, formats with the
+# default first, summary).  A positional (name, its type or the table whose keys it
+# takes, default) with no default is required.  A command with no positional needs
+# every flag it takes; `_call` checks a table's per kind.  Names are looked up per call.
+COMMANDS = {
+    "construct": ("cmd_construct", ("family", FAMILIES, None), _table_flags(FAMILIES),
+                  ("json", "matrix"), "emit a verified code as JSON"),
+    "verify": ("cmd_verify", ("input", str, "-"), {}, ("json", "text"),
+               "verify a code document (stdin with '-')"),
+    "bound": ("cmd_bound", ("bound", BOUNDS, None), _table_flags(BOUNDS), ("json", "text"),
+              "closed-form size bounds"),
+    "search": ("cmd_search", ("kind", SEARCHES, None), _table_flags(SEARCHES),
+               ("json", "text"), "brute-force oracles"),
+    "catalog": ("cmd_catalog", None, {"n": int, "m": str}, ("json", "text"),
+                "sweep a parameter range; --m is one value or A..B"),
+}
+
+
+def _read(name: str, kind, value):
+    """`value` read as `kind`: a type, or the tuple or table of the choices it must be in."""
+    if not isinstance(kind, type) and value not in kind:
+        raise UsageError(f"{name} must be one of {', '.join(kind)}, got {value!r}")
+    try:
+        return kind(value) if isinstance(kind, type) else value
+    except ValueError:
+        raise UsageError(f"{name} must be {kind.__name__}, got {value!r}") from None
+
+
+def parse_args(argv) -> SimpleNamespace:
+    """Read `argv` in one pass by the grammar of `COMMANDS`: its command, its
+    positional, its format and every flag it takes (None when unset).  A flag's
+    value is the next argument or the text after `=`.  Raises UsageError."""
+    command = _read("command", COMMANDS, argv[0] if argv else None)
+    _, positional, flags, formats, _ = COMMANDS[command]
+    options = {_option(flag): (flag, kind) for flag, kind in {**flags, "format": formats}.items()}
+    args = {**dict.fromkeys(flags), "format": formats[0]}
+    words, free = iter(argv[1:]), []
+    for word in words:
+        option, eq, value = word.partition("=")
+        if not word.startswith("--"):
+            free.append(word)
+        elif option not in options:
+            raise UsageError(f"{command} does not take {option}")
+        else:
+            value = value if eq else next(words, None)
+            if value is None or not eq and value.startswith("--"):
+                raise UsageError(f"{option} needs a value")
+            flag, kind = options[option]
+            args[flag] = _read(option, kind, value)
+    if len(free) > (positional is not None):
+        raise UsageError(f"unrecognized argument {free[-1]!r}")
+    for flag in () if positional else flags:
+        if args[flag] is None:
+            raise UsageError(f"{command} needs {_option(flag)}")
+    if positional:
+        name, kind, default = positional
+        args[name] = _read(name, kind, free[0] if free else default)
+    return SimpleNamespace(command=command, **args)
+
+
+def _usage(command=None) -> str:
+    """The usage of `command`, or of every command, read off `COMMANDS` and the tables."""
+    lines = ["usage: oockit COMMAND [ARGUMENT] [--flag value | --flag=value ...] [--help]"]
+    for name in [command] if command in COMMANDS else COMMANDS:
+        _, positional, flags, formats, summary = COMMANDS[name]
+        shown = {flag: _option(flag) + " " + ("{%s}" % ",".join(kind) if isinstance(kind, tuple)
+                 else flag.upper()) for flag, kind in {**flags, "format": formats}.items()}
+        key, table, default = positional or ("", {}, None)
+        head = [f"[{key}]" if default else key] if positional else [shown[f] for f in flags]
+        lines.append(" ".join(["\noockit", name, *head, f"[{shown['format']}]:", summary]))
+        for kind, (_, required, optional, *_) in (table if isinstance(table, dict) else {}).items():
+            given = [shown[flag] for flag in required] + [f"[{shown[flag]}]" for flag in optional]
+            lines.append(f"  {key} {kind}: {' '.join(given)}")
+    return "\n".join(lines)
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
     try:
-        document, text, passed = args.func(args)
-        report = render_json(document()) if args.format == "json" else text()
+        if "-h" in argv or "--help" in argv:
+            report, passed = _usage(*argv[:1]), True
+        else:
+            args = parse_args(argv)
+            document, text, passed = globals()[COMMANDS[args.command][0]](args)
+            report = render_json(document()) if args.format == "json" else text()
     except tuple(FAILURES) as exc:
         code, prefix = next(FAILURES[c] for c in type(exc).__mro__ if c in FAILURES)
         _err(f"{prefix}: {exc}")

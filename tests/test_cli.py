@@ -1,11 +1,24 @@
 import inspect
 import io
 import json
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from oockit import bounds, construct, search
-from oockit.cli import BOUNDS, FAMILIES, SEARCH_FLAGS, SEARCHES, build_parser, main
+from oockit.cli import (
+    BOUNDS,
+    COMMANDS,
+    FAMILIES,
+    FLAG_TYPES,
+    SEARCH_FLAGS,
+    SEARCHES,
+    UsageError,
+    main,
+    parse_args,
+)
 from oockit.construct import explicit_code, ooc_2xm
 from oockit.core import Code, CodeParams, make_codeword
 from oockit.document import (
@@ -16,6 +29,8 @@ from oockit.document import (
     render_json,
     render_matrix,
 )
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 class TestDocument:
@@ -341,18 +356,14 @@ TABLES = {
 }
 
 
-def _subparsers():
-    (sub,) = [a for a in build_parser()._actions if a.dest == "command"]
-    return sub.choices
+def _option(flag: str) -> str:
+    return "--" + flag.replace("_", "-")
 
 
-def _options(subparser) -> dict:
-    """dest -> a value argparse accepts, for every --flag of the subparser."""
-    return {
-        a.dest: (a.choices[0] if a.choices else "1")
-        for a in subparser._actions
-        if a.option_strings and a.dest not in ("help", "format")
-    }
+def _options(command: str) -> dict:
+    """flag -> a value its type accepts, for every flag of the command."""
+    flags = COMMANDS[command][2]
+    return {flag: (kind[0] if isinstance(kind, tuple) else "1") for flag, kind in flags.items()}
 
 
 class TestCliTables:
@@ -382,23 +393,133 @@ class TestCliTables:
     def test_each_subcommand_takes_the_flags_its_table_rows_name(self, command, flags):
         table = TABLES[command][1]
         named = {flag for row in table.values() for flag in (*row[1], *row[2])}
-        assert set(_options(_subparsers()[command])) == named == flags
+        assert set(_options(command)) == named == flags
+        kind = next(iter(table))
+        for flag, value in _options(command).items():
+            assert getattr(parse_args([command, kind, _option(flag), value]), flag) is not None
+        for flag in FLAG_TYPES.keys() - flags:
+            with pytest.raises(UsageError, match=f"^{command} does not take {_option(flag)}$"):
+                parse_args([command, kind, _option(flag), "1"])
 
     @pytest.mark.parametrize("command", list(TABLES))
     def test_choices_are_the_table_keys(self, command):
-        positional = [a for a in _subparsers()[command]._actions if not a.option_strings]
-        assert [list(a.choices) for a in positional if a.choices] == [list(TABLES[command][1])]
+        name, choices, default = COMMANDS[command][1]
+        assert list(choices) == list(TABLES[command][1]) and default is None
+        for kind in choices:
+            assert getattr(parse_args([command, kind]), name) == kind
+        for argv in ([command, "nope"], [command]):
+            with pytest.raises(UsageError, match=f"^{name} must be one of {', '.join(choices)}, got"):
+                parse_args(argv)
 
     @pytest.mark.parametrize("command", list(TABLES))
     def test_every_flag_a_kind_does_not_take_exits_2(self, command, capsys):
-        options = _options(_subparsers()[command])
+        options = _options(command)
         for kind, (_, required, optional, *_) in TABLES[command][1].items():
             argv = [command, kind]
             for flag in required:
-                argv += [f"--{flag.replace('_', '-')}", options[flag]]
+                argv += [_option(flag), options[flag]]
             for flag in options.keys() - {*required, *optional}:
-                assert main([*argv, f"--{flag.replace('_', '-')}", options[flag]]) == 2
+                assert main([*argv, _option(flag), options[flag]]) == 2
                 captured = capsys.readouterr()
                 assert captured.out == ""
                 (line,) = captured.err.splitlines()
-                assert line.endswith(f"{kind!r} does not take --{flag.replace('_', '-')}")
+                assert line.endswith(f"{kind!r} does not take {_option(flag)}")
+
+
+class TestCliGrammar:
+    @pytest.mark.parametrize("argv,line", [
+        ([], "error: command must be one of construct, verify, bound, search, catalog, got None"),
+        (["nope"], "error: command must be one of construct, verify, bound, search, catalog, "
+                   "got 'nope'"),
+        (["construct", "nope"], "error: family must be one of equi2mod4, gregular4g, power4, "
+                                "tight, prime, explicit, 2xm, 3xm, nxm, got 'nope'"),
+        (["bound", "nope", "--m", "8"], "error: bound must be one of phi, psi_e, cac, me, "
+                                        "got 'nope'"),
+        (["search", "nope"], "error: kind must be one of optimal, equi, tight, gdd, got 'nope'"),
+        (["construct", "3xm", "--m", "x"], "error: --m must be int, got 'x'"),
+        (["search", "tight", "--m", "13", "--budget-seconds", "soon"],
+         "error: --budget-seconds must be float, got 'soon'"),
+        (["construct", "power4", "--s", "1", "--r", "6", "--variant", "x"],
+         "error: --variant must be one of standard, half_free, got 'x'"),
+        (["search", "gdd", "--u", "3", "--m", "3", "--strategy=x"],
+         "error: --strategy must be one of exact_cover, hill_climb_restart, got 'x'"),
+        (["bound", "phi", "--n", "3", "--m", "8", "--format", "matrix"],
+         "error: --format must be one of json, text, got 'matrix'"),
+        (["construct", "3xm", "--m"], "error: --m needs a value"),
+        (["bound", "phi", "--n", "--m", "8"], "error: --n needs a value"),
+        (["bound", "phi", "--n", "3", "--m", "8", "--s", "2"], "error: bound does not take --s"),
+        (["construct", "3xm", "--m", "8", "--u", "2"], "error: construct does not take --u"),
+        (["construct", "nxm", "--n", "12", "--m", "8", "--budget", "5"],
+         "error: construct does not take --budget"),
+        (["construct", "3xm", "--m", "8", "--lambda_a", "2"],
+         "error: construct does not take --lambda_a"),
+        (["catalog", "--n", "3", "--m", "8", "--seed", "1"], "error: catalog does not take --seed"),
+        (["construct", "3xm", "4", "--m", "8"], "error: unrecognized argument '4'"),
+        (["verify", "a.json", "b.json"], "error: unrecognized argument 'b.json'"),
+        (["catalog", "3", "--n", "3", "--m", "8"], "error: unrecognized argument '3'"),
+        (["catalog", "--m", "8..24"], "error: catalog needs --n"),
+        (["catalog", "--n", "3"], "error: catalog needs --m"),
+    ])
+    def test_usage_error_is_one_line_and_exit_2(self, capsys, argv, line):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [line]
+
+    @pytest.mark.parametrize("argv", [["--help"], ["-h"], ["nope", "--help"]])
+    def test_help_names_every_command_key_and_flag(self, capsys, argv):
+        assert main(argv) == 0
+        out = capsys.readouterr().out
+        assert out.startswith("usage: oockit ")
+        for command, (_, _, flags, formats, _) in COMMANDS.items():
+            assert f"\noockit {command} " in out
+            for key in TABLES.get(command, (None, {}))[1]:
+                assert f" {key}: " in out, key
+            for flag in (*flags, "format"):
+                assert f"{_option(flag)} " in out, flag
+            assert "{" + ",".join(formats) + "}" in out
+
+    @pytest.mark.parametrize("command", list(COMMANDS))
+    def test_command_help_anywhere_in_argv(self, capsys, command):
+        assert main([command, "--help"]) == 0
+        out = capsys.readouterr().out
+        assert main([command, "nope", "--m", "x", "-h"]) == 0
+        assert capsys.readouterr().out == out
+        heads = [line.split()[1] for line in out.splitlines() if line.startswith("oockit ")]
+        assert heads == [command]
+        for flag in COMMANDS[command][2]:
+            assert f"{_option(flag)} " in out, flag
+        # one line per kind: its required flags, then its optional ones
+        for kind, (_, required, optional, *_) in TABLES.get(command, (None, {}))[1].items():
+            (line,) = [ln for ln in out.splitlines() if ln.split()[1:2] == [f"{kind}:"]]
+            words = [w.lstrip("[") for w in line.split() if w.lstrip("[").startswith("--")]
+            assert words == [_option(flag) for flag in (*required, *optional)]
+
+    def test_equals_form_prints_the_same_bytes(self, capsys):
+        assert main(["construct", "3xm", "--m", "24"]) == 0
+        spaced = capsys.readouterr().out
+        assert main(["construct", "3xm", "--m=24"]) == 0
+        assert capsys.readouterr().out == spaced
+        assert main(["search", "tight", "--m=13", "--format=text", "--node-budget=5"]) == 0
+        assert capsys.readouterr().out.startswith("best_size=")
+
+    def test_a_negative_value_reaches_the_builder(self):
+        args = parse_args(["construct", "power4", "--s", "-1", "--r", "6"])
+        assert (args.family, args.s, args.r, args.variant, args.format) == (
+            "power4", -1, 6, None, "json"
+        )
+
+    def test_the_command_line_imports_neither_argparse_nor_locale(self):
+        code = (
+            "import contextlib, io, sys\n"
+            "from oockit.cli import main\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    assert main(['bound', 'phi', '--n', '3', '--m', '8']) == 0\n"
+            "print(sorted(m for m in ('argparse', 'locale') if m in sys.modules))\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", code], env={"PYTHONPATH": str(SRC)},
+            capture_output=True, text=True, timeout=60,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "[]\n"
