@@ -2,15 +2,16 @@
 
 Every report carries a branch tag naming the residue class or special case
 that produced the value, plus the sub-values it depended on.  Each exact
-size is the cap of `phi_upper_bound` or `psi_e_upper_bound`, met in the
-classes `phi_exact` and `psi_e_exact` name; the two exceptions are
-Phi(1, 64) = 13 and the me(p) shortfall of a prime base.
+Phi size is the cap of `phi_upper_bound`, met in the classes `phi_exact`
+names, save Phi(1, 64) = 13.  psi_e is exact at every m: one cyclotomic
+count over the divisors of the odd part (Momihara, DCC 45, 2007; Lin,
+Mishima, Satoh and Jimbo, FFA 26, 2014), lifted by the quadrupling cap.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import gcd
+from math import gcd, lcm
 
 from .core import UnsupportedParameterError
 
@@ -53,8 +54,13 @@ def mult_order(a: int, m: int) -> int:
     a %= m
     if gcd(a, m) != 1:
         raise ValueError(f"{a} is not a unit mod {m}")
+    return _unit_order(a, m, prime_factorization(m))
+
+
+def _unit_order(a: int, m: int, factors) -> int:
+    """`mult_order(a, m)` of a unit a, given the (prime, exponent) pairs of m."""
     order = 1
-    for p, e in prime_factorization(m):
+    for p, e in factors:
         order *= p ** (e - 1) * (p - 1)
     for q, _ in prime_factorization(order):
         while order % q == 0 and pow(a, order // q, m) == 1:
@@ -67,28 +73,19 @@ def prime_factorization(x: int) -> list[tuple[int, int]]:
     if x < 1:
         raise ValueError(f"need a positive integer, got {x}")
     out = []
-    for p in _trial_primes(x):
-        if p * p > x:
-            break
+    p, step = 2, 1  # 2, 3, then 5, 7, 11, 13, ...: every p = +-1 (mod 6)
+    while p * p <= x:
         if x % p == 0:
             e = 0
             while x % p == 0:
                 x //= p
                 e += 1
             out.append((p, e))
+        p += step
+        step = 6 - step if p > 5 else 2
     if x > 1:
         out.append((x, 1))
     return out
-
-
-def _trial_primes(x: int):
-    yield 2
-    yield 3
-    p = 5
-    while p * p <= x:
-        yield p
-        yield p + 2
-        p += 6
 
 
 def is_prime(x: int) -> bool:
@@ -145,15 +142,46 @@ def psi_e_upper_bound(m: int) -> BoundReport:
 
 
 def me_prime(p: int) -> BoundReport:
-    """Exact size of a largest equi-difference conflict-avoiding code of prime length."""
+    """Exact size of a largest equi-difference conflict-avoiding code of prime length.
+
+    The count of `psi_e_exact` at its one divisor d = p.
+    """
     if p < 5 or not is_prime(p):
         raise ValueError(f"need a prime p >= 5, got {p}")
     e = mult_order(2, p)
-    if e % 2 == 0:
-        value = ((p - 1) // e) * (e // 4)
-    else:
-        value = ((p - 1) // (2 * e)) * (e // 2)
-    return BoundReport(value, EXACT, "me/prime", ((f"ord_{p}(2)", e),))
+    return BoundReport(_doubling_count(p, p - 1, e), EXACT, "me/prime", ((f"ord_{p}(2)", e),))
+
+
+def _doubling_count(d: int, phi: int, order: int) -> int:
+    """Codewords {0, x, 2x} carried by the classes {x, -x} of additive order d.
+
+    x -> 2x permutes those phi/2 classes in cycles of length l, the least
+    l >= 1 with 2^l = +-1 (mod d): half of `order` = ord_d(2) when -1 is a
+    power of 2 mod d, else all of it.  A cycle of length l carries
+    floor(l/2) codewords, so the loop at d = 3 carries none.
+    """
+    half = order // 2
+    length = half if order % 2 == 0 and pow(2, half, d) == d - 1 else order
+    return phi // (2 * length) * (length // 2)
+
+
+def _odd_psi_e(factors) -> int:
+    """psi_e(r) for odd r: `_doubling_count` summed over the divisors d >= 3 of r.
+
+    `factors` are the clauses of `tight_admissible(r)`, one per prime power
+    p^e of r with ord_p(2); the phi and ord(2) of each divisor come from its
+    prime powers, ord_{p^k}(2) being ord_{p^(k-1)}(2) or p times it.
+    """
+    divisors = [(1, 1, 1)]  # (d, phi(d), ord_d(2))
+    for clause in factors:
+        p, q, order, powers = clause.prime, 1, clause.order_of_two, []
+        for k in range(clause.exponent):
+            q *= p
+            if k and pow(2, order, q) != 1:  # k = 0: order is ord_p(2) already
+                order *= p
+            powers.append((q, q - q // p, order))
+        divisors += [(d * q, f * g, lcm(o, t)) for d, f, o in divisors for q, g, t in powers]
+    return sum(_doubling_count(*divisor) for divisor in divisors[1:])
 
 
 def tight_admissible(m: int) -> AdmissibilityReport:
@@ -171,14 +199,12 @@ def tight_admissible(m: int) -> AdmissibilityReport:
         return AdmissibilityReport(True, 1, (FactorClause(2, 2, None, True),))
     clauses = []
     for p, e in prime_factorization(m):
+        order = None if p == 2 else _unit_order(2, p, [(p, 1)])
         if p == 2:
-            order = None
             ok = False
         elif p == 3:
-            order = mult_order(2, p)
             ok = e <= 1
         else:
-            order = mult_order(2, p)
             ok = p % 4 == 1 and (p % 8 != 1 or order % 4 == 0)
         clauses.append(FactorClause(p, e, order, ok))
     admissible = all(c.satisfied for c in clauses)
@@ -201,43 +227,38 @@ def in_S(s: int) -> bool:
 
 
 def psi_e_exact(m: int) -> BoundReport:
-    """Exact equi-difference 1-D size where it is known.
+    """Exact size of a largest equi-difference 1-D (m,3,2,1) code, at every m >= 1.
 
-    Decomposes m = 4^s * r with 4 not dividing r.  The size is the cap of
-    `psi_e_upper_bound` at r = 2 (mod 4) and in the two tight classes of r;
-    at a prime r >= 5 outside them it is the cap less (r-1)/4 - me(r), the
-    shortfall of a largest base on Z_r.  Elsewhere the report is `unknown`
-    with the cap attached.
+    One formula: (m+7)//8 + psi_e(m/4) when 4 | m, (m-2)/4 when
+    m = 2 (mod 4), and for odd m the sum over the divisors d >= 3 of m of
+    phi(d)/(2 l_d) * floor(l_d/2), l_d the least l >= 1 with
+    2^l = +-1 (mod d).  With m = 4^s * r, 4 not dividing r, the branch
+    names the class of r: the 2 (mod 4) towers, the two tight classes,
+    where the size is the cap of `psi_e_upper_bound`, primes, and the
+    composites left over.
     """
     cap = psi_e_upper_bound(m).value
     s, r = pow4_decompose(m)
     deps: tuple[tuple[str, int], ...] = (("s", s), ("r", r))
-    if r % 4 == 2:
+    if r % 2 == 0:
         return BoundReport(cap, EXACT, "psi_e/tower_2mod4", deps)
-    if in_S(r):
-        return BoundReport(cap, EXACT, "psi_e/tight_1or5mod12", deps)
+    tight = tight_admissible(r)
+    base = _odd_psi_e(tight.factors)
+    value = cap - (r - 1) // 4 + base
+    if r % 12 in (1, 5) and tight.admissible:  # in_S(r)
+        return BoundReport(value, EXACT, "psi_e/tight_1or5mod12", deps)
     if r % 12 == 3 and tight_admissible(r // 3).admissible:
-        return BoundReport(cap, EXACT, "psi_e/tight_3mod12", deps)
-    if r >= 5 and is_prime(r):
-        me = me_prime(r)
-        value = cap - (r - 1) // 4 + me.value
-        return BoundReport(value, EXACT, "psi_e/prime", deps + ((f"me({r})", me.value),))
-    return BoundReport(None, UNKNOWN, "psi_e/unknown", (("upper_bound", cap),))
-
-
-def _psi_e_best(m: int) -> tuple[int, str]:
-    """Best available equi-difference size: exact if known, else the cap."""
-    exact = psi_e_exact(m)
-    if exact.value is not None:
-        return exact.value, f"psi_e({m})"
-    return dict(exact.dependencies)["upper_bound"], f"psi_e_ub({m})"
+        return BoundReport(value, EXACT, "psi_e/tight_3mod12", deps)
+    if r >= 5 and tight.factors[0].prime == r:  # r is prime
+        return BoundReport(value, EXACT, "psi_e/prime", deps + ((f"me({r})", base),))
+    return BoundReport(value, EXACT, "psi_e/composite", deps)
 
 
 def phi_upper_bound(n: int, m: int) -> BoundReport:
     """Least applicable cap on the size of an (n x m, 3, 2, 1) code."""
     if n < 1 or m < 1:
         raise ValueError(f"need n, m >= 1, got n={n}, m={m}")
-    psi_val, psi_tag = _psi_e_best(m)
+    psi_val = psi_e_exact(m).value
     candidates: list[tuple[int, str]] = []
     if m % 2 == 0:
         candidates.append((n * (n * m + 2 * psi_val) // 6, "phi_ub/general_even"))
@@ -258,7 +279,7 @@ def phi_upper_bound(n: int, m: int) -> BoundReport:
     if (n, m) == (2, 4):
         candidates.append((2, "phi_ub/2x4"))
     value, branch = min(candidates, key=lambda t: t[0])
-    return BoundReport(value, UPPER_BOUND, branch, ((psi_tag, psi_val),))
+    return BoundReport(value, UPPER_BOUND, branch, ((f"psi_e({m})", psi_val),))
 
 
 def phi_exact(n: int, m: int) -> BoundReport:

@@ -230,13 +230,14 @@ def cmd_search(args):
 
 def _parse_range(spec: str) -> range:
     try:
-        if ".." in spec:
-            lo, hi = spec.split("..", 1)
-            return range(int(lo), int(hi) + 1)
-        value = int(spec)
-        return range(value, value + 1)
+        lo, dots, hi = spec.partition("..")
+        lo = int(lo)
+        hi = int(hi) if dots else lo
     except ValueError as exc:
         raise ValueError(f"bad range {spec!r}: {exc}") from None
+    if hi < lo:
+        raise ValueError(f"bad range {spec!r}: its end {hi} is below its start {lo}")
+    return range(lo, hi + 1)
 
 
 def cmd_catalog(args):

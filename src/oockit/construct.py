@@ -26,14 +26,7 @@ from .core import (
     VerificationFailure,
     make_codeword,
 )
-from .search import (
-    GddBaseBlocks,
-    SearchConfig,
-    _triple,
-    equi_search,
-    gdd_search,
-    tight_search,
-)
+from .search import GddBaseBlocks, SearchConfig, _triple, gdd_search
 from .verify import difference_leave, structural_facts, verify_code
 
 
@@ -268,37 +261,73 @@ def _tight_derived_base(r: int) -> tuple[Code, str]:
         raise UnsupportedParameterError(
             f"r={r} is in class {branch}, outside both tight-derived branches"
         )
-    code = _tight_base(r)
-    if branch == "psi_e/tight_3mod12":
-        code.codewords.remove(_triple(r, r // 3))
-    return code, branch
+    return _one_row_code(r, _equi_generators(r)), branch
 
 
-def _tight_base(r: int) -> Code:
-    """Tight partition of Z_r minus zero, rebuilt with lambda_a = 2 headers."""
-    outcome = tight_search(r)
-    if outcome.best is None:
-        if outcome.proven_optimal:
-            raise UnsupportedParameterError(f"no tight partition of Z_{r} exists")
-        raise SearchExhausted(f"tight partition search for Z_{r} ran out of budget")
-    return Code(CodeParams(1, r, 3, 2, 1), list(outcome.best.codewords))
+def _equi_generators(r: int) -> list[int]:
+    """Generators, ascending, of the lexicographically least largest
+    equi-difference (r,3,2,1) code on Z_r, r odd.
+
+    x -> 2x permutes the classes {x, -x}, named by x <= (r-1)/2, and the
+    codeword {0, c, 2c} is the edge from c to the next class of its cycle.
+    A code is a matching: floor(L/2) edges of each cycle of length L, none
+    of the loop at 3c = 0.  An even cycle gives every other tail from its
+    least class; an odd one the tails u+1, u+3, ..., u+L-2 after its
+    unmatched vertex u.  Scanning the classes upwards, the tail at position
+    j is taken when some u still allowed has it: re-indexed by
+    v -> v(L+1)/2 mod L, those u are the (L-1)/2 points after j(L+1)/2, so
+    the allowed u stay one arc (`_arc_meet`).  O(r) in all.
+    """
+    half = (r - 1) // 2
+    cycle, pos, lengths = [-1] * (half + 1), [0] * (half + 1), []
+    for c0 in range(1, half + 1):
+        x, k, i = c0, len(lengths), 0
+        while cycle[x] < 0:
+            cycle[x], pos[x], i = k, i, i + 1
+            x = 2 * x if 2 * x <= half else r - 2 * x
+        if i:
+            lengths.append(i)
+    allowed: list[tuple[int, int] | None] = [None] * len(lengths)  # None: every u
+    gens = []
+    for x in range(1, half + 1):
+        k, j = cycle[x], pos[x]
+        length = lengths[k]
+        if length % 2 == 0:
+            if j % 2 == 0:
+                gens.append(x)
+        elif length > 1:
+            arc = ((j * (length + 1) // 2 + 1) % length, (length - 1) // 2)
+            meet = arc if allowed[k] is None else _arc_meet(allowed[k], arc, length)
+            if meet is not None:
+                allowed[k] = meet
+                gens.append(x)
+    return gens
+
+
+def _arc_meet(a: tuple[int, int], b: tuple[int, int], n: int) -> tuple[int, int] | None:
+    """The common part of two (start, length) arcs of Z_n, lengths summing
+    below n, so that it is one arc; None when they are disjoint."""
+    (sa, la), (sb, lb) = a, b
+    if (sb - sa) % n < la:
+        return sb, min(lb, la - (sb - sa) % n)
+    if (sa - sb) % n < lb:
+        return sa, min(la, lb - (sa - sb) % n)
+    return None
 
 
 def prime_derived(p: int, s: int = 0) -> ConstructionResult:
     """Optimal equi-difference code on Z_{4^s p} for prime p >= 5.
 
-    The base is a largest equi-difference conflict-avoiding code of length
-    p found by search; since 3 does not divide p it is already a
-    (p,3,2,1) code, and quadrupling lifts it.  At s >= 1 the claimed leave
-    is the base's measured leave carried through s quadruplings.
+    The base is the lexicographically least largest equi-difference
+    conflict-avoiding code of length p (`_equi_generators`); since 3 does
+    not divide p it is already a (p,3,2,1) code, and quadrupling lifts it.
+    At s >= 1 the claimed leave is the base's measured leave carried
+    through s quadruplings.
     """
     me_prime(p)  # validates primality and p >= 5
     if s < 0:
         raise ValueError(f"need s >= 0, got {s}")
-    outcome = equi_search(p, lambda_a=3)
-    if not outcome.proven_optimal:
-        raise SearchExhausted(f"equi-difference search for Z_{p} ran out of budget")
-    base = Code(CodeParams(1, p, 3, 2, 1), list(outcome.best.codewords))
+    base = _one_row_code(p, _equi_generators(p))
     code = _tower(base, s)
     leave = _quadrupled_leave(difference_leave(base), p, s) if s else None
     return _finalize(code, psi_e_exact(code.params.m).value, leave, "prime_derived")

@@ -34,6 +34,8 @@ class SearchConfig:
     def __post_init__(self):  # a NaN budget compares False with everything: no stop
         if math.isnan(self.time_budget) or math.isnan(self.node_budget):
             raise ValueError("a search budget must not be NaN")
+        if self.time_budget < 0 or self.node_budget < 0:
+            raise ValueError("a search budget must not be negative")
 
 
 @dataclass
@@ -375,14 +377,19 @@ def _triple(m: int, a: int) -> Codeword:
     return make_codeword(((0, 0), (0, a % m), (0, 2 * a % m)))
 
 
-def _equi_vertices(m: int, lambda_a: int) -> list[tuple[int, frozenset[int]]]:
+def _equi_vertices(
+    m: int, lambda_a: int, budget: _Budget
+) -> list[tuple[int, frozenset[int]]] | None:
     """Generators of distinct {0, a, 2a} difference supports, smallest first.
 
     A generator is dropped when its codeword's autocorrelation peak exceeds
-    lambda_a: three at 3a = 0 (mod m), else two.
+    lambda_a: three at 3a = 0 (mod m), else two.  The clock is read once per
+    1024 generators and counts no node; None once the budget is spent.
     """
     by_support: dict[frozenset[int], int] = {}
     for a in range(1, m):
+        if a % 1024 == 0 and not budget.check_time():
+            return None
         if (2 * a) % m == 0:
             continue
         if _codeword_mask(_triple(m, a), 1, m)[3] > lambda_a:
@@ -401,7 +408,9 @@ def equi_search(m: int, lambda_a: int = 2, config: SearchConfig | None = None) -
     params = CodeParams(1, m, 3, lambda_a, 1)  # rejects lambda_a < 1 before the search
     config = config or SearchConfig()
     budget = _Budget(config)
-    verts = _equi_vertices(m, lambda_a)
+    verts = _equi_vertices(m, lambda_a, budget)
+    if verts is None:
+        return _witness(Code(params, []), False, budget)
     masks = [sum(1 << d for d in supp) for _, supp in verts]
     # every support holds at least two of the m - 1 differences, so the p/2
     # rate bound of _max_packing never prunes below free // (smallest support)
@@ -419,7 +428,9 @@ def tight_search(m: int, config: SearchConfig | None = None) -> SearchOutcome:
     params = CodeParams(1, m, 3, 3, 1)  # rejects m < 1 before the search
     config = config or SearchConfig()
     budget = _Budget(config)
-    verts = _equi_vertices(m, lambda_a=3)
+    verts = _equi_vertices(m, 3, budget)
+    if verts is None:
+        return SearchOutcome(None, 0, False, budget.nodes, budget.elapsed())
     rows = [tuple(sorted(d - 1 for d in supp)) for _, supp in verts]
     picked = _ExactCover(m - 1, rows, budget).solve(budget)
     if picked is None:
@@ -493,7 +504,8 @@ def _gdd_exact_cover(u: int, m: int, budget: _Budget, rng) -> list[Codeword] | N
         # later one doubles, so threading never dominates and an unlucky order
         # is dropped early; no restart outlives the caller's node or time budget
         nodes_left = budget.node_budget - budget.nodes
-        time_left = budget.deadline - time.monotonic()
+        # the clock may have passed the deadline since `_shuffle` last read it
+        time_left = max(budget.deadline - time.monotonic(), 0.0)
         slice_budget = _Budget(SearchConfig(time_left, min(len(order) << restart, nodes_left)))
         restart += 1
         picked = cover.solve(slice_budget, order)

@@ -3,7 +3,6 @@ import time
 
 import pytest
 
-from oockit import bounds
 from oockit.bounds import (
     cac_optimal_size,
     gdd_exists,
@@ -20,6 +19,7 @@ from oockit.bounds import (
     tight_admissible,
 )
 from oockit.core import UnsupportedParameterError
+from oockit.search import equi_search
 
 
 class TestMultOrder:
@@ -95,23 +95,47 @@ class TestPsiEExact:
         rep = psi_e_exact(m)
         assert rep.kind == "exact" and rep.value == expected
 
-    @pytest.mark.parametrize("m", [9, 21, 33, 36, 49, 63])
+    # lengths outside every class with a named closed form; equi_search agrees
+    COMPOSITE = {9: 1, 21: 4, 33: 6, 36: 6, 49: 11, 63: 14}
+
+    @pytest.mark.parametrize("m", list(COMPOSITE))
     def test_unknown_outside_branches(self, m):
         rep = psi_e_exact(m)
-        assert rep.kind == "unknown" and rep.value is None
-        assert dict(rep.dependencies)["upper_bound"] == psi_e_upper_bound(m).value
+        assert (rep.value, rep.kind, rep.branch) == (self.COMPOSITE[m], "exact", "psi_e/composite")
 
     def test_never_exceeds_upper_bound(self):
         for m in range(1, 257):
-            rep = psi_e_exact(m)
-            if rep.value is not None:
-                assert rep.value <= psi_e_upper_bound(m).value, m
+            assert psi_e_exact(m).value <= psi_e_upper_bound(m).value, m
 
     def test_tower_and_tight_branches_meet_the_cap(self):
-        for m in range(1, 257):
+        def me(p):  # the two-case cyclotomic count me_prime had before it shared the sum
+            e = mult_order(2, p)
+            return (p - 1) // e * (e // 4) if e % 2 == 0 else (p - 1) // (2 * e) * (e // 2)
+
+        for m in range(1, 20_001):
             rep = psi_e_exact(m)
+            cap = psi_e_upper_bound(m).value
+            r = dict(rep.dependencies)["r"]
+            assert rep.kind == "exact", m
             if rep.branch in ("psi_e/tower_2mod4", "psi_e/tight_1or5mod12", "psi_e/tight_3mod12"):
-                assert rep.value == psi_e_upper_bound(m).value, m
+                assert rep.value == cap, m
+            elif rep.branch == "psi_e/prime":
+                assert rep.value == cap - (r - 1) // 4 + me(r), m
+            else:
+                assert rep.branch == "psi_e/composite" and not is_prime(r), m
+
+    def test_large_composite(self):
+        # 255255 = 3 * 5 * 7 * 11 * 13 * 17
+        assert psi_e_exact(255255).value == 63811
+
+    def test_equals_the_exhaustive_search(self):
+        for m in range(1, 73):
+            assert psi_e_exact(m).value == equi_search(m, 2).best_size, m
+
+    @pytest.mark.slow
+    def test_equals_the_exhaustive_search_to_96(self):
+        for m in range(73, 97):
+            assert psi_e_exact(m).value == equi_search(m, 2).best_size, m
 
 
 class TestMePrime:
@@ -211,18 +235,6 @@ class TestPhiExact:
             for m in (8, 24, 40, 56):
                 psi = psi_e_exact(m).value
                 assert phi_exact(n, m).value == n * (n * m + 2 * psi) // 6
-
-    def test_unknown_psi_e_cap_is_computed_once(self, monkeypatch):
-        # psi_e(9) is unknown: the cap comes from psi_e_exact's report
-        calls = []
-
-        def record(m):
-            calls.append(m)
-            return psi_e_upper_bound(m)
-
-        monkeypatch.setattr(bounds, "psi_e_upper_bound", record)
-        assert phi_exact(5, 9).kind == "unknown"
-        assert calls == [9]
 
     def test_cac_relaxation_dominates(self):
         for m in range(4, 201, 4):

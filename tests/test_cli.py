@@ -281,6 +281,22 @@ class TestCliBoundSearchCatalog:
         captured = capsys.readouterr()
         assert captured.out == "" and captured.err == "error: a search budget must not be NaN\n"
 
+    @pytest.mark.parametrize("argv", [
+        ["search", "optimal", "--n", "2", "--m", "6", "--node-budget", "-5"],
+        ["search", "tight", "--m", "13", "--budget-seconds", "-1"],
+        ["construct", "nxm", "--n", "12", "--m", "8", "--budget-seconds", "-1"],
+    ])
+    def test_negative_budget_is_a_usage_error(self, capsys, argv):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: a search budget must not be negative\n"
+
+    def test_construct_prime_past_the_old_search_budget(self, capsys):
+        assert main(["construct", "prime", "--p", "127"]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert len(doc["codewords"]) == doc["metadata"]["claimed_size"] == 27
+
     def test_three_row_rejection_names_the_bounds_class(self, capsys):
         assert main(["construct", "3xm", "--m", "12"]) == 2
         captured = capsys.readouterr()
@@ -317,6 +333,12 @@ class TestCliBoundSearchCatalog:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("error: bad range '8..x': ")
+
+    def test_catalog_reversed_range_exit_2(self, capsys):
+        assert main(["catalog", "--n", "3", "--m", "8..4"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: bad range '8..4': its end 4 is below its start 8\n"
 
     def test_catalog_builds_rows_0mod3_through_the_family_table(self, capsys):
         assert main(["catalog", "--n", "12", "--m", "8..56"]) == 0

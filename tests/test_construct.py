@@ -2,8 +2,8 @@ import dataclasses
 
 import pytest
 
-from oockit import construct
-from oockit.bounds import phi_exact, psi_e_exact
+from oockit import construct, search
+from oockit.bounds import is_prime, phi_exact, psi_e_exact, tight_admissible
 from oockit.cli import main
 from oockit.construct import (
     EXPLICIT_IDS,
@@ -27,7 +27,15 @@ from oockit.core import (
     make_codeword,
     restrict_to_row,
 )
-from oockit.search import EXACT_COVER, GddBaseBlocks, SearchConfig, gdd_search
+from oockit.construct import _equi_generators
+from oockit.search import (
+    EXACT_COVER,
+    GddBaseBlocks,
+    SearchConfig,
+    equi_search,
+    gdd_search,
+    tight_search,
+)
 from oockit.verify import structural_facts, verify_code
 
 
@@ -209,12 +217,60 @@ class TestPrimeDerived:
         with pytest.raises(ValueError):
             prime_derived(9, 0)
 
-    def test_negative_s_rejected_before_the_search(self, monkeypatch):
-        searched = []
-        monkeypatch.setattr(construct, "equi_search", lambda *a, **k: searched.append(a))
+    def test_negative_s_rejected_before_the_search(self):
         with pytest.raises(ValueError, match=r"^need s >= 0, got -2$"):
             prime_derived(5, -2)
-        assert searched == []
+
+    def test_base_past_the_old_search_budget(self):
+        # the base search at p = 127 outlived its 60 s budget
+        assert prime_derived(127, 0).code.size() == psi_e_exact(127).value == 27
+
+
+def _generators(outcome):
+    """The generators a of the {0, a, 2a} codewords of a search witness."""
+    return [cells[1][1] for cells in outcome.best.codewords]
+
+
+class TestEquiGenerators:
+    """`_equi_generators` against the oracles, which return the
+    lexicographically least largest code: the packing search by its
+    search order, the exact cover at every length tried here."""
+
+    def test_tight_search_witness(self):
+        lengths = [r for r in range(1, 1200, 2) if tight_admissible(r).admissible] + [8005]
+        assert len(lengths) == 176
+        for r in lengths:
+            # the tight partition holds the third-period codeword, the (r,3,2,1) code does not
+            expected = [a for a in _generators(tight_search(r)) if 3 * a != r]
+            assert _equi_generators(r) == expected, r
+
+    @pytest.mark.parametrize("lengths", [range(5, 62),
+                                         pytest.param(range(62, 114), marks=pytest.mark.slow)])
+    def test_conflict_avoiding_search_at_primes(self, lengths):
+        for p in filter(is_prime, lengths):
+            assert _equi_generators(p) == _generators(equi_search(p, 3)), p
+
+    @pytest.mark.parametrize("lengths", [range(1, 89, 2),
+                                         pytest.param(range(89, 98, 2), marks=pytest.mark.slow)])
+    def test_packing_search_at_odd_lengths(self, lengths):
+        for m in lengths:
+            assert _equi_generators(m) == _generators(equi_search(m, 2)), m
+
+    def test_count_is_psi_e(self):
+        for m in range(1, 6002, 2):
+            assert len(_equi_generators(m)) == psi_e_exact(m).value, m
+        assert len(_equi_generators(255255)) == psi_e_exact(255255).value == 63811
+
+
+def test_one_dimensional_bases_run_no_search(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a construction ran a search")
+
+    monkeypatch.setattr(search, "equi_search", refuse)
+    monkeypatch.setattr(search, "tight_search", refuse)
+    for build, args in [(tight_derived, (13, 2)), (tight_derived, (15, 1)),
+                        (prime_derived, (127, 1)), (ooc_3xm, (68,))]:
+        assert build(*args).verified
 
 
 class TestExplicitCodes:

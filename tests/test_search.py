@@ -137,7 +137,19 @@ def _equi_vertices_by_hand(m, lambda_a):
 @pytest.mark.parametrize("lambda_a", [2, 3, 4])
 def test_equi_vertices_follow_the_peak_rule(lambda_a):
     for m in range(1, 400):
-        assert search._equi_vertices(m, lambda_a) == _equi_vertices_by_hand(m, lambda_a)
+        budget = _Budget(SearchConfig())
+        assert search._equi_vertices(m, lambda_a, budget) == _equi_vertices_by_hand(m, lambda_a)
+
+
+@pytest.mark.parametrize("run", [lambda c: equi_search(400_001, 2, c),
+                                 lambda c: tight_search(400_001, c)])
+def test_one_dimensional_budget_covers_setup(run):
+    # the generator walk reads the clock: unread, it ran 10 s (tight) and
+    # past 170 s (equi, whose packing masks then grow as m^2)
+    start = time.monotonic()
+    out = run(SearchConfig(time_budget=0.2))
+    assert time.monotonic() - start < 2.0
+    assert (out.best_size, out.proven_optimal, out.nodes) == (0, False, 0)
 
 
 @st.composite
@@ -344,6 +356,22 @@ class TestRestartSlices:
 
 def _blocks_digest(out) -> str:
     return hashlib.sha256(repr(sorted(out.best.base_blocks)).encode()).hexdigest()
+
+
+def test_a_restart_past_the_deadline_gets_an_empty_slice(monkeypatch):
+    # the clock can pass the deadline between the last check of `_shuffle`
+    # and the slice's own read of it; the slice then gets no time, not a
+    # negative budget, which SearchConfig rejects
+    shuffle = search._shuffle
+
+    def late(order, rng, budget):
+        passed = shuffle(order, rng, budget)
+        budget.deadline = time.monotonic() - 1.0
+        return passed
+
+    monkeypatch.setattr(search, "_shuffle", late)
+    out = gdd_search(3, 5, SearchConfig(seed=3))
+    assert (out.best, out.proven_optimal) == (None, False)
 
 
 class TestPinnedGddOutcomes:
