@@ -1,13 +1,17 @@
 """Constructions for optimal codes; every public result is verified once.
 
-Private builders only return a Code.  Each public family verifies the code
-it returns once and asserts its claimed size (and, for 1-D codes, its
-claimed difference leave); internal stages are not verified on their own.
+Private builders do not verify what they return.  Each public family
+verifies the code it returns once and asserts its claimed size (and, for
+1-D codes, its claimed difference leave); internal stages are not verified
+on their own.
 The optimal families claim the exact size from `bounds` (psi_e_exact or
 phi_exact) and build in the class it names, so no residue rule is written
 twice; a family rejects the classes it has no code for by that name.
 The final code holds every stage's codewords scaled by a power of 4, and
 scaling maps differences injectively, so a faulty stage fails that check.
+A 1-D tower is a generator list and a claimed leave until then: `_tower`
+takes both through the quadrupling step, and each codeword is made once,
+from its generator, by `_one_row_code` or `_place_on_rows`.
 A mismatch raises VerificationFailure rather than repairing anything
 silently, so transcription slips cannot leak out as codes.
 """
@@ -69,6 +73,7 @@ def _odds(lo: int, hi: int) -> list[int]:
 
 
 def _one_row_code(m: int, generators) -> Code:
+    """The code on Z_m with one codeword {0, a, 2a} per generator a."""
     return Code(CodeParams(1, m, 3, 2, 1), [_triple(m, a) for a in generators])
 
 
@@ -82,8 +87,20 @@ def _add(cws: list[Codeword], m: int, *cells) -> None:
 # ---------------------------------------------------------------------------
 
 
-def _equi_2mod4_code(m: int) -> Code:
-    return _one_row_code(m, _odds(1, m // 2 - 2))
+def _tower(gens: list[int], leave, g: int, s: int) -> tuple[list[int], set[int]]:
+    """Quadruple the code on Z_g with these generators and leave s times.
+
+    One quadrupling fills the g-regular carrier on Z_{4g}, generators the
+    odd integers in [g, 2g-1], with the code on Z_g scaled by 4: the
+    generators become the carrier's plus 4.gens, and the leave L becomes
+    4.L plus the odd residues below g and above 3g.
+    """
+    leave = set(leave)
+    for _ in range(s):
+        gens = _odds(g, 2 * g - 1) + [4 * a for a in gens]
+        leave = {4 * d for d in leave}.union(_odds(1, g - 1), _odds(3 * g + 1, 4 * g - 1))
+        g *= 4
+    return gens, leave
 
 
 def equi_2mod4(m: int) -> ConstructionResult:
@@ -93,24 +110,21 @@ def equi_2mod4(m: int) -> ConstructionResult:
     """
     if m % 4 != 2:
         raise UnsupportedParameterError(f"family needs m = 2 (mod 4), got {m}")
-    return _finalize(_equi_2mod4_code(m), psi_e_exact(m).value, {m // 2}, "equi/2mod4")
-
-
-def _g_regular_code(g: int) -> Code:
-    gens = _odds(g + 1, 2 * g - 1) if g % 2 == 0 else _odds(g, 2 * g - 1)
-    return _one_row_code(4 * g, gens)
+    gens, leave = _power4(0, m, STANDARD)
+    return _finalize(_one_row_code(m, gens), psi_e_exact(m).value, leave, "equi/2mod4")
 
 
 def g_regular_4g(g: int) -> ConstructionResult:
     """g-regular equi-difference code on Z_{4g} with ceil(g/2) codewords.
 
-    Generators are the odd integers in [g+1, 2g-1] (even g) or [g, 2g-1]
-    (odd g); the order-g subgroup 4.[1, g-1] stays untouched for filling.
+    One quadrupling of the empty code on Z_g (leave {1, ..., g-1}): the
+    generators are the odd integers in [g, 2g-1], and the order-g subgroup
+    4.[1, g-1] stays untouched for filling.
     """
     if g < 1:
         raise ValueError(f"need g >= 1, got {g}")
-    leave = _quadrupled_leave(range(1, g), g)
-    return _finalize(_g_regular_code(g), (g + 1) // 2, leave, "gregular/4g")
+    gens, leave = _tower([], range(1, g), g, 1)
+    return _finalize(_one_row_code(4 * g, gens), (g + 1) // 2, leave, "gregular/4g")
 
 
 def _fill_code(outer: Code, inner: Code) -> Code:
@@ -150,18 +164,6 @@ def fill_regular(outer: ConstructionResult, inner: ConstructionResult) -> Constr
     return _finalize(_fill_code(outer.code, inner.code), size, leave, f"fill/{g}regular")
 
 
-def _quadruple_code(code: Code) -> Code:
-    """The g-regular code on Z_{4g} filled with a code on Z_g."""
-    return _fill_code(_g_regular_code(code.params.m), code)
-
-
-def _tower(code: Code, s: int) -> Code:
-    """Quadruple a code s times: Z_g grows to Z_{4^s g}."""
-    for _ in range(s):
-        code = _quadruple_code(code)
-    return code
-
-
 def quadruple(inner: ConstructionResult) -> ConstructionResult:
     """Blow an equi-difference code on Z_g up to Z_{4g}.
 
@@ -174,41 +176,31 @@ def quadruple(inner: ConstructionResult) -> ConstructionResult:
     if not inner_facts.is_equi_difference:
         raise ValueError("quadrupling requires an equi-difference input")
     g = inner.code.params.m
-    leave = _quadrupled_leave(inner_facts.difference_leave, g)
+    carrier, leave = _tower([], inner_facts.difference_leave, g, 1)
     size = (g + 1) // 2 + inner.code.size()
-    return _finalize(_quadruple_code(inner.code), size, leave, "quadruple")
-
-
-def _quadrupled_leave(leave, g: int, s: int = 1) -> set[int]:
-    """The leave on Z_{4^s g} of s quadruplings of a code on Z_g with this leave.
-
-    One quadrupling fills the g-regular code on Z_{4g} with the code on Z_g:
-    the leave L becomes 4.L plus the odd residues below g and above 3g.
-    """
-    out = set(leave)
-    for _ in range(s):
-        out = {4 * d for d in out}.union(_odds(1, g - 1), _odds(3 * g + 1, 4 * g - 1))
-        g *= 4
-    return out
+    code = _fill_code(_one_row_code(4 * g, carrier), inner.code)
+    return _finalize(code, size, leave, "quadruple")
 
 
 STANDARD = "standard"
 HALF_FREE = "half_free"
 
 
-def _power4_code(s: int, r: int, variant: str) -> Code:
-    """The tower over the 2 (mod 4) code on Z_r.
+def _power4(s: int, r: int, variant: str) -> tuple[list[int], set[int]]:
+    """Generators and leave of the tower over the 2 (mod 4) code on Z_r.
 
-    The half-free variant swaps {0, 3r/2, 3r} for {0, r, 2r} after the
-    first quadrupling.
+    The base has generators 1, 3, ..., r/2 - 2 and leave {r/2}.  The
+    half-free variant swaps {0, 3r/2, 3r} for {0, r, 2r} after the first
+    quadrupling, which trades the half period 2r of the leave for
+    {3r/2, 5r/2}.
     """
-    code = _equi_2mod4_code(r)
+    gens, leave = _odds(1, r // 2 - 2), {r // 2}
     if variant == HALF_FREE:
-        code = _quadruple_code(code)
-        code.codewords.remove(_triple(4 * r, 3 * r // 2))
-        code.codewords.append(_triple(4 * r, r))
-        s -= 1
-    return _tower(code, s)
+        gens, leave = _tower(gens, leave, r, 1)
+        gens = [a for a in gens if a != 3 * r // 2] + [r]
+        leave = leave - {2 * r} | {3 * r // 2, 5 * r // 2}
+        r, s = 4 * r, s - 1
+    return _tower(gens, leave, r, s)
 
 
 def equi_power4(s: int, r: int, variant: str = STANDARD) -> ConstructionResult:
@@ -226,13 +218,9 @@ def equi_power4(s: int, r: int, variant: str = STANDARD) -> ConstructionResult:
         raise ValueError(f"need s >= 0, got {s}")
     if variant == HALF_FREE and s < 1:
         raise UnsupportedParameterError(f"variant {variant} needs s >= 1, got s={s}")
-    code = _power4_code(s, r, variant)
-    leave = {r // 2}  # the leave of the 2 (mod 4) base on Z_r
-    if variant == HALF_FREE:
-        leave = _quadrupled_leave(leave, r) - {2 * r} | {3 * r // 2, 5 * r // 2}
-        r, s = 4 * r, s - 1
-    leave = _quadrupled_leave(leave, r, s)
-    return _finalize(code, psi_e_exact(code.params.m).value, leave, f"power4/{variant}")
+    m = 4**s * r
+    gens, leave = _power4(s, r, variant)
+    return _finalize(_one_row_code(m, gens), psi_e_exact(m).value, leave, f"power4/{variant}")
 
 
 def tight_derived(r: int, s: int = 0) -> ConstructionResult:
@@ -246,22 +234,16 @@ def tight_derived(r: int, s: int = 0) -> ConstructionResult:
         raise UnsupportedParameterError(f"family needs odd r >= 1, got {r}")
     if s < 0:
         raise ValueError(f"need s >= 0, got {s}")
-    base, branch = _tight_derived_base(r)
-    leave = {r // 3, 2 * r // 3} if branch == "psi_e/tight_3mod12" else set()
-    code = _tower(base, s)
-    leave = _quadrupled_leave(leave, r, s)
-    branch = "tight_derived/" + branch.removeprefix("psi_e/tight_")
-    return _finalize(code, psi_e_exact(code.params.m).value, leave, branch)
-
-
-def _tight_derived_base(r: int) -> tuple[Code, str]:
-    """The base on Z_r of `tight_derived`, with the tight class `psi_e_exact` names for r."""
     branch = psi_e_exact(r).branch
     if branch not in ("psi_e/tight_1or5mod12", "psi_e/tight_3mod12"):
         raise UnsupportedParameterError(
             f"r={r} is in class {branch}, outside both tight-derived branches"
         )
-    return _one_row_code(r, _equi_generators(r)), branch
+    leave = {r // 3, 2 * r // 3} if branch == "psi_e/tight_3mod12" else set()
+    m = 4**s * r
+    gens, leave = _tower(_equi_generators(r), leave, r, s)
+    branch = "tight_derived/" + branch.removeprefix("psi_e/tight_")
+    return _finalize(_one_row_code(m, gens), psi_e_exact(m).value, leave, branch)
 
 
 def _equi_generators(r: int) -> list[int]:
@@ -327,10 +309,11 @@ def prime_derived(p: int, s: int = 0) -> ConstructionResult:
     me_prime(p)  # validates primality and p >= 5
     if s < 0:
         raise ValueError(f"need s >= 0, got {s}")
-    base = _one_row_code(p, _equi_generators(p))
-    code = _tower(base, s)
-    leave = _quadrupled_leave(difference_leave(base), p, s) if s else None
-    return _finalize(code, psi_e_exact(code.params.m).value, leave, "prime_derived")
+    gens, leave = _equi_generators(p), None
+    if s:
+        gens, leave = _tower(gens, difference_leave(_one_row_code(p, gens)), p, s)
+    m = 4**s * p
+    return _finalize(_one_row_code(m, gens), psi_e_exact(m).value, leave, "prime_derived")
 
 
 # ---------------------------------------------------------------------------
@@ -392,9 +375,9 @@ _PAIRS_3X52 = [
 EXPLICIT_IDS = ("1d48", "3x4", "3x8", "3x20", "3x32", "3x52")
 
 
-def _place_on_rows(sub: Code) -> list[Codeword]:
-    """Three row-relabeled copies of a 1-D subcode."""
-    return [make_codeword((x, s) for _, s in cw) for x in range(3) for cw in sub.codewords]
+def _place_on_rows(m: int, gens) -> list[Codeword]:
+    """The 1-D code {0, a, 2a} on Z_m for each generator a, on each of three rows."""
+    return [make_codeword(((x, 0), (x, a), (x, 2 * a % m))) for x in range(3) for a in gens]
 
 
 def _explicit(code_id: str) -> Code:
@@ -408,15 +391,15 @@ def _explicit(code_id: str) -> Code:
     elif code_id == "3x8":
         cws = [make_codeword(cells) for cells in _CELLS_3X8]
     elif code_id == "3x20":
-        cws = _place_on_rows(_one_row_code(20, _GENS_3X20))
+        cws = _place_on_rows(20, _GENS_3X20)
         cws += [make_codeword(cells) for cells in _MIDDLE_3X20]
         cws += [make_codeword(((0, 0), (1, a), (2, b))) for a, b in _PAIRS_3X20]
     elif code_id == "3x32":
-        cws = _place_on_rows(_one_row_code(32, _GENS_3X32))
+        cws = _place_on_rows(32, _GENS_3X32)
         cws += [make_codeword(cells) for cells in _MIDDLE_3X32]
         cws += [make_codeword(((0, 0), (1, a), (2, b))) for a, b in _PAIRS_3X32]
     elif code_id == "3x52":
-        cws = _place_on_rows(_one_row_code(52, _GENS_3X52))
+        cws = _place_on_rows(52, _GENS_3X52)
         cws += [make_codeword(((0, 0), (0, 1 + 2 * i), (1, 46 + i))) for i in range(6)]
         cws += [make_codeword(((1, 0), (1, 1 + 2 * i), (2, 46 + i))) for i in range(6)]
         cws += [make_codeword(((0, 0), (2, 45 - i), (2, 46 + i))) for i in range(6)]
@@ -518,7 +501,7 @@ def _three_row(n: int, m: int, phi_branch: str) -> tuple[Code, str]:
 
 
 def _ooc_3xm_8mod16(m: int) -> list[Codeword]:
-    cws = _place_on_rows(_power4_code(1, m // 4, HALF_FREE))
+    cws = _place_on_rows(m, _power4(1, m // 4, HALF_FREE)[0])
     for i in range(m // 8):
         _add(cws, m, (0, 0), (0, 1 + 2 * i), (1, 7 * m // 8 + i))
     for i in range(m // 8):
@@ -540,7 +523,7 @@ def _ooc_3xm_8mod16(m: int) -> list[Codeword]:
 
 
 def _ooc_3xm_32mod64(m: int) -> list[Codeword]:
-    cws = _place_on_rows(_power4_code(2, m // 16, HALF_FREE))
+    cws = _place_on_rows(m, _power4(2, m // 16, HALF_FREE)[0])
     for i in range(m // 8):
         _add(cws, m, (0, 0), (0, 1 + 2 * i), (1, m // 8 + 2 + i))
     for i in range(m // 32):
@@ -595,7 +578,7 @@ def _ooc_3xm_32mod64(m: int) -> list[Codeword]:
 
 
 def _ooc_3xm_4or20mod48(m: int) -> list[Codeword]:
-    cws = _place_on_rows(_tower(_tight_derived_base(m // 4)[0], 1))
+    cws = _place_on_rows(m, _tower(_equi_generators(m // 4), (), m // 4, 1)[0])
     for i in range((m - 20) // 8 + 1):
         _add(cws, m, (0, 0), (0, 1 + 2 * i), (1, (7 * m + 4) // 8 + i))
     for i in range((m - 12) // 8 + 1):

@@ -78,8 +78,10 @@ def document_to_code(doc: dict) -> tuple[Code, dict]:
             codewords.append(make_codeword(entry))
         except ValueError as exc:
             raise DocumentError(f"bad codeword {entry!r}: {exc}") from exc
-    metadata = doc.get("metadata") or {}
-    if not isinstance(metadata, dict):
+    metadata = doc.get("metadata")
+    if metadata is None:  # absent or null
+        metadata = {}
+    elif not isinstance(metadata, dict):
         raise DocumentError("metadata must be an object")
     code = Code(p, codewords)
     try:

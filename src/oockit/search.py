@@ -411,7 +411,12 @@ def equi_search(m: int, lambda_a: int = 2, config: SearchConfig | None = None) -
     verts = _equi_vertices(m, lambda_a, budget)
     if verts is None:
         return _witness(Code(params, []), False, budget)
-    masks = [sum(1 << d for d in supp) for _, supp in verts]
+    masks = []
+    for i, (_, supp) in enumerate(verts):
+        # the masks grow as m^2, so their build reads the clock as the walk does
+        if i % 1024 == 1023 and not budget.check_time():
+            return _witness(Code(params, []), False, budget)
+        masks.append(sum(1 << d for d in supp))
     # every support holds at least two of the m - 1 differences, so the p/2
     # rate bound of _max_packing never prunes below free // (smallest support)
     usage = [(len(supp), 0) for _, supp in verts]

@@ -73,6 +73,12 @@ class TestDocument:
             doc = {"schema_version": "1", "params": params, "codewords": [[[0, 0], cell, [0, 3]]]}
             with pytest.raises(DocumentError):
                 document_to_code(doc)
+        # only an object, or no metadata at all, is metadata
+        doc = {"schema_version": "1", "params": {"n": 1, "m": 7}, "codewords": [[[0, 0], [0, 1], [0, 3]]]}
+        for metadata in ([], 0, False, "", [1]):
+            with pytest.raises(DocumentError, match="metadata must be an object"):
+                document_to_code({**doc, "metadata": metadata})
+        assert document_to_code(doc)[1] == document_to_code({**doc, "metadata": None})[1] == {}
 
     def test_matrix_rendering(self):
         code = Code(CodeParams(2, 4), [make_codeword(((0, 0), (0, 2), (1, 3)))])

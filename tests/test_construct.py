@@ -273,6 +273,70 @@ def test_one_dimensional_bases_run_no_search(monkeypatch):
         assert build(*args).verified
 
 
+FAMILY_TOWERS = [
+    *[(f"power4-{r}", lambda s, r=r: equi_power4(s, r)) for r in (6, 10, 14)],
+    *[(f"tight-{r}", lambda s, r=r: tight_derived(r, s)) for r in (5, 13, 15)],
+    *[(f"prime-{p}", lambda s, p=p: prime_derived(p, s)) for p in (7, 11)],
+]
+
+
+@pytest.mark.parametrize(
+    "build", [b for _, b in FAMILY_TOWERS], ids=[name for name, _ in FAMILY_TOWERS]
+)
+def test_family_towers_state_the_law_of_quadruple(build):
+    # the families tower generator lists, `quadruple` towers codes: s steps
+    # of `quadruple` from the s = 0 result give the same code and leave
+    step = build(0)
+    for s in range(1, 4):
+        step = quadruple(step)
+        tower = build(s)
+        assert tower.code.codewords == step.code.codewords
+        assert tower.claimed_leave == step.claimed_leave
+
+
+# every 1-D family and each three-row class, with the arguments (built
+# before counting) and the codewords a builder makes besides its result's:
+# fill_regular keeps the 3 codewords of its outer input, and prime_derived
+# builds its base on Z_p to measure the leave it towers
+ONE_MAKE_CASES = [
+    (equi_2mod4, lambda: (202,), 0),
+    (g_regular_4g, lambda: (9,), 0),
+    (g_regular_4g, lambda: (10,), 0),
+    (fill_regular, lambda: (g_regular_4g(6), equi_2mod4(6)), -3),
+    (quadruple, lambda: (tight_derived(13, 1),), 0),
+    (equi_power4, lambda: (7, 6), 0),
+    (equi_power4, lambda: (3, 10, "half_free"), 0),
+    (tight_derived, lambda: (13, 6), 0),
+    (tight_derived, lambda: (15, 3), 0),
+    (prime_derived, lambda: (61, 0), 0),
+    (prime_derived, lambda: (61, 5), len(_equi_generators(61))),
+    (explicit_code, lambda: ("1d48",), 0),
+    # the explicit lengths, then m = 8 (mod 16), 32 (mod 64), 4 and 20 (mod 48)
+    *[(ooc_3xm, lambda m=m: (m,), 0)
+      for m in (4, 8, 20, 32, 52, 24, 40, 16216, 96, 160, 68, 100, 116, 148)],
+]
+
+
+@pytest.mark.parametrize(
+    "builder,make_args,extra",
+    ONE_MAKE_CASES,
+    ids=[f"{b.__name__}-{i}" for i, (b, _, _) in enumerate(ONE_MAKE_CASES)],
+)
+def test_each_codeword_is_made_once(monkeypatch, builder, make_args, extra):
+    args = make_args()
+    calls = []
+    make = construct.make_codeword
+
+    def counted(cells):
+        calls.append(None)
+        return make(cells)
+
+    monkeypatch.setattr(construct, "make_codeword", counted)
+    monkeypatch.setattr(search, "make_codeword", counted)  # `_triple` reads it there
+    res = builder(*args)
+    assert len(calls) == res.code.size() + extra
+
+
 class TestExplicitCodes:
     @pytest.mark.parametrize(
         "code_id,size",
@@ -597,13 +661,13 @@ def test_builders_reject_a_wrong_claimed_leave(monkeypatch, builder, make_args):
 
 
 def test_a_correlation_failure_exits_3_with_its_witnesses(monkeypatch, capsys):
-    build = construct._equi_2mod4_code
+    build = construct._one_row_code
 
-    def doubled(m):
-        code = build(m)
+    def doubled(m, gens):
+        code = build(m, gens)
         return Code(code.params, code.codewords * 2)
 
-    monkeypatch.setattr(construct, "_equi_2mod4_code", doubled)
+    monkeypatch.setattr(construct, "_one_row_code", doubled)
     assert main(["construct", "equi2mod4", "--m", "202"]) == 3
     out, err = capsys.readouterr()
     first, *witnesses = err.splitlines()

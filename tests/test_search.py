@@ -152,6 +152,25 @@ def test_one_dimensional_budget_covers_setup(run):
     assert (out.best_size, out.proven_optimal, out.nodes) == (0, False, 0)
 
 
+def test_equi_mask_build_reads_the_clock(monkeypatch):
+    # a budget spent after the generator walk stops the mask build, which
+    # grows as m^2, before the packing search starts
+    walk = search._equi_vertices
+
+    def spent_after_the_walk(m, lambda_a, budget):
+        verts = walk(m, lambda_a, budget)
+        budget.deadline = float("-inf")
+        return verts
+
+    def refuse(*args):
+        raise AssertionError("the packing search ran on a spent budget")
+
+    monkeypatch.setattr(search, "_equi_vertices", spent_after_the_walk)
+    monkeypatch.setattr(search, "_max_packing", refuse)
+    out = equi_search(5003, 2)
+    assert (out.best_size, out.proven_optimal, out.nodes) == (0, False, 0)
+
+
 @st.composite
 def _shape_and_codewords(draw, count):
     """n <= 4, m <= 14 and `count` codewords of one weight k <= 4 (k = 0: empty)."""
