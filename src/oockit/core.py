@@ -99,8 +99,15 @@ def normalize(codeword: Codeword, m: int) -> Codeword:
     """
     if not codeword:
         return ()
-    r0 = min(r for r, _ in codeword)
-    return min(translate(codeword, -s, m) for r, s in codeword if r == r0)
+    r0 = min(codeword)[0]
+    best = None
+    for row, shift in codeword:
+        if row == r0:
+            candidate = [(r, (s - shift) % m) for r, s in codeword]
+            candidate.sort()
+            if best is None or candidate < best:
+                best = candidate
+    return tuple(best)
 
 
 def codeword_rows(codeword: Codeword) -> tuple[int, ...]:

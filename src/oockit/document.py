@@ -2,6 +2,16 @@
 
 Documents are canonical: sorted keys, slot-normalized and sorted codewords,
 integers only.  parse(render(doc)) == doc.
+
+`render_json(doc)` prints what `json.dumps(doc, sort_keys=True, indent=2)`
+prints.  That call runs CPython's pure-Python encoder, since the C one takes
+no indent, so `render_json` walks the objects that hold a `"codewords"` array,
+in the document or nested in it through objects (a search report's
+`"witness"`), and writes each such array from one %-template per cell and one
+join per codeword.  Every other value goes through `json.dumps(value,
+sort_keys=True, indent=2)`, re-indented to its depth; the keys and scalars of
+a walked object go through the C encoder.  A codewords array holds integer
+cells, as `code_to_document` writes them and `document_to_code` requires.
 """
 
 from __future__ import annotations
@@ -92,7 +102,47 @@ def document_to_code(doc: dict) -> tuple[Code, dict]:
 
 
 def render_json(doc: dict) -> str:
-    return json.dumps(doc, sort_keys=True, indent=2)
+    return _render(doc, "")
+
+
+def _render(value, pad: str) -> str:
+    """`value` as `json.dumps(value, sort_keys=True, indent=2)` writes it at indent `pad`."""
+    if _holds_codewords(value) and all(type(key) is str for key in value):
+        inner = pad + "  "
+        items = []
+        for key in sorted(value):
+            item = value[key]
+            text = (
+                _codewords(item, inner)
+                if key == "codewords" and type(item) is list
+                else _render(item, inner)
+            )
+            items.append(f"{inner}{json.dumps(key)}: {text}")
+        return "{\n" + ",\n".join(items) + f"\n{pad}}}"
+    if isinstance(value, (dict, list, tuple)):
+        return json.dumps(value, sort_keys=True, indent=2).replace("\n", "\n" + pad)
+    return json.dumps(value)
+
+
+def _holds_codewords(value) -> bool:
+    """True for an object with a "codewords" key, or one nested in it through objects."""
+    return type(value) is dict and (
+        "codewords" in value or any(map(_holds_codewords, value.values()))
+    )
+
+
+def _codewords(codewords: list, pad: str) -> str:
+    """A codewords array whose key sits at indent `pad`: one template per [r, s] cell."""
+    if not codewords:
+        return "[]"
+    word = pad + "  "
+    cell = f"{word}  [\n{word}    %d,\n{word}    %d\n{word}  ]"
+    head, tail = word + "[\n", f"\n{word}]"
+    words = [
+        head + ",\n".join([cell % (r, s) for r, s in cw]) + tail if cw else word + "[]"
+        for cw in codewords
+    ]
+    return "[\n" + ",\n".join(words) + f"\n{pad}]"
 
 
 def parse_json(text: str) -> dict:
@@ -107,10 +157,8 @@ def render_matrix(code: Code) -> str:
     p = code.params
     blocks = []
     for cw in code.codewords:
-        cells = set(cw)
-        rows = [
-            "".join("1" if (i, x) in cells else "0" for x in range(p.m))
-            for i in range(p.n)
-        ]
-        blocks.append("\n".join(rows))
+        rows = [["0"] * p.m for _ in range(p.n)]
+        for i, x in cw:
+            rows[i][x] = "1"
+        blocks.append("\n".join(map("".join, rows)))
     return "\n\n".join(blocks)

@@ -2,7 +2,7 @@
 
 The sha256 covers, for every result in order, its branch, claimed size,
 sorted claimed leave and codewords in order.  It was recorded before the
-quadrupling leave of the 1-D towers was stated once (`_quadrupled_leave`),
+quadrupling leave of the 1-D towers was stated once (now in `construct._tower`),
 so a changed leave formula, generator order or codeword list shows here.
 """
 
