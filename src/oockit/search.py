@@ -268,6 +268,10 @@ def _codeword_mask(cw: Codeword, n: int, m: int) -> tuple[int, int, int, int]:
     return sum(1 << key for key in classes), p, len(classes) - p, peak
 
 
+# bytes.translate table from a row's compatibility flags to binary digits
+_DIGITS = bytes.maketrans(b"\x00\x01", b"01")
+
+
 def _max_packing(
     masks: list[int],
     usage: list[tuple[int, int]],
@@ -277,12 +281,28 @@ def _max_packing(
 ) -> tuple[list[int], bool]:
     """Largest set of indices with pairwise disjoint masks.
 
+    A maximum independent set on the conflict graph of the masks, searched
+    depth first on candidate bitsets (Carraghan & Pardalos 1990; Kaski &
+    Ostergard 2006).  A frame holds its remaining candidates as one int, bit
+    i for index i, and tries them lowest bit first.  The compatibility row of
+    index i is the bitset of the later indices whose masks miss masks[i].  It
+    is built the first time i is chosen, in one pass over those masks, and
+    reused after that; all rows together hold at most N(N - 1)/2 bits for N
+    candidates.  A frame's candidates all miss the masks chosen above it, so
+    a child's candidates are the parent's remaining ones ANDed with the row
+    of the index just chosen: exactly those that a filter against the union
+    of the chosen masks keeps, in the same order.  The bound, the node count
+    and the rule for a new best are those of such a filter, so the search
+    visits the same tree and returns the same first-found best.
+
     Uses the capacity bound: with p pure bits and q mixed bits free, at most
     floor(p/2 + q/3) weight-3 codewords can still fit (every codeword burns
     at least two pure bits, or one pure and two mixed, or three mixed).
     """
     best: list[int] = []
-    order = list(range(len(masks)))
+    size = len(masks)
+    later = masks[::-1]  # later[:size - 1 - i] are the masks after index i, last first
+    rows: list[int | None] = [None] * size
     min_bits = max(min((p + q for p, q in usage), default=1), 1)
     # the p/2 + q/3 rate bound is valid only when every candidate pays
     # at least that rate (true for weight-3 codewords)
@@ -291,33 +311,40 @@ def _max_packing(
     def capacity(p_free: int, q_free: int) -> int:
         cap = (p_free + q_free) // min_bits
         if lp_valid:
-            cap = min(cap, (3 * p_free + 2 * q_free) // 6)
+            rate = (3 * p_free + 2 * q_free) // 6
+            if rate < cap:  # compared, not min(): its calls were a third of a node's time
+                return rate
         return cap
 
-    # one [cands, pos, used, cap, p_free, q_free] frame per chosen index and
-    # one for the root; a frame is done when even its capacity cannot beat best
+    # one [cands, cap, p_free, q_free] frame per chosen index and one for the
+    # root; a frame is done when even its capacity cannot beat best
     chosen: list[int] = []
-    stack = [[order, 0, 0, capacity(pure_capacity, mixed_capacity), pure_capacity, mixed_capacity]]
+    stack = [[(1 << size) - 1, capacity(pure_capacity, mixed_capacity), pure_capacity, mixed_capacity]]
     while stack:
         frame = stack[-1]
-        cands, pos, used, cap, p_free, q_free = frame
-        if len(chosen) + min(len(cands) - pos, cap) <= len(best):
+        cands, cap, p_free, q_free = frame
+        left = cands.bit_count()  # at most min(left, cap) more can be chosen
+        if len(chosen) + (left if left < cap else cap) <= len(best):
             stack.pop()
             if chosen:
                 chosen.pop()
             continue
         if not budget.tick():
             return best, False
-        frame[1] = pos + 1
-        ci = cands[pos]
-        nxt = used | masks[ci]
-        rest = [cj for cj in cands[pos + 1 :] if masks[cj] & nxt == 0]
+        low = cands & -cands
+        frame[0] = cands ^ low
+        ci = low.bit_length() - 1
+        row = rows[ci]
+        if row is None:
+            mask = masks[ci]
+            flags = bytes([not mask & other for other in later[: size - 1 - ci]])
+            rows[ci] = row = int(flags.translate(_DIGITS) or b"0", 2) << (ci + 1)
         chosen.append(ci)
         if len(chosen) > len(best):
             best = chosen.copy()
         p_free -= usage[ci][0]
         q_free -= usage[ci][1]
-        stack.append([rest, 0, nxt, capacity(p_free, q_free), p_free, q_free])
+        stack.append([cands & row, capacity(p_free, q_free), p_free, q_free])
     return best, True
 
 
@@ -390,9 +417,7 @@ def _equi_vertices(
     for a in range(1, m):
         if a % 1024 == 0 and not budget.check_time():
             return None
-        if (2 * a) % m == 0:
-            continue
-        if _codeword_mask(_triple(m, a), 1, m)[3] > lambda_a:
+        if (2 * a) % m == 0 or (3 if (3 * a) % m == 0 else 2) > lambda_a:
             continue
         supp = frozenset({a, m - a, (2 * a) % m, (m - 2 * a) % m})
         by_support.setdefault(supp, a)

@@ -31,6 +31,21 @@ from oockit.search import (
 from oockit.verify import verify_code
 
 
+# the first code of size 7 that the 2 x 10 packing search finds
+FIRST_SEVEN = [
+    make_codeword(cells)
+    for cells in (
+        ((0, 0), (0, 1), (0, 2)),
+        ((0, 0), (0, 3), (0, 6)),
+        ((0, 0), (0, 5), (1, 0)),
+        ((0, 0), (1, 1), (1, 2)),
+        ((0, 0), (1, 3), (1, 6)),
+        ((0, 0), (1, 4), (1, 8)),
+        ((0, 0), (1, 7), (1, 9)),
+    )
+]
+
+
 class TestOptimalSearch:
     def test_two_by_four(self):
         out = optimal_search(2, 4, 2)
@@ -72,11 +87,23 @@ class TestOptimalSearch:
         b = optimal_search(2, 6, 2)
         assert a.best.codewords == b.best.codewords and a.nodes == b.nodes
 
-    @pytest.mark.parametrize("n, m, size, nodes", [(2, 10, 7, 65739), (3, 5, 8, 220)])
+    @pytest.mark.parametrize(
+        "n, m, size, nodes", [(2, 10, 7, 65739), (3, 5, 8, 220), (4, 3, 6, 67494)]
+    )
     def test_node_counts_unchanged(self, n, m, size, nodes):
-        # figures of the search that normalized every k-subset of cells
+        # figures of the search that normalized every k-subset of cells and
+        # filtered a candidate list at every node
         out = optimal_search(n, m)
         assert (out.best_size, out.nodes, out.proven_optimal) == (size, nodes, True)
+
+    @pytest.mark.parametrize(
+        "node_budget, size, nodes", [(1, 0, 1), (17, 7, 17), (1000, 7, 1000), (30001, 7, 30001)]
+    )
+    def test_node_budget_outcomes_unchanged(self, node_budget, size, nodes):
+        # the outcomes of the search that filtered a candidate list at every node
+        out = optimal_search(2, 10, 2, SearchConfig(node_budget=node_budget))
+        assert (out.best_size, out.nodes, out.proven_optimal) == (size, nodes, False)
+        assert out.best.codewords == FIRST_SEVEN[:size]
 
     def test_budget_covers_setup(self):
         start = time.monotonic()
@@ -116,6 +143,21 @@ class TestEquiSearch:
         assert equi_search(1, 2).best_size == 0
         assert equi_search(2, 2).best_size == 0
 
+    @pytest.mark.parametrize(
+        "m, size, nodes, generators",
+        [
+            (109, 27, 32990, [1, 3, 4, 5, 7, 9, 12, 15, 16, 20, 21, 22, 25, 26,
+                              27, 28, 29, 31, 34, 35, 36, 38, 43, 45, 46, 48, 49]),
+            (103, 25, 148258, [1, 3, 4, 5, 11, 12, 14, 16, 17, 18, 19, 20, 21,
+                               23, 25, 26, 27, 30, 31, 35, 37, 44, 45, 47, 48]),
+        ],
+    )
+    def test_node_counts_unchanged(self, m, size, nodes, generators):
+        # figures of the search that filtered a candidate list at every node
+        out = equi_search(m, 2)
+        assert (out.best_size, out.nodes, out.proven_optimal) == (size, nodes, True)
+        assert [cw[1][1] for cw in out.best.codewords] == generators
+
     def test_lambda_one_gives_the_empty_code(self):
         # every {0, a, 2a} repeats the difference a, so its peak is at least two
         for m in range(1, 61):
@@ -139,6 +181,15 @@ def test_equi_vertices_follow_the_peak_rule(lambda_a):
     for m in range(1, 400):
         budget = _Budget(SearchConfig())
         assert search._equi_vertices(m, lambda_a, budget) == _equi_vertices_by_hand(m, lambda_a)
+
+
+def test_peak_rule_is_the_codewords_peak():
+    # the rule _equi_vertices applies instead of building each codeword's mask
+    for m in range(1, 200):
+        for a in range(1, m):
+            if (2 * a) % m:
+                peak = _codeword_mask(search._triple(m, a), 1, m)[3]
+                assert peak == (3 if (3 * a) % m == 0 else 2), (m, a)
 
 
 @pytest.mark.parametrize("run", [lambda c: equi_search(400_001, 2, c),
@@ -208,6 +259,40 @@ class TestMasksAgreeWithVerify:
         assume(_verified(n, m, [a]).passed and _verified(n, m, [b]).passed)
         disjoint = _codeword_mask(a, n, m)[0] & _codeword_mask(b, n, m)[0] == 0
         assert disjoint == _verified(n, m, [a, b]).cross_ok
+
+
+def _largest_disjoint(masks):
+    """Size of the largest set of pairwise disjoint masks, by listing every
+    such set: the subsets of the first i masks grow by mask i where it fits."""
+    union = {0: 0}  # subset of indices -> union of its masks
+    for i, mask in enumerate(masks):
+        union.update({s | 1 << i: u | mask for s, u in union.items() if u & mask == 0})
+    return max(map(int.bit_count, union))
+
+
+@st.composite
+def _mask_family(draw):
+    """Masks over `pure` pure and `mixed` mixed bits, each with the usage
+    (pure bits, mixed bits) of a weight-3 codeword: 3p + 2q >= 6."""
+    pure, mixed = draw(st.integers(2, 8)), draw(st.integers(0, 8))
+    usage = draw(st.lists(
+        st.tuples(st.integers(0, pure), st.integers(0, mixed)).filter(lambda u: 3 * u[0] + 2 * u[1] >= 6),
+        max_size=14,
+    ))
+    masks = []
+    for p, q in usage:
+        bits = draw(st.permutations(range(pure)))[:p] + draw(st.permutations(range(pure, pure + mixed)))[:q]
+        masks.append(sum(1 << b for b in bits))
+    return masks, usage, pure, mixed
+
+
+@given(_mask_family())
+def test_packing_is_a_largest_disjoint_set(family):
+    masks, usage, pure, mixed = family
+    chosen, complete = _max_packing(masks, usage, pure, mixed, _Budget(SearchConfig()))
+    assert complete and len(set(chosen)) == len(chosen)
+    assert all(masks[i] & masks[j] == 0 for i, j in itertools.combinations(chosen, 2))
+    assert len(chosen) == _largest_disjoint(masks)
 
 
 class TestTightSearch:
