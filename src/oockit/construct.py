@@ -9,9 +9,10 @@ phi_exact) and build in the class it names, so no residue rule is written
 twice; a family rejects the classes it has no code for by that name.
 The final code holds every stage's codewords scaled by a power of 4, and
 scaling maps differences injectively, so a faulty stage fails that check.
-A 1-D tower is a generator list and a claimed leave until then: `_tower`
-takes both through the quadrupling step, and each codeword is made once,
-from its generator, by `_one_row_code` or `_place_on_rows`.
+A 1-D tower is a generator list and a claimed leave until then: `_equi(m)`
+takes both from the base on Z_r, m = 4^s r, through s quadrupling steps
+of `_tower`, and each codeword is made once, from its generator, by
+`_one_row_code` or `_place_on_rows`.
 A mismatch raises VerificationFailure rather than repairing anything
 silently, so transcription slips cannot leak out as codes.
 """
@@ -20,7 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .bounds import me_prime, phi_exact, psi_e_exact
+from .bounds import me_prime, phi_exact, pow4_decompose, psi_e_exact
 from .core import (
     Code,
     CodeParams,
@@ -110,7 +111,7 @@ def equi_2mod4(m: int) -> ConstructionResult:
     """
     if m % 4 != 2:
         raise UnsupportedParameterError(f"family needs m = 2 (mod 4), got {m}")
-    gens, leave = _power4(0, m, STANDARD)
+    gens, leave = _equi(m)
     return _finalize(_one_row_code(m, gens), psi_e_exact(m).value, leave, "equi/2mod4")
 
 
@@ -186,29 +187,37 @@ STANDARD = "standard"
 HALF_FREE = "half_free"
 
 
-def _power4(s: int, r: int, variant: str) -> tuple[list[int], set[int]]:
-    """Generators and leave of the tower over the 2 (mod 4) code on Z_r.
+def _equi(m: int) -> tuple[list[int], set[int]]:
+    """Generators and leave of the optimal equi-difference code on Z_m.
 
-    The base has generators 1, 3, ..., r/2 - 2 and leave {r/2}.  The
-    half-free variant swaps {0, 3r/2, 3r} for {0, r, 2r} after the first
-    quadrupling, which trades the half period 2r of the leave for
-    {3r/2, 5r/2}.
+    With m = 4^s r, 4 not dividing r, the base on Z_r is lifted s times by
+    `_tower`.  At even r it has generators 1, 3, ..., r/2 - 2 and leave
+    {r/2}; at odd r the generators are `_equi_generators(r)` and the leave
+    is the residues that no generator a meets as +-a or +-2a.
     """
-    gens, leave = _odds(1, r // 2 - 2), {r // 2}
-    if variant == HALF_FREE:
-        gens, leave = _tower(gens, leave, r, 1)
-        gens = [a for a in gens if a != 3 * r // 2] + [r]
-        leave = leave - {2 * r} | {3 * r // 2, 5 * r // 2}
-        r, s = 4 * r, s - 1
+    s, r = pow4_decompose(m)
+    if r % 2 == 0:
+        gens, leave = _odds(1, r // 2 - 2), {r // 2}
+    else:
+        gens = _equi_generators(r)
+        leave = set(range(1, r)) - {d % r for a in gens for d in (a, -a, 2 * a, -2 * a)}
     return _tower(gens, leave, r, s)
+
+
+def _half_free(m: int) -> tuple[list[int], set[int]]:
+    """`_equi(m)` with {0, 3m/8, 3m/4} swapped for {0, m/4, m/2}, m = 8 (mod 16)
+    times a power of 4: the half period is used, {3m/8, 5m/8} left instead."""
+    gens, leave = _equi(m)
+    gens = [a for a in gens if a != 3 * m // 8] + [m // 4]
+    return gens, leave - {m // 2} | {3 * m // 8, 5 * m // 8}
 
 
 def equi_power4(s: int, r: int, variant: str = STANDARD) -> ConstructionResult:
     """Optimal equi-difference code on Z_{4^s r} for r = 2 (mod 4).
 
-    The standard variant leaves the half period uncovered; the half-free
-    variant swaps one codeword at the first quadrupling stage so the half
-    period is used and {3r/2, 5r/2} (scaled) is left instead.
+    The standard variant (`_equi`) leaves the half period uncovered; the
+    half-free variant swaps {0, 3r/2, 3r} for {0, r, 2r} on Z_{4r}, so the
+    half period is used and {3r/2, 5r/2} (scaled) is left instead.
     """
     if r % 4 != 2 or r < 2:
         raise UnsupportedParameterError(f"family needs r = 2 (mod 4), got r={r}")
@@ -219,7 +228,7 @@ def equi_power4(s: int, r: int, variant: str = STANDARD) -> ConstructionResult:
     if variant == HALF_FREE and s < 1:
         raise UnsupportedParameterError(f"variant {variant} needs s >= 1, got s={s}")
     m = 4**s * r
-    gens, leave = _power4(s, r, variant)
+    gens, leave = _half_free(m) if variant == HALF_FREE else _equi(m)
     return _finalize(_one_row_code(m, gens), psi_e_exact(m).value, leave, f"power4/{variant}")
 
 
@@ -239,9 +248,8 @@ def tight_derived(r: int, s: int = 0) -> ConstructionResult:
         raise UnsupportedParameterError(
             f"r={r} is in class {branch}, outside both tight-derived branches"
         )
-    leave = {r // 3, 2 * r // 3} if branch == "psi_e/tight_3mod12" else set()
     m = 4**s * r
-    gens, leave = _tower(_equi_generators(r), leave, r, s)
+    gens, leave = _equi(m)
     branch = "tight_derived/" + branch.removeprefix("psi_e/tight_")
     return _finalize(_one_row_code(m, gens), psi_e_exact(m).value, leave, branch)
 
@@ -303,16 +311,14 @@ def prime_derived(p: int, s: int = 0) -> ConstructionResult:
     The base is the lexicographically least largest equi-difference
     conflict-avoiding code of length p (`_equi_generators`); since 3 does
     not divide p it is already a (p,3,2,1) code, and quadrupling lifts it.
-    At s >= 1 the claimed leave is the base's measured leave carried
-    through s quadruplings.
+    At s >= 1 the claimed leave is `_equi`'s; at s = 0 none is claimed.
     """
     me_prime(p)  # validates primality and p >= 5
     if s < 0:
         raise ValueError(f"need s >= 0, got {s}")
-    gens, leave = _equi_generators(p), None
-    if s:
-        gens, leave = _tower(gens, difference_leave(_one_row_code(p, gens)), p, s)
     m = 4**s * p
+    gens, leave = _equi(m)
+    leave = leave if s else None  # s = 0 claims none, as its documents always have
     return _finalize(_one_row_code(m, gens), psi_e_exact(m).value, leave, "prime_derived")
 
 
@@ -501,7 +507,7 @@ def _three_row(n: int, m: int, phi_branch: str) -> tuple[Code, str]:
 
 
 def _ooc_3xm_8mod16(m: int) -> list[Codeword]:
-    cws = _place_on_rows(m, _power4(1, m // 4, HALF_FREE)[0])
+    cws = _place_on_rows(m, _half_free(m)[0])
     for i in range(m // 8):
         _add(cws, m, (0, 0), (0, 1 + 2 * i), (1, 7 * m // 8 + i))
     for i in range(m // 8):
@@ -523,7 +529,7 @@ def _ooc_3xm_8mod16(m: int) -> list[Codeword]:
 
 
 def _ooc_3xm_32mod64(m: int) -> list[Codeword]:
-    cws = _place_on_rows(m, _power4(2, m // 16, HALF_FREE)[0])
+    cws = _place_on_rows(m, _half_free(m)[0])
     for i in range(m // 8):
         _add(cws, m, (0, 0), (0, 1 + 2 * i), (1, m // 8 + 2 + i))
     for i in range(m // 32):
@@ -578,7 +584,7 @@ def _ooc_3xm_32mod64(m: int) -> list[Codeword]:
 
 
 def _ooc_3xm_4or20mod48(m: int) -> list[Codeword]:
-    cws = _place_on_rows(m, _tower(_equi_generators(m // 4), (), m // 4, 1)[0])
+    cws = _place_on_rows(m, _equi(m)[0])
     for i in range((m - 20) // 8 + 1):
         _add(cws, m, (0, 0), (0, 1 + 2 * i), (1, (7 * m + 4) // 8 + i))
     for i in range((m - 12) // 8 + 1):
