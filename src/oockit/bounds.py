@@ -245,10 +245,9 @@ def psi_e_exact(m: int) -> BoundReport:
     tight = tight_admissible(r)
     base = _odd_psi_e(tight.factors)
     value = cap - (r - 1) // 4 + base
-    if r % 12 in (1, 5) and tight.admissible:  # in_S(r)
-        return BoundReport(value, EXACT, "psi_e/tight_1or5mod12", deps)
-    if r % 12 == 3 and tight_admissible(r // 3).admissible:
-        return BoundReport(value, EXACT, "psi_e/tight_3mod12", deps)
+    if tight.admissible:  # odd r is then 1, 3 or 5 (mod 12)
+        branch = "psi_e/tight_3mod12" if r % 12 == 3 else "psi_e/tight_1or5mod12"
+        return BoundReport(value, EXACT, branch, deps)
     if r >= 5 and tight.factors[0].prime == r:  # r is prime
         return BoundReport(value, EXACT, "psi_e/prime", deps + ((f"me({r})", base),))
     return BoundReport(value, EXACT, "psi_e/composite", deps)

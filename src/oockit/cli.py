@@ -163,17 +163,7 @@ def cmd_verify(args):
             text = fh.read()
     code, _meta = document_to_code(parse_json(text))
     report = verify_code(code)
-    out = {
-        "verification": {
-            "auto_ok": report.auto_ok,
-            "cross_ok": report.cross_ok,
-            "max_auto_multiplicity": report.max_auto_multiplicity,
-            "violation_count": report.violation_count,
-            "witnesses": [asdict(w) for w in report.witnesses],
-        },
-        "composition_census": None,
-        "parity_census": None,
-    }
+    out = {"verification": asdict(report), "composition_census": None, "parity_census": None}
     if code.params.k == 3:
         out["composition_census"] = asdict(composition_census(code))
     if code.params.n == 1 and code.params.m % 4 == 0:
@@ -191,25 +181,15 @@ def cmd_verify(args):
 
 def cmd_bound(args):
     rep, _ = _call(bounds, BOUNDS, "bound", args.bound, vars(args))
-    out = {
-        "value": rep.value,
-        "kind": rep.kind,
-        "branch": rep.branch,
-        "dependencies": [[name, value] for name, value in rep.dependencies],
-    }
     summary = f"{args.bound} value={rep.value} kind={rep.kind} branch={rep.branch}"
-    return lambda: out, lambda: summary, True
+    return lambda: asdict(rep), lambda: summary, True
 
 
 def cmd_search(args):
     outcome, _ = _call(search, SEARCHES, "search", args.kind, vars(args))
     witness = None
     if isinstance(outcome.best, GddBaseBlocks):
-        witness = {
-            "m": outcome.best.m,
-            "groups": outcome.best.groups,
-            "base_blocks": [[[r, s] for r, s in b] for b in outcome.best.base_blocks],
-        }
+        witness = asdict(outcome.best)
     elif outcome.best is not None:
         witness = code_to_document(
             outcome.best, {"provenance": f"search {args.kind}", "verified": True}

@@ -28,7 +28,7 @@ HILL_CLIMB = "hill_climb_restart"
 class SearchConfig:
     time_budget: float = 60.0
     node_budget: int = 10**9
-    strategy: str = EXACT_COVER  # gdd_search only; optimal and equi search ignore it
+    strategy: str = EXACT_COVER  # gdd_search only; optimal, equi and tight search ignore it
     seed: int = 0
 
     def __post_init__(self):  # a NaN budget compares False with everything: no stop
@@ -113,12 +113,12 @@ class _Budget:
         self.nodes = 0
         self.exhausted = False
 
-    def tick(self, k: int = 1) -> bool:
-        """Count k nodes; the clock is read on the first tick, then once per 16."""
-        self.nodes += k
+    def tick(self) -> bool:
+        """Count a node; the clock is read on the first tick, then once per 16."""
+        self.nodes += 1
         if self.nodes >= self.node_budget:
             self.exhausted = True
-        elif (self.nodes % 16 < k or self.nodes == k) and time.monotonic() > self.deadline:
+        elif (self.nodes % 16 == 0 or self.nodes == 1) and time.monotonic() > self.deadline:
             self.exhausted = True
         return not self.exhausted
 
@@ -194,15 +194,20 @@ class _ExactCover:
         R[L[c]] = c
         L[R[c]] = c
 
-    def solve(self, budget: _Budget, order: Iterable[int] | None = None) -> list[int] | None:
-        """First solution as row ids, or None.
+    def solve(
+        self, budget: _Budget, order: Iterable[int] | None = None, limit: int | None = None
+    ) -> tuple[list[int] | None, bool]:
+        """(first solution as row ids or None, whether the search is complete).
 
-        None proves that no solution exists unless `budget.exhausted` is set.
-        Every header is relinked and each column's rows are threaded top to
-        bottom in `order` (default: as built), reading the clock once per
-        4096 rows.  Then Algorithm X with an explicit level stack (Knuth,
-        TAOCP 7.2.2.1): `rows` holds the row node tried at each level.
+        Each node ticks `budget`; a spent budget or the `limit`-th node of this
+        call stops the search incomplete.  A search of the whole tree is
+        complete, a proof that no solution exists, unless the budget was spent
+        before the call: its build may have left rows out.  Each column's rows
+        are threaded top to bottom in `order` (default: as built), reading the
+        clock once per 4096 rows, then Algorithm X runs with an explicit level
+        stack (Knuth, TAOCP 7.2.2.1): `rows` holds the row node tried at each level.
         """
+        last = math.inf if limit is None else budget.nodes + limit
         n_cols, L, R, U, D, C = self.n_cols, self.L, self.R, self.U, self.D, self.C
         for c in range(n_cols + 1):
             L[c], R[c], U[c], D[c] = c - 1, c + 1, c, c
@@ -211,7 +216,7 @@ class _ExactCover:
         starts = self.starts
         for k, rid in enumerate(range(len(starts) - 1) if order is None else order):
             if k % 4096 == 4095 and not budget.check_time():
-                return None
+                return None, False
             first = node = starts[rid]
             while True:
                 h = C[node]
@@ -233,21 +238,21 @@ class _ExactCover:
             while r == C[r]:  # column exhausted: back up one level
                 self._uncover(r)
                 if not rows:
-                    return None
+                    return None, not budget.exhausted
                 r = rows.pop()
                 j = L[r]
                 while j != r:
                     self._uncover(C[j])
                     j = L[j]
                 r = D[r]
-            if not budget.tick():
-                return None
+            if not budget.tick() or budget.nodes >= last:
+                return None, False
             rows.append(r)
             j = R[r]
             while j != r:
                 self._cover(C[j])
                 j = R[j]
-        return [bisect.bisect_right(starts, r) - 1 for r in rows]
+        return [bisect.bisect_right(starts, r) - 1 for r in rows], True
 
 
 # ---------------------------------------------------------------------------
@@ -462,9 +467,9 @@ def tight_search(m: int, config: SearchConfig | None = None) -> SearchOutcome:
     if verts is None:
         return SearchOutcome(None, 0, False, budget.nodes, budget.elapsed())
     rows = [tuple(sorted(d - 1 for d in supp)) for _, supp in verts]
-    picked = _ExactCover(m - 1, rows, budget).solve(budget)
+    picked, complete = _ExactCover(m - 1, rows, budget).solve(budget)
     if picked is None:
-        return SearchOutcome(None, 0, not budget.exhausted, budget.nodes, budget.elapsed())
+        return SearchOutcome(None, 0, complete, budget.nodes, budget.elapsed())
     gens = sorted(verts[i][0] for i in picked)
     return _witness(Code(params, [_triple(m, a) for a in gens]), True, budget)
 
@@ -532,17 +537,12 @@ def _gdd_exact_cover(u: int, m: int, budget: _Budget, rng) -> list[Codeword] | N
     while _shuffle(order, rng, budget):
         # the first slice costs about as much as threading the rows and each
         # later one doubles, so threading never dominates and an unlucky order
-        # is dropped early; no restart outlives the caller's node or time budget
-        nodes_left = budget.node_budget - budget.nodes
-        # the clock may have passed the deadline since `_shuffle` last read it
-        time_left = max(budget.deadline - time.monotonic(), 0.0)
-        slice_budget = _Budget(SearchConfig(time_left, min(len(order) << restart, nodes_left)))
+        # is dropped early
+        picked, complete = cover.solve(budget, order, len(order) << restart)
         restart += 1
-        picked = cover.solve(slice_budget, order)
-        budget.tick(slice_budget.nodes)
         if picked is not None:
             return [_gdd_block(triples, m, c) for c in picked]
-        if not slice_budget.exhausted:
+        if complete:
             return None  # the whole tree is searched: no cover exists
     return None
 

@@ -47,8 +47,11 @@ class VerificationReport:
 class CompositionCensus:
     """Counts of codewords by row pattern and pure-difference support size.
 
-    alpha2 is nonzero only for codes that already break the lambda_a <= 2
-    autocorrelation cap (third-period codewords); it keeps the census total.
+    Every field but the totals alpha and beta is named by the
+    `classify_codeword` label it counts, so a census is built from its label
+    counts as they are.  alpha2 is nonzero only for codes that already break
+    the lambda_a <= 2 autocorrelation cap (third-period codewords); it keeps
+    the census total.
     """
 
     alpha: int = 0
@@ -65,7 +68,10 @@ class CompositionCensus:
 
 @dataclass(frozen=True)
 class ParityCensus:
-    """Seven-way odd / singly-even / doubly-even census of single-row codewords."""
+    """Seven-way odd / singly-even / doubly-even census of single-row codewords.
+
+    The fields, in order, count the `parity_class` labels i to vii.
+    """
 
     c_o: int = 0
     c_e: int = 0
@@ -241,19 +247,8 @@ def composition_census(code: Code) -> CompositionCensus:
     if code.params.k != 3:
         raise ValueError("composition census is defined for weight-3 codes")
     counts = Counter(classify_codeword(cw, code.params) for cw in code.codewords)
-    alphas = {s: counts.get(f"alpha{s}", 0) for s in (2, 3, 4, 5, 6)}
-    return CompositionCensus(
-        alpha=sum(alphas.values()),
-        alpha2=alphas[2],
-        alpha3=alphas[3],
-        alpha4=alphas[4],
-        alpha5=alphas[5],
-        alpha6=alphas[6],
-        beta=counts.get("beta1", 0) + counts.get("beta2", 0),
-        beta1=counts.get("beta1", 0),
-        beta2=counts.get("beta2", 0),
-        gamma=counts.get("gamma", 0),
-    )
+    alpha = sum(c for label, c in counts.items() if label.startswith("alpha"))
+    return CompositionCensus(alpha=alpha, beta=counts["beta1"] + counts["beta2"], **counts)
 
 
 def parity_census(code: Code) -> ParityCensus:
@@ -266,15 +261,7 @@ def parity_census(code: Code) -> ParityCensus:
         if len(codeword_rows(cw)) != 1:
             raise ValueError("parity census needs single-row codewords")
         counts[parity_class(cw, m)] += 1
-    return ParityCensus(
-        c_o=counts.get("i", 0),
-        c_e=counts.get("ii", 0),
-        c_d=counts.get("iii", 0),
-        n_oe=counts.get("iv", 0),
-        n_od=counts.get("v", 0),
-        n_e=counts.get("vi", 0),
-        n_d=counts.get("vii", 0),
-    )
+    return ParityCensus(*(counts[label] for label in ("i", "ii", "iii", "iv", "v", "vi", "vii")))
 
 
 def structural_facts(code: Code) -> StructuralFacts:

@@ -170,6 +170,11 @@ class TestTightAdmissible:
         failed = {c.prime for c in rep.factors if not c.satisfied}
         assert failed == {7}
 
+    def test_three_mod_twelve_matches_its_third(self):
+        # psi_e_exact names the tight 3 (mod 12) branch from tight_admissible(r) alone
+        for r in range(3, 200_000, 12):
+            assert tight_admissible(r).admissible is tight_admissible(r // 3).admissible, r
+
 
 class TestInS:
     @pytest.mark.parametrize("s,expected", [(5, True), (13, True), (3, False), (1, True),
