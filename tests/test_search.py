@@ -4,7 +4,9 @@ import inspect
 import itertools
 import sys
 import time
+from dataclasses import replace
 from math import comb
+from types import SimpleNamespace
 from unittest import mock
 
 import pytest
@@ -524,6 +526,61 @@ class TestDepthBeyondTheRecursionLimit:
     def test_three_row_construction_through_the_tight_search(self):
         result = ooc_3xm(15892)
         assert len(result.code.codewords) == phi_exact(3, 15892).value
+
+
+_EVERY_SEARCH = {
+    "optimal 2x10": lambda c: optimal_search(2, 10, 2, c),
+    "equi 103": lambda c: equi_search(103, 2, c),
+    "equi 61 relaxed": lambda c: equi_search(61, 3, c),
+    "tight 8005": lambda c: tight_search(8005, c),
+    "gdd 4x8 exact cover": lambda c: gdd_search(4, 8, c),
+    "gdd 4x8 hill climb": lambda c: gdd_search(4, 8, replace(c, strategy=HILL_CLIMB)),
+}
+
+_UNPROVEN = [(1, False, 0), (1, False, 0), (17, False, 0), (400, False, 0)]
+
+
+@pytest.mark.parametrize(
+    "name, outcomes",
+    [
+        ("optimal 2x10", [(1, False, 0), (1, False, 0), (17, False, 7), (400, False, 7)]),
+        ("equi 103", [(1, False, 0), (1, False, 0), (17, False, 16), (400, False, 23)]),
+        ("equi 61 relaxed", [(1, False, 0), (1, False, 0), (17, False, 14), (178, True, 15)]),
+        ("tight 8005", _UNPROVEN),
+        ("gdd 4x8 exact cover", _UNPROVEN),
+        ("gdd 4x8 hill climb", _UNPROVEN),
+    ],
+)
+def test_node_budget_outcomes_of_every_search(name, outcomes):
+    # (nodes, proven_optimal, best_size) at node budgets 0, 1, 17 and 400: a
+    # budget N stops a search at its max(N, 1)-th node, so a zero budget
+    # counts the node it stops at
+    runs = [_EVERY_SEARCH[name](SearchConfig(node_budget=n, seed=0)) for n in (0, 1, 17, 400)]
+    assert [(out.nodes, out.proven_optimal, out.best_size) for out in runs] == outcomes
+
+
+_SETUPS = {
+    "optimal 6x60": lambda: optimal_search(6, 60),
+    "equi 400001": lambda: equi_search(400_001),
+    "tight 400001": lambda: tight_search(400_001),
+    **{
+        f"gdd {u}x{m} {s}": functools.partial(gdd_search, u, m, SearchConfig(strategy=s))
+        for u, m in ((40, 8), (6, 40))
+        for s in (EXACT_COVER, HILL_CLIMB)
+    },
+}
+
+
+@pytest.mark.parametrize("name", list(_SETUPS))
+def test_a_clock_past_the_deadline_stops_every_setup(name, monkeypatch):
+    # the deterministic form of the wall-clock setup tests: the clock reads 0
+    # when the budget starts and is past its deadline at every later read
+    reads = itertools.chain([0.0], itertools.repeat(float("inf")))
+    monkeypatch.setattr(search, "time", SimpleNamespace(monotonic=functools.partial(next, reads)))
+    start = time.monotonic()
+    out = _SETUPS[name]()
+    assert time.monotonic() - start < 0.5
+    assert (out.best_size, out.proven_optimal, out.nodes) == (0, False, 0)
 
 
 def test_public_functions_are_the_four_searches():
