@@ -103,30 +103,41 @@ class GddBaseBlocks:
         return GddBaseBlocks(m, [list(g) for g in self.groups], blocks)
 
 
+class _Spent(Exception):
+    """The budget of a search call ran out; only `_Budget` raises it."""
+
+
 class _Budget:
-    """Node and wall-clock budget shared by a search call."""
+    """Node and wall-clock budget of a search call, setup included: `tick`,
+    `check` and `paced` raise `_Spent` once it runs out."""
 
     def __init__(self, config: SearchConfig):
         self.t0 = time.monotonic()
         self.deadline = self.t0 + config.time_budget
         self.node_budget = config.node_budget
         self.nodes = 0
-        self.exhausted = False
 
-    def tick(self) -> bool:
+    def tick(self) -> None:
         """Count a node; the clock is read on the first tick, then once per 16."""
         self.nodes += 1
         if self.nodes >= self.node_budget:
-            self.exhausted = True
-        elif (self.nodes % 16 == 0 or self.nodes == 1) and time.monotonic() > self.deadline:
-            self.exhausted = True
-        return not self.exhausted
+            raise _Spent
+        if self.nodes % 16 == 0 or self.nodes == 1:
+            self.check()
 
-    def check_time(self) -> bool:
-        """Read the clock without counting a node; False once the budget is spent."""
+    def check(self) -> None:
+        """Read the clock without counting a node."""
         if time.monotonic() > self.deadline:
-            self.exhausted = True
-        return not self.exhausted
+            raise _Spent
+
+    def paced(self, items: Iterable) -> Iterator:
+        """The items of a setup loop, with a `check` before item 1024, 2048, ..."""
+        it = iter(items)
+        yield from itertools.islice(it, 1023)
+        for item in it:
+            self.check()
+            yield item
+            yield from itertools.islice(it, 1023)
 
     def elapsed(self) -> float:
         return time.monotonic() - self.t0
@@ -139,9 +150,8 @@ class _Budget:
 
 class _ExactCover:
     """Array-based dancing links; rows are tuples of column indices.  Their
-    nodes are built once, reading the clock once per 4096 rows (a spent budget
-    stops the build there), and each `solve` threads them afresh, so one matrix
-    serves every restart, a half-covered one left by a spent budget too."""
+    nodes are built once and each `solve` threads them afresh, so one matrix
+    serves every restart."""
 
     def __init__(self, n_cols: int, rows: Iterable[tuple[int, ...]], budget: _Budget):
         self.n_cols = n_cols
@@ -152,9 +162,7 @@ class _ExactCover:
         self.sizes = sizes = [0] * (n_cols + 1)
         self.starts = starts = []  # first node of each row, then the end
         node = n_cols + 1
-        for rid, cols in enumerate(rows):
-            if rid % 4096 == 4095 and not budget.check_time():
-                break
+        for cols in budget.paced(rows):
             ids = list(range(node, node + len(cols)))
             starts.append(node)
             L += ids[-1:] + ids[:-1]
@@ -199,13 +207,12 @@ class _ExactCover:
     ) -> tuple[list[int] | None, bool]:
         """(first solution as row ids or None, whether the search is complete).
 
-        Each node ticks `budget`; a spent budget or the `limit`-th node of this
-        call stops the search incomplete.  A search of the whole tree is
-        complete, a proof that no solution exists, unless the budget was spent
-        before the call: its build may have left rows out.  Each column's rows
-        are threaded top to bottom in `order` (default: as built), reading the
-        clock once per 4096 rows, then Algorithm X runs with an explicit level
-        stack (Knuth, TAOCP 7.2.2.1): `rows` holds the row node tried at each level.
+        Each node ticks `budget`; the `limit`-th node of this call stops the
+        search incomplete.  A search of the whole tree is complete, a proof
+        that no solution exists.  Each column's rows are threaded top to
+        bottom in `order` (default: as built), then Algorithm X runs with an
+        explicit level stack (Knuth, TAOCP 7.2.2.1): `rows` holds the row node
+        tried at each level.
         """
         last = math.inf if limit is None else budget.nodes + limit
         n_cols, L, R, U, D, C = self.n_cols, self.L, self.R, self.U, self.D, self.C
@@ -214,9 +221,7 @@ class _ExactCover:
         L[0], R[n_cols] = n_cols, 0
         self.S = S = self.sizes.copy()
         starts = self.starts
-        for k, rid in enumerate(range(len(starts) - 1) if order is None else order):
-            if k % 4096 == 4095 and not budget.check_time():
-                return None, False
+        for rid in budget.paced(range(len(starts) - 1) if order is None else order):
             first = node = starts[rid]
             while True:
                 h = C[node]
@@ -238,14 +243,15 @@ class _ExactCover:
             while r == C[r]:  # column exhausted: back up one level
                 self._uncover(r)
                 if not rows:
-                    return None, not budget.exhausted
+                    return None, True
                 r = rows.pop()
                 j = L[r]
                 while j != r:
                     self._uncover(C[j])
                     j = L[j]
                 r = D[r]
-            if not budget.tick() or budget.nodes >= last:
+            budget.tick()
+            if budget.nodes >= last:
                 return None, False
             rows.append(r)
             j = R[r]
@@ -325,31 +331,33 @@ def _max_packing(
     # root; a frame is done when even its capacity cannot beat best
     chosen: list[int] = []
     stack = [[(1 << size) - 1, capacity(pure_capacity, mixed_capacity), pure_capacity, mixed_capacity]]
-    while stack:
-        frame = stack[-1]
-        cands, cap, p_free, q_free = frame
-        left = cands.bit_count()  # at most min(left, cap) more can be chosen
-        if len(chosen) + (left if left < cap else cap) <= len(best):
-            stack.pop()
-            if chosen:
-                chosen.pop()
-            continue
-        if not budget.tick():
-            return best, False
-        low = cands & -cands
-        frame[0] = cands ^ low
-        ci = low.bit_length() - 1
-        row = rows[ci]
-        if row is None:
-            mask = masks[ci]
-            flags = bytes([not mask & other for other in later[: size - 1 - ci]])
-            rows[ci] = row = int(flags.translate(_DIGITS) or b"0", 2) << (ci + 1)
-        chosen.append(ci)
-        if len(chosen) > len(best):
-            best = chosen.copy()
-        p_free -= usage[ci][0]
-        q_free -= usage[ci][1]
-        stack.append([cands & row, capacity(p_free, q_free), p_free, q_free])
+    try:
+        while stack:
+            frame = stack[-1]
+            cands, cap, p_free, q_free = frame
+            left = cands.bit_count()  # at most min(left, cap) more can be chosen
+            if len(chosen) + (left if left < cap else cap) <= len(best):
+                stack.pop()
+                if chosen:
+                    chosen.pop()
+                continue
+            budget.tick()
+            low = cands & -cands
+            frame[0] = cands ^ low
+            ci = low.bit_length() - 1
+            row = rows[ci]
+            if row is None:
+                mask = masks[ci]
+                flags = bytes([not mask & other for other in later[: size - 1 - ci]])
+                rows[ci] = row = int(flags.translate(_DIGITS) or b"0", 2) << (ci + 1)
+            chosen.append(ci)
+            if len(chosen) > len(best):
+                best = chosen.copy()
+            p_free -= usage[ci][0]
+            q_free -= usage[ci][1]
+            stack.append([cands & row, capacity(p_free, q_free), p_free, q_free])
+    except _Spent:
+        return best, False
     return best, True
 
 
@@ -383,16 +391,15 @@ def optimal_search(
     budget = _Budget(config)
     params = CodeParams(n, m, 3, lambda_a, 1)
     candidates, masks, usage = [], [], []
-    for idx, cw in enumerate(_orbit_representatives(n, m, 3)):
-        # the clock is read once per 1024 candidates and adds no nodes, so a
-        # search that finishes reports the same outcome as without the check
-        if idx % 1024 == 1023 and not budget.check_time():
-            return _witness(Code(params, []), False, budget)
-        mask, p, q, peak = _codeword_mask(cw, n, m)
-        if peak <= lambda_a:
-            candidates.append(cw)
-            masks.append(mask)
-            usage.append((p, q))
+    try:
+        for cw in budget.paced(_orbit_representatives(n, m, 3)):
+            mask, p, q, peak = _codeword_mask(cw, n, m)
+            if peak <= lambda_a:
+                candidates.append(cw)
+                masks.append(mask)
+                usage.append((p, q))
+    except _Spent:
+        return _witness(Code(params, []), False, budget)
     chosen, complete = _max_packing(masks, usage, n * (m // 2), n * (n - 1) // 2 * m, budget)
     return _witness(Code(params, [candidates[i] for i in chosen]), complete, budget)
 
@@ -409,19 +416,14 @@ def _triple(m: int, a: int) -> Codeword:
     return make_codeword(((0, 0), (0, a % m), (0, 2 * a % m)))
 
 
-def _equi_vertices(
-    m: int, lambda_a: int, budget: _Budget
-) -> list[tuple[int, frozenset[int]]] | None:
+def _equi_vertices(m: int, lambda_a: int, budget: _Budget) -> list[tuple[int, frozenset[int]]]:
     """Generators of distinct {0, a, 2a} difference supports, smallest first.
 
     A generator is dropped when its codeword's autocorrelation peak exceeds
-    lambda_a: three at 3a = 0 (mod m), else two.  The clock is read once per
-    1024 generators and counts no node; None once the budget is spent.
+    lambda_a: three at 3a = 0 (mod m), else two.
     """
     by_support: dict[frozenset[int], int] = {}
-    for a in range(1, m):
-        if a % 1024 == 0 and not budget.check_time():
-            return None
+    for a in budget.paced(range(1, m)):
         if (2 * a) % m == 0 or (3 if (3 * a) % m == 0 else 2) > lambda_a:
             continue
         supp = frozenset({a, m - a, (2 * a) % m, (m - 2 * a) % m})
@@ -438,15 +440,12 @@ def equi_search(m: int, lambda_a: int = 2, config: SearchConfig | None = None) -
     params = CodeParams(1, m, 3, lambda_a, 1)  # rejects lambda_a < 1 before the search
     config = config or SearchConfig()
     budget = _Budget(config)
-    verts = _equi_vertices(m, lambda_a, budget)
-    if verts is None:
+    try:
+        verts = _equi_vertices(m, lambda_a, budget)
+        # the masks grow as m^2, so their build is paced as the walk is
+        masks = [sum(1 << d for d in supp) for _, supp in budget.paced(verts)]
+    except _Spent:
         return _witness(Code(params, []), False, budget)
-    masks = []
-    for i, (_, supp) in enumerate(verts):
-        # the masks grow as m^2, so their build reads the clock as the walk does
-        if i % 1024 == 1023 and not budget.check_time():
-            return _witness(Code(params, []), False, budget)
-        masks.append(sum(1 << d for d in supp))
     # every support holds at least two of the m - 1 differences, so the p/2
     # rate bound of _max_packing never prunes below free // (smallest support)
     usage = [(len(supp), 0) for _, supp in verts]
@@ -463,11 +462,12 @@ def tight_search(m: int, config: SearchConfig | None = None) -> SearchOutcome:
     params = CodeParams(1, m, 3, 3, 1)  # rejects m < 1 before the search
     config = config or SearchConfig()
     budget = _Budget(config)
-    verts = _equi_vertices(m, 3, budget)
-    if verts is None:
-        return SearchOutcome(None, 0, False, budget.nodes, budget.elapsed())
-    rows = [tuple(sorted(d - 1 for d in supp)) for _, supp in verts]
-    picked, complete = _ExactCover(m - 1, rows, budget).solve(budget)
+    try:
+        verts = _equi_vertices(m, 3, budget)
+        rows = [tuple(sorted(d - 1 for d in supp)) for _, supp in verts]
+        picked, complete = _ExactCover(m - 1, rows, budget).solve(budget)
+    except _Spent:
+        picked, complete = None, False
     if picked is None:
         return SearchOutcome(None, 0, complete, budget.nodes, budget.elapsed())
     gens = sorted(verts[i][0] for i in picked)
@@ -486,16 +486,13 @@ def _gdd_candidates(u: int, m: int, budget: _Budget):
     with difference d.  Candidate (t*m + x2)*m + x3 is the normalized base
     block {(r1, 0), (r2, x2), (r3, x3)} on row triple t, three rows in
     distinct groups; its classes are the offsets of (r1, r2), (r1, r3) and
-    (r2, r3) plus x2, x3 and x3 - x2 (mod m).  The clock is read once per
-    1024 group triples, and a spent budget cuts the lists short there.
+    (r2, r3) plus x2, x3 and x3 - x2 (mod m).
     """
     n = 3 * u
     pairs = [(i, j) for i in range(n) for j in range(i + 1, n) if i // 3 != j // 3]
     pair_id = {pr: p for p, pr in enumerate(pairs)}
     triples, offsets = [], []
-    for k, groups in enumerate(itertools.combinations(range(u), 3)):
-        if k % 1024 == 1023 and not budget.check_time():
-            break
+    for groups in budget.paced(itertools.combinations(range(u), 3)):
         batch = list(itertools.product(*(range(3 * g, 3 * g + 3) for g in groups)))
         triples += batch
         offsets += [(pair_id[a, b] * m, pair_id[a, c] * m, pair_id[b, c] * m) for a, b, c in batch]
@@ -507,16 +504,12 @@ def _gdd_block(triples: list[tuple[int, int, int]], m: int, c: int) -> Codeword:
     return (r1, 0), (r2, x2), (r3, x3)
 
 
-def _shuffle(order: list[int], rng: random.Random, budget: _Budget) -> bool:
-    """`rng.shuffle(order)`, draw for draw, reading the clock once per 4096
-    swaps; False, with `order` part shuffled, once the budget is spent."""
+def _shuffle(order: list[int], rng: random.Random, budget: _Budget) -> None:
+    """`rng.shuffle(order)`, draw for draw."""
     randbelow = rng._randbelow  # the draws random.shuffle makes
-    for i in reversed(range(1, len(order))):
-        if i % 4096 == 0 and not budget.check_time():
-            return False
+    for i in budget.paced(reversed(range(1, len(order)))):
         j = randbelow(i + 1)
         order[i], order[j] = order[j], order[i]
-    return budget.check_time()
 
 
 def _gdd_exact_cover(u: int, m: int, budget: _Budget, rng) -> list[Codeword] | None:
@@ -530,24 +523,20 @@ def _gdd_exact_cover(u: int, m: int, budget: _Budget, rng) -> list[Codeword] | N
                     yield c12 + x2, c13 + x3, c23 + (x3 - x2) % m
 
     cover = _ExactCover(len(pairs) * m, rows(), budget)
-    if budget.exhausted:
-        return None
     order = list(range(len(triples) * m * m))
-    restart = 0
-    while _shuffle(order, rng, budget):
+    for restart in itertools.count():
+        _shuffle(order, rng, budget)
         # the first slice costs about as much as threading the rows and each
         # later one doubles, so threading never dominates and an unlucky order
         # is dropped early
         picked, complete = cover.solve(budget, order, len(order) << restart)
-        restart += 1
         if picked is not None:
             return [_gdd_block(triples, m, c) for c in picked]
         if complete:
             return None  # the whole tree is searched: no cover exists
-    return None
 
 
-def _gdd_hill_climb(u: int, m: int, budget: _Budget, rng) -> list[Codeword] | None:
+def _gdd_hill_climb(u: int, m: int, budget: _Budget, rng) -> list[Codeword]:
     """Min-conflicts hill climb (Minton et al., 1992) on `_gdd_candidates`.
 
     A greedy start places as many blocks as a design has; each move adds a
@@ -607,20 +596,20 @@ def _gdd_hill_climb(u: int, m: int, budget: _Budget, rng) -> list[Codeword] | No
             elif cov[c] == 1:
                 overcovered.discard(c)
 
-    while not budget.exhausted:
+    while True:
         cov = [0] * n_classes
         chosen: dict[int, tuple[int, int, int]] = {}  # placed blocks and their classes
         uncovered = set(range(n_classes))
         overcovered: set[int] = set()
         # greedy start: favour blocks whose classes are all uncovered
         for _ in range(target):
-            if not budget.check_time():
-                return None
+            budget.check()
             add(pick(covering(rng.choice(tuple(uncovered))), 0, max))
 
         stall = 0
         best_deficit = len(uncovered)
-        while uncovered and budget.tick():
+        while uncovered:
+            budget.tick()
             cands = covering(rng.choice(tuple(uncovered)))
             add(rng.choice(cands) if rng.random() < 0.02 else pick(cands, 0, max))
             oid = rng.choice(tuple(overcovered))
@@ -635,7 +624,6 @@ def _gdd_hill_climb(u: int, m: int, budget: _Budget, rng) -> list[Codeword] | No
                     break  # restart from a fresh greedy state
         if not uncovered:
             return [_gdd_block(triples, m, b) for b in chosen]
-    return None
 
 
 def gdd_search(u: int, m: int, config: SearchConfig | None = None) -> SearchOutcome:
@@ -647,17 +635,18 @@ def gdd_search(u: int, m: int, config: SearchConfig | None = None) -> SearchOutc
     """
     if u < 3:
         raise ValueError(f"need at least u = 3 groups, got {u}")
+    if m < 1:
+        raise ValueError(f"need m >= 1, got {m}")
     config = config or SearchConfig()
     budget = _Budget(config)
     if not gdd_exists(3, u, m):
         return SearchOutcome(None, 0, True, 0, budget.elapsed())
-    rng = random.Random(config.seed)
-    if config.strategy == HILL_CLIMB:
-        blocks = _gdd_hill_climb(u, m, budget, rng)
-        proven = False
-    else:
-        blocks = _gdd_exact_cover(u, m, budget, rng)
-        proven = blocks is not None or not budget.exhausted
+    proven = config.strategy != HILL_CLIMB  # the hill climb only hunts for a witness
+    search = _gdd_exact_cover if proven else _gdd_hill_climb
+    try:
+        blocks = search(u, m, budget, random.Random(config.seed))
+    except _Spent:
+        blocks, proven = None, False
     if blocks is None:
         return SearchOutcome(None, 0, proven, budget.nodes, budget.elapsed())
     gdd = GddBaseBlocks(m, [[3 * t, 3 * t + 1, 3 * t + 2] for t in range(u)], sorted(blocks))

@@ -253,6 +253,14 @@ class TestCliBoundSearchCatalog:
         assert captured.out == ""
         assert captured.err == f"error: need n, m >= 1, got n=1, m={m}\n"
 
+    @pytest.mark.parametrize("m", ["0", "-5"])
+    def test_search_gdd_rejects_lengths_below_one(self, capsys, m):
+        # names only the flags `search gdd` takes, not the group size v = 3
+        assert main(["search", "gdd", "--u", "3", "--m", m]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: need m >= 1, got {m}\n"
+
     @pytest.mark.parametrize(
         "argv,m",
         [
