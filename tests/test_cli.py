@@ -203,6 +203,33 @@ class TestCliConstructVerify:
         assert main(["verify", str(path)]) == 2
         capsys.readouterr()
 
+    @pytest.mark.parametrize(
+        "doc,message",
+        [
+            ("[]", "document must be a JSON object"),
+            ('{"schema_version": "1"}', "missing params object"),
+            (
+                '{"schema_version": "1", "params": {"n": 0, "m": 8}}',
+                "bad params: need n, m >= 1, got n=0, m=8",
+            ),
+            (
+                '{"schema_version": "1", "params": {"n": 1, "m": 8}, "codewords": {}}',
+                "codewords must be a list",
+            ),
+            (
+                '{"schema_version": "1", "params": {"n": 1, "m": 8},'
+                ' "codewords": [[[0, 1], [0, 1], [0, 2]]]}',
+                "bad codeword [[0, 1], [0, 1], [0, 2]]: "
+                "duplicate cells in codeword: ((0, 1), (0, 1), (0, 2))",
+            ),
+        ],
+    )
+    def test_verify_stdin_rejects_a_bad_document(self, capsys, monkeypatch, doc, message):
+        monkeypatch.setattr("sys.stdin", io.StringIO(doc))
+        assert main(["verify", "-"]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.splitlines() == [f"error: {message}"]
+
 
 class TestCliBoundSearchCatalog:
     def test_bound_phi(self, capsys):

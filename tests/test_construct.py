@@ -139,6 +139,56 @@ class TestQuadruple:
         with pytest.raises(ValueError):
             quadruple(explicit_code("1d48"))
 
+    def test_carrier_size_is_claimed_apart_from_the_built_code(self, monkeypatch):
+        inner = tight_derived(13, 0)
+        tower = construct._tower
+
+        def one_generator_short(*args):
+            gens, leave = tower(*args)
+            return gens[:-1], leave
+
+        monkeypatch.setattr(construct, "_tower", one_generator_short)
+        with pytest.raises(VerificationFailure) as info:
+            quadruple(inner)
+        assert str(info.value) == "quadruple: built 9 codewords, claimed 10"
+
+
+@pytest.mark.parametrize(
+    "args,message",
+    [
+        (["tight", "--r", "4"], "family needs odd r >= 1, got 4"),
+        (["tight", "--r", "13", "--s", "-1"], "need s >= 0, got -1"),
+        (["gregular4g", "--g", "0"], "need g >= 1, got 0"),
+    ],
+)
+def test_construct_rejects_a_parameter_out_of_range(capsys, args, message):
+    assert main(["construct", *args]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.splitlines() == [f"error: {message}"]
+
+
+@pytest.mark.parametrize(
+    "call,error,message",
+    [
+        (lambda: equi_power4(1, 6, "x"), UnsupportedParameterError, "unknown variant 'x'"),
+        (
+            lambda: fill_regular(explicit_code("1d48"), tight_derived(1, 0)),
+            ValueError,
+            "filling requires equi-difference inputs",
+        ),
+        (
+            lambda: expand_gdd(gdd_search(3, 3).best, []),
+            ValueError,
+            "no input code with 3 rows for group [0, 1, 2]",
+        ),
+    ],
+    ids=["unknown-variant", "fill-non-equi-difference", "expand-missing-rows"],
+)
+def test_library_rejects_an_input_it_has_no_code_for(call, error, message):
+    with pytest.raises(error) as info:
+        call()
+    assert type(info.value) is error and str(info.value) == message
+
 
 class TestEquiPower4:
     def test_standard_base(self):

@@ -2,7 +2,8 @@
 
 A line of the form `oockit A | oockit verify -` feeds the stdout of A to
 `verify -` on stdin; every command must exit 0.  The exit-code sentence
-names every code `main` can return.
+names every code `main` can return, and the family table names the CLI
+families and the explicit code ids.
 """
 
 import contextlib
@@ -13,7 +14,8 @@ from pathlib import Path
 
 import pytest
 
-from oockit.cli import EXIT_OK, EXIT_VERIFY_FAIL, FAILURES, main
+from oockit.cli import EXIT_OK, EXIT_VERIFY_FAIL, FAILURES, FAMILIES, main
+from oockit.construct import EXPLICIT_IDS
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -53,3 +55,12 @@ def test_readme_command_exits_0(line):
     for command in line.split(" | "):
         code, piped = _run(command, piped)
         assert code == 0, command
+
+
+def test_family_table_matches_the_cli_and_the_explicit_ids():
+    text = README.read_text(encoding="utf-8")
+    rows = re.search(r"\| family \| parameters \| output \|\n(?:\|.*\n)+", text).group(0)
+    assert re.findall(r"^\| `([^`]+)` \|", rows, re.M) == list(FAMILIES)
+    assert tuple(re.search(r"--id \{([^}]*)\}", rows).group(1).split(",")) == EXPLICIT_IDS
+    lengths = re.search(r"m in \{([^}]*)\} is an explicit code", rows).group(1)
+    assert [f"3x{m}" for m in lengths.split(", ")] == [i for i in EXPLICIT_IDS if i[:2] == "3x"]
