@@ -2,17 +2,18 @@
 
 Private builders do not verify what they return.  Each public family
 verifies the code it returns once and asserts its claimed size (and, for
-1-D codes, its claimed difference leave); internal stages are not verified
-on their own.
+1-D codes, its claimed difference leave).
 The optimal families claim the exact size from `bounds` (psi_e_exact or
-phi_exact) and build in the class it names, so no residue rule is written
-twice; a family rejects the classes it has no code for by that name.
+phi_exact).  The two-row, three-row, nxm and tight-derived families
+dispatch on the class it names and reject a class they have no code for
+by that name; `equi_2mod4` and `equi_power4` test m and r mod 4
+themselves, and `prime_derived` tests primality through `me_prime`.
 The final code holds every stage's codewords scaled by a power of 4, and
 scaling maps differences injectively, so a faulty stage fails that check.
 A 1-D tower is a generator list and a claimed leave until then: `_equi(m)`
 takes both from the base on Z_r, m = 4^s r, through s quadrupling steps
-of `_tower`, and each codeword is made once, from its generator, by
-`_one_row_code` or `_place_on_rows`.
+of `_tower`.  `_place_on_rows` makes the codeword {0, a, 2a} of each
+generator a, once; quadrupling fills the g-regular carrier by `_fill`.
 A mismatch raises VerificationFailure rather than repairing anything
 silently, so transcription slips cannot leak out as codes.
 """
@@ -31,7 +32,7 @@ from .core import (
     VerificationFailure,
     make_codeword,
 )
-from .search import GddBaseBlocks, SearchConfig, _triple, gdd_search
+from .search import GddBaseBlocks, SearchConfig, gdd_search
 from .verify import difference_leave, structural_facts, verify_code
 
 
@@ -73,9 +74,14 @@ def _odds(lo: int, hi: int) -> list[int]:
     return list(range(start, hi + 1, 2))
 
 
+def _place_on_rows(m: int, gens, rows) -> list[Codeword]:
+    """The codeword {0, a, 2a} of Z_m for each generator a, on each of these rows."""
+    return [make_codeword(((x, 0), (x, a), (x, 2 * a % m))) for x in rows for a in gens]
+
+
 def _one_row_code(m: int, generators) -> Code:
     """The code on Z_m with one codeword {0, a, 2a} per generator a."""
-    return Code(CodeParams(1, m, 3, 2, 1), [_triple(m, a) for a in generators])
+    return Code(CodeParams(1, m, 3, 2, 1), _place_on_rows(m, generators, [0]))
 
 
 def _add(cws: list[Codeword], m: int, *cells) -> None:
@@ -128,59 +134,52 @@ def g_regular_4g(g: int) -> ConstructionResult:
     return _finalize(_one_row_code(4 * g, gens), (g + 1) // 2, leave, "gregular/4g")
 
 
-def _fill_code(outer: Code, inner: Code) -> Code:
-    """The outer codewords plus the inner ones scaled by m/g."""
+def _fill(outer, size, leave, inner, branch) -> ConstructionResult:
+    """Fill the order-g subgroup of a g-regular code on Z_m with a code on Z_g.
+
+    The caller claims the outer code's size and leave.  Adds the inner
+    codewords scaled by w = m/g and claims both sizes summed, with the outer
+    leave outside the subgroup plus the scaled inner leave.
+    """
+    if not inner.verified:
+        raise ValueError("filling requires verified inputs")
+    inner_facts = structural_facts(inner.code)
+    if not inner_facts.is_equi_difference:
+        raise ValueError("filling requires equi-difference inputs")
     m = outer.params.m
-    w = m // inner.params.m
-    scaled = [make_codeword(((0, (w * s) % m) for _, s in cw)) for cw in inner.codewords]
-    lam = max(outer.params.lambda_a, inner.params.lambda_a)
-    return Code(CodeParams(1, m, 3, lam, 1), list(outer.codewords) + scaled)
+    w = m // inner.code.params.m
+    scaled = [make_codeword((0, w * s) for _, s in cw) for cw in inner.code.codewords]
+    lam = max(outer.params.lambda_a, inner.code.params.lambda_a)
+    code = Code(CodeParams(1, m, 3, lam, 1), list(outer.codewords) + scaled)
+    leave = set(leave) - set(range(w, m, w)) | {w * d for d in inner_facts.difference_leave}
+    return _finalize(code, size + inner.code.size(), leave, branch)
 
 
 def fill_regular(outer: ConstructionResult, inner: ConstructionResult) -> ConstructionResult:
-    """Fill the untouched subgroup of a g-regular code with a code on Z_g.
-
-    Keeps the outer codewords and adds the inner ones scaled by m/g; the
-    leave is the outer leave outside the subgroup plus the scaled inner
-    leave.
-    """
-    if not (outer.verified and inner.verified):
+    """Fill the untouched subgroup of a g-regular code with a code on Z_g (`_fill`)."""
+    if not outer.verified:
         raise ValueError("filling requires verified inputs")
-    m = outer.code.params.m
-    g = inner.code.params.m
+    m, g = outer.code.params.m, inner.code.params.m
     if g >= m or m % g != 0:
         raise ValueError(f"inner length {g} must properly divide outer length {m}")
-    outer_facts = structural_facts(outer.code)
-    inner_facts = structural_facts(inner.code)
-    if g not in outer_facts.regular_subgroups:
+    facts = structural_facts(outer.code)
+    if g not in facts.regular_subgroups:
         raise ValueError(f"outer code is not {g}-regular")
-    if not (outer_facts.is_equi_difference and inner_facts.is_equi_difference):
+    if not facts.is_equi_difference:
         raise ValueError("filling requires equi-difference inputs")
-    w = m // g
-    subgroup = {w * t for t in range(1, g)}
-    leave = (set(outer_facts.difference_leave) - subgroup) | {
-        (w * d) % m for d in inner_facts.difference_leave
-    }
-    size = outer.code.size() + inner.code.size()
-    return _finalize(_fill_code(outer.code, inner.code), size, leave, f"fill/{g}regular")
+    return _fill(outer.code, outer.code.size(), facts.difference_leave, inner, f"fill/{g}regular")
 
 
 def quadruple(inner: ConstructionResult) -> ConstructionResult:
     """Blow an equi-difference code on Z_g up to Z_{4g}.
 
-    The carrier is the g-regular family on Z_{4g}; adds ceil(g/2) codewords
-    and turns the leave L into 4.L plus two odd intervals.
+    Fills the g-regular carrier on Z_{4g}, the ceil(g/2) codewords of
+    `g_regular_4g`, with the code (`_fill`); the leave L becomes 4.L plus two
+    odd intervals.
     """
-    if not inner.verified:
-        raise ValueError("quadrupling requires a verified input")
-    inner_facts = structural_facts(inner.code)
-    if not inner_facts.is_equi_difference:
-        raise ValueError("quadrupling requires an equi-difference input")
     g = inner.code.params.m
-    carrier, leave = _tower([], inner_facts.difference_leave, g, 1)
-    size = (g + 1) // 2 + inner.code.size()
-    code = _fill_code(_one_row_code(4 * g, carrier), inner.code)
-    return _finalize(code, size, leave, "quadruple")
+    carrier, leave = _tower([], range(1, g), g, 1)
+    return _fill(_one_row_code(4 * g, carrier), (g + 1) // 2, leave, inner, "quadruple")
 
 
 STANDARD = "standard"
@@ -332,7 +331,6 @@ _SLOTS_1D48 = [
 ]
 
 _CELLS_3X8 = [
-    ((0, 0), (0, 2), (0, 4)), ((1, 0), (1, 2), (1, 4)), ((2, 0), (2, 2), (2, 4)),
     ((0, 0), (0, 1), (1, 6)), ((0, 0), (0, 3), (1, 7)),
     ((1, 0), (1, 1), (2, 5)), ((1, 0), (1, 3), (2, 3)),
     ((0, 0), (2, 5), (2, 6)), ((0, 0), (2, 4), (2, 7)),
@@ -381,31 +379,27 @@ _PAIRS_3X52 = [
 EXPLICIT_IDS = ("1d48", "3x4", "3x8", "3x20", "3x32", "3x52")
 
 
-def _place_on_rows(m: int, gens) -> list[Codeword]:
-    """The 1-D code {0, a, 2a} on Z_m for each generator a, on each of three rows."""
-    return [make_codeword(((x, 0), (x, a), (x, 2 * a % m))) for x in range(3) for a in gens]
-
-
 def _explicit(code_id: str) -> Code:
     """Verbatim transcription of an individually listed code."""
     if code_id == "1d48":
         cws = [make_codeword((0, s) for s in slots) for slots in _SLOTS_1D48]
         return Code(CodeParams(1, 48, 3, 2, 1), cws)
     if code_id == "3x4":
-        cws = [make_codeword(((x, 0), (x, 1), (x, 2))) for x in range(3)]
+        cws = _place_on_rows(4, [1], range(3))
         cws += [make_codeword(((0, 0), (1, a), (2, b))) for a, b in _PAIRS_3X4]
     elif code_id == "3x8":
-        cws = [make_codeword(cells) for cells in _CELLS_3X8]
+        cws = _place_on_rows(8, [2], range(3))
+        cws += [make_codeword(cells) for cells in _CELLS_3X8]
     elif code_id == "3x20":
-        cws = _place_on_rows(20, _GENS_3X20)
+        cws = _place_on_rows(20, _GENS_3X20, range(3))
         cws += [make_codeword(cells) for cells in _MIDDLE_3X20]
         cws += [make_codeword(((0, 0), (1, a), (2, b))) for a, b in _PAIRS_3X20]
     elif code_id == "3x32":
-        cws = _place_on_rows(32, _GENS_3X32)
+        cws = _place_on_rows(32, _GENS_3X32, range(3))
         cws += [make_codeword(cells) for cells in _MIDDLE_3X32]
         cws += [make_codeword(((0, 0), (1, a), (2, b))) for a, b in _PAIRS_3X32]
     elif code_id == "3x52":
-        cws = _place_on_rows(52, _GENS_3X52)
+        cws = _place_on_rows(52, _GENS_3X52, range(3))
         cws += [make_codeword(((0, 0), (0, 1 + 2 * i), (1, 46 + i))) for i in range(6)]
         cws += [make_codeword(((1, 0), (1, 1 + 2 * i), (2, 46 + i))) for i in range(6)]
         cws += [make_codeword(((0, 0), (2, 45 - i), (2, 46 + i))) for i in range(6)]
@@ -434,15 +428,12 @@ def ooc_2xm(m: int) -> ConstructionResult:
         raise UnsupportedParameterError(
             f"m={m} is in class {phi.branch}, outside the two-row family"
         )
-    cws: list[Codeword] = []
     if phi.branch == "phi/two_rows_m4":
-        cws += [make_codeword(((x, 0), (x, 1), (x, 2))) for x in range(2)]
+        cws = _place_on_rows(4, [1], range(2))
         branch = "2xm/m4"
     elif m % 8 == 0:  # a split of the construction, not a class of the bound
-        for i in _odds(3, m // 4 - 1) + [m // 2 - 1]:
-            _add(cws, m, (0, 0), (0, i), (0, 2 * i))
-        for i in _odds(m // 4 + 1, m // 2 - 1):
-            _add(cws, m, (1, 0), (1, i), (1, 2 * i))
+        cws = _place_on_rows(m, _odds(3, m // 4 - 1) + [m // 2 - 1], [0])
+        cws += _place_on_rows(m, _odds(m // 4 + 1, m // 2 - 1), [1])
         for i in range(m // 8, m // 4 - 1):
             _add(cws, m, (0, 0), (0, 1 + 2 * i), (1, m // 4 - 1 + i))
         for i in range(m // 8):
@@ -454,10 +445,8 @@ def ooc_2xm(m: int) -> ConstructionResult:
         _add(cws, m, (0, 0), (0, 1), (1, 3 * m // 4 - 1))
         branch = "2xm/0mod8"
     else:
-        for i in _odds(m // 4 + 2, m // 2 - 3):
-            _add(cws, m, (0, 0), (0, i), (0, 2 * i))
-        for i in _odds(1, m // 4):
-            _add(cws, m, (1, 0), (1, i), (1, 2 * i))
+        cws = _place_on_rows(m, _odds(m // 4 + 2, m // 2 - 3), [0])
+        cws += _place_on_rows(m, _odds(1, m // 4), [1])
         for i in range((m - 4) // 8 + 1):
             if i == 1:
                 continue
@@ -471,7 +460,7 @@ def ooc_2xm(m: int) -> ConstructionResult:
         _add(cws, m, (0, 0), (0, m // 2 - 1), (1, m // 4 - 2))
         _add(cws, m, (0, 0), (0, 3), (1, 3 * m // 4))
         _add(cws, m, (0, 0), (0, m // 2), (1, 3 * m // 4 + 1))
-        _add(cws, m, (0, 0), (0, 2), (0, 4))
+        cws += _place_on_rows(m, [2], [0])
         branch = "2xm/4mod8"
     return _finalize(Code(CodeParams(2, m, 3, 2, 1), cws), phi.value, None, branch)
 
@@ -484,7 +473,7 @@ def ooc_2xm(m: int) -> ConstructionResult:
 def ooc_3xm(m: int) -> ConstructionResult:
     """Optimal three-row code in every class where `phi_exact(3, m)` is exact.
 
-    Explicit lists for m in {4, 8, 20, 32, 52}; general families for
+    Explicit lists at the `3x` lengths of EXPLICIT_IDS; general families for
     m = 8 (mod 16), m = 32 (mod 64), and admissible m = 4, 20 (mod 48).
     """
     phi = phi_exact(3, m)
@@ -498,8 +487,8 @@ def _three_row(n: int, m: int, phi_branch: str) -> tuple[Code, str]:
         raise UnsupportedParameterError(
             f"n={n}, m={m} is in class {phi_branch}, outside every three-row family"
         )
-    if m in (4, 8, 20, 32, 52):
-        code_id = f"3x{m}"
+    code_id = f"3x{m}"
+    if code_id in EXPLICIT_IDS:
         return _explicit(code_id), f"explicit/{code_id}"
     body = _THREE_ROW_BODIES[phi_branch]
     branch = "3xm/" + phi_branch.removeprefix("phi/rows0mod3_")
@@ -507,7 +496,7 @@ def _three_row(n: int, m: int, phi_branch: str) -> tuple[Code, str]:
 
 
 def _ooc_3xm_8mod16(m: int) -> list[Codeword]:
-    cws = _place_on_rows(m, _half_free(m)[0])
+    cws = _place_on_rows(m, _half_free(m)[0], range(3))
     for i in range(m // 8):
         _add(cws, m, (0, 0), (0, 1 + 2 * i), (1, 7 * m // 8 + i))
     for i in range(m // 8):
@@ -529,7 +518,7 @@ def _ooc_3xm_8mod16(m: int) -> list[Codeword]:
 
 
 def _ooc_3xm_32mod64(m: int) -> list[Codeword]:
-    cws = _place_on_rows(m, _half_free(m)[0])
+    cws = _place_on_rows(m, _half_free(m)[0], range(3))
     for i in range(m // 8):
         _add(cws, m, (0, 0), (0, 1 + 2 * i), (1, m // 8 + 2 + i))
     for i in range(m // 32):
@@ -584,7 +573,7 @@ def _ooc_3xm_32mod64(m: int) -> list[Codeword]:
 
 
 def _ooc_3xm_4or20mod48(m: int) -> list[Codeword]:
-    cws = _place_on_rows(m, _equi(m)[0])
+    cws = _place_on_rows(m, _equi(m)[0], range(3))
     for i in range((m - 20) // 8 + 1):
         _add(cws, m, (0, 0), (0, 1 + 2 * i), (1, (7 * m + 4) // 8 + i))
     for i in range((m - 12) // 8 + 1):

@@ -408,7 +408,6 @@ def test_each_codeword_is_made_once(monkeypatch, builder, make_args, extra):
         return make(cells)
 
     monkeypatch.setattr(construct, "make_codeword", counted)
-    monkeypatch.setattr(search, "make_codeword", counted)  # `_triple` reads it there
     leave_calls = []
     measure = construct.difference_leave
 
