@@ -8,7 +8,7 @@ fixed seed and budget.
 
 from __future__ import annotations
 
-import bisect
+import array
 import itertools
 import math
 import random
@@ -144,121 +144,89 @@ class _Budget:
 
 
 # ---------------------------------------------------------------------------
-# exact cover (dancing links)
+# exact cover (Algorithm X on alive flags)
 # ---------------------------------------------------------------------------
 
 
 class _ExactCover:
-    """Array-based dancing links; rows are tuples of column indices.  Their
-    nodes are built once and each `solve` threads them afresh, so one matrix
-    serves every restart."""
+    """Algorithm X (Knuth, TAOCP 7.2.2.1) on alive flags.  The matrix is the
+    row tuples of column indices and each column's rows by id, built once;
+    a `solve` starts from fresh flags, sizes and ranks, so one matrix serves
+    every restart."""
 
     def __init__(self, n_cols: int, rows: Iterable[tuple[int, ...]], budget: _Budget):
-        self.n_cols = n_cols
-        # one int object per node index, shared by every link list that names it
-        self.L = L = list(range(n_cols + 1))
-        self.R = R = L.copy()
-        self.C = C = L.copy()  # a header is its own column, so r == C[r] ends a column
-        self.sizes = sizes = [0] * (n_cols + 1)
-        self.starts = starts = []  # first node of each row, then the end
-        node = n_cols + 1
-        for cols in budget.paced(rows):
-            ids = list(range(node, node + len(cols)))
-            starts.append(node)
-            L += ids[-1:] + ids[:-1]
-            R += ids[1:] + ids[:1]
-            for col in cols:
-                C.append(C[col + 1])
-                sizes[col + 1] += 1
-            node += len(cols)
-        starts.append(node)
-        self.U, self.D = [0] * node, [0] * node
-
-    def _cover(self, c: int) -> None:
-        L, R, U, D, C, S = self.L, self.R, self.U, self.D, self.C, self.S
-        R[L[c]] = R[c]
-        L[R[c]] = L[c]
-        i = D[c]
-        while i != c:
-            j = R[i]
-            while j != i:
-                D[U[j]] = D[j]
-                U[D[j]] = U[j]
-                S[C[j]] -= 1
-                j = R[j]
-            i = D[i]
-
-    def _uncover(self, c: int) -> None:
-        L, R, U, D, C, S = self.L, self.R, self.U, self.D, self.C, self.S
-        i = U[c]
-        while i != c:
-            j = L[i]
-            while j != i:
-                S[C[j]] += 1
-                D[U[j]] = j
-                U[D[j]] = j
-                j = L[j]
-            i = U[i]
-        R[L[c]] = c
-        L[R[c]] = c
+        self.rows = []
+        self.cols = cols = [[] for _ in range(n_cols)]
+        for rid, row in enumerate(budget.paced(rows)):
+            self.rows.append(row)
+            for c in row:
+                cols[c].append(rid)
 
     def solve(
         self, budget: _Budget, order: Iterable[int] | None = None, limit: int | None = None
     ) -> tuple[list[int] | None, bool]:
-        """(first solution as row ids or None, whether the search is complete).
+        """(first solution as row ids, level by level, or None, whether the
+        search is complete).
 
-        Each node ticks `budget`; the `limit`-th node of this call stops the
-        search incomplete.  A search of the whole tree is complete, a proof
-        that no solution exists.  Each column's rows are threaded top to
-        bottom in `order` (default: as built), then Algorithm X runs with an
-        explicit level stack (Knuth, TAOCP 7.2.2.1): `rows` holds the row node
-        tried at each level.
+        Each row tried ticks `budget`; the `limit`-th node of this call stops
+        the search incomplete.  A search of the whole tree is complete, a
+        proof that no solution exists.  A node takes the first uncovered
+        column of least live size and tries its live rows by rank in `order`
+        (default: by id).  Choosing a row covers its columns: it unlinks them
+        from the list of uncovered columns, turns off every live row through
+        them and lowers the sizes of those rows' columns.
         """
         last = math.inf if limit is None else budget.nodes + limit
-        n_cols, L, R, U, D, C = self.n_cols, self.L, self.R, self.U, self.D, self.C
-        for c in range(n_cols + 1):
-            L[c], R[c], U[c], D[c] = c - 1, c + 1, c, c
-        L[0], R[n_cols] = n_cols, 0
-        self.S = S = self.sizes.copy()
-        starts = self.starts
-        for rid in budget.paced(range(len(starts) - 1) if order is None else order):
-            first = node = starts[rid]
-            while True:
-                h = C[node]
-                up = U[h]
-                U[node], D[node], D[up], U[h] = up, h, node, node
-                node = R[node]
-                if node == first:
-                    break
-        rows: list[int] = []
-        while R[0] != 0:
-            c = R[0]
-            best, j = S[c], R[c]
-            while j != 0:
-                if S[j] < best:
-                    best, c = S[j], j
-                j = R[j]
-            self._cover(c)
-            r = D[c]
-            while r == C[r]:  # column exhausted: back up one level
-                self._uncover(r)
-                if not rows:
+        rows, cols = self.rows, self.cols
+        n = len(cols)  # the head of the uncovered columns
+        after, before = [*range(1, n + 1), 0], [n, *range(n)]
+        sizes = list(map(len, cols))
+        alive = [True] * len(rows)
+        live = alive.__getitem__
+        if order is not None:
+            rank = array.array("l", [0]) * len(rows)  # no int object per row to free
+            for i, rid in enumerate(budget.paced(order)):
+                rank[rid] = i
+        # per picked row: its node's column and the live rows through it, the
+        # rows not yet tried there, the row, and the rows it turned off
+        frames = []
+        while True:
+            c = after[n]
+            if c == n:
+                return [frame[3] for frame in frames], True
+            least, j = sizes[c], after[c]
+            while j != n:
+                if sizes[j] < least:
+                    least, c = sizes[j], j
+                    if not least:  # no later column can come first
+                        break
+                j = after[j]
+            found = list(filter(live, cols[c]))
+            tries = iter(found if order is None else sorted(found, key=rank.__getitem__))
+            r = next(tries, None)
+            while r is None:  # column exhausted: back up one level
+                if not frames:
                     return None, True
-                r = rows.pop()
-                j = L[r]
-                while j != r:
-                    self._uncover(C[j])
-                    j = L[j]
-                r = D[r]
+                c, found, tries, r, hit = frames.pop()
+                for s in hit:
+                    alive[s] = True
+                    for k in rows[s]:
+                        sizes[k] += 1
+                for j in reversed(rows[r]):
+                    after[before[j]] = before[after[j]] = j
+                r = next(tries, None)
             budget.tick()
             if budget.nodes >= last:
                 return None, False
-            rows.append(r)
-            j = R[r]
-            while j != r:
-                self._cover(C[j])
-                j = R[j]
-        return [bisect.bisect_right(starts, r) - 1 for r in rows], True
+            hit = []
+            for j in rows[r]:
+                after[before[j]], before[after[j]] = after[j], before[j]
+                for s in filter(live, found if j == c else cols[j]):
+                    alive[s] = False
+                    hit.append(s)
+                    for k in rows[s]:
+                        sizes[k] -= 1
+            frames.append((c, found, tries, r, hit))
 
 
 # ---------------------------------------------------------------------------
@@ -515,20 +483,24 @@ def _shuffle(order: list[int], rng: random.Random, budget: _Budget) -> None:
 def _gdd_exact_cover(u: int, m: int, budget: _Budget, rng) -> list[Codeword] | None:
     """Exact cover of the cross-group classes by the `_gdd_candidates`."""
     triples, pairs, offsets = _gdd_candidates(u, m, budget)
+    classes = list(range(len(pairs) * m))  # one int object per class, shared by its rows
 
-    def rows() -> Iterator[tuple[int, int, int]]:
+    def rows() -> Iterator[Iterator[tuple[int, int, int]]]:
+        """Per triple and x2, its rows (c12 + x2, c13 + x3, c23 + (x3 - x2) % m)
+        by x3 ascending."""
         for c12, c13, c23 in offsets:
+            second, third = classes[c13 : c13 + m], classes[c23 : c23 + m]
             for x2 in range(m):
-                for x3 in range(m):
-                    yield c12 + x2, c13 + x3, c23 + (x3 - x2) % m
+                first = itertools.repeat(classes[c12 + x2], m)
+                yield zip(first, second, third[m - x2 :] + third[: m - x2])
 
-    cover = _ExactCover(len(pairs) * m, rows(), budget)
+    cover = _ExactCover(len(classes), itertools.chain.from_iterable(rows()), budget)
     order = list(range(len(triples) * m * m))
     for restart in itertools.count():
         _shuffle(order, rng, budget)
-        # the first slice costs about as much as threading the rows and each
-        # later one doubles, so threading never dominates and an unlucky order
-        # is dropped early
+        # the first slice has a node per row, so it costs more than the
+        # restart's shuffle and rank table, and each later one doubles: the
+        # setup never dominates and an unlucky order is dropped early
         picked, complete = cover.solve(budget, order, len(order) << restart)
         if picked is not None:
             return [_gdd_block(triples, m, c) for c in picked]

@@ -2,6 +2,7 @@ import functools
 import hashlib
 import inspect
 import itertools
+import random
 import sys
 import time
 from dataclasses import replace
@@ -297,6 +298,47 @@ def test_packing_is_a_largest_disjoint_set(family):
     assert len(chosen) == _largest_disjoint(masks)
 
 
+def _algorithm_x(n_cols, rows, order, limit):
+    """(rows, complete, nodes) of Algorithm X on sets: the first uncovered
+    column of least live size, its rows by rank in `order`, one node per row
+    tried; the `limit`-th node stops the search incomplete."""
+    rank = {r: i for i, r in enumerate(range(len(rows)) if order is None else order)}
+    nodes = 0
+
+    def search(cols, live, chosen):
+        nonlocal nodes
+        if not cols:
+            return chosen
+        c = min(cols, key=lambda c: (sum(c in rows[r] for r in live), c))
+        for r in sorted((r for r in live if c in rows[r]), key=rank.__getitem__):
+            nodes += 1
+            if nodes == limit:
+                raise StopIteration
+            left = {s for s in live if not set(rows[s]) & set(rows[r])}
+            found = search(cols - set(rows[r]), left, chosen + [r])
+            if found is not None:
+                return found
+        return None
+
+    try:
+        return search(set(range(n_cols)), set(range(len(rows))), []), True, nodes
+    except StopIteration:
+        return None, False, nodes
+
+
+def test_exact_cover_kernel_is_algorithm_x():
+    rng = random.Random(27)
+    for _ in range(3000):
+        n_cols = rng.randint(0, 8)
+        rows = [tuple(rng.sample(range(n_cols), rng.randint(1, min(4, n_cols))))
+                for _ in range(rng.randint(0, 14) if n_cols else 0)]
+        order = rng.sample(range(len(rows)), len(rows)) if rng.random() < 0.9 else None
+        limit = rng.choice([None, 1, 2, 3, 5, 8, 13])
+        budget = _Budget(SearchConfig())
+        picked, complete = search._ExactCover(n_cols, rows, budget).solve(budget, order, limit)
+        assert (picked, complete, budget.nodes) == _algorithm_x(n_cols, rows, order, limit)
+
+
 class TestTightSearch:
     def test_thirteen(self):
         out = tight_search(13)
@@ -320,6 +362,16 @@ class TestTightSearch:
         # an exact cover over zero columns: the empty code, proven at once
         out = tight_search(1)
         assert (out.best_size, out.nodes, out.proven_optimal, out.best.codewords) == (0, 0, True, [])
+
+    def test_pinned_outcomes_up_to_300(self):
+        # the tight search tries rows by id (no `order`): its node counts,
+        # proofs and witnesses for m = 1..300, pinned as one digest
+        digest = hashlib.sha256()
+        for m in range(1, 301):
+            out = tight_search(m)
+            best = out.best.codewords if out.best else None
+            digest.update(repr((m, out.nodes, out.proven_optimal, out.best_size, best)).encode())
+        assert digest.hexdigest() == "785154be8e2ae1c36708bd7cd999eedfca46d3c04896843b4612b1817db292d1"
 
 
 class TestGddSearch:
@@ -363,8 +415,9 @@ class TestGddSearch:
         assert (out.best, out.nodes, out.proven_optimal) == (None, 0, False)
 
     def test_budget_covers_the_build_and_every_restart(self):
-        # (3*40)^6 has 864 000 candidates: building and threading its cover
-        # matrix take seconds each, and a budget may end during either
+        # (3*40)^6 has 864 000 candidates: building its cover matrix, and
+        # shuffling and ranking them for each restart, take up to a second
+        # each, and a budget may end during any of them
         start = time.monotonic()
         out = gdd_search(6, 40, SearchConfig(time_budget=2.5))
         assert time.monotonic() - start < 3.0
@@ -480,8 +533,9 @@ def test_a_restart_past_the_deadline_gets_an_empty_slice(monkeypatch):
 
 
 class TestPinnedGddOutcomes:
-    """Node counts and witnesses of the search that enumerated every
-    candidate block and rebuilt the cover matrix on each restart."""
+    """Node counts and witnesses of the GDD searches, which a rewrite of
+    their kernels must keep.  The last five exact covers backtrack little:
+    they pin the trees of searches whose cost is mostly setup."""
 
     @pytest.mark.parametrize(
         "u, m, seed, nodes, digest",
@@ -489,6 +543,11 @@ class TestPinnedGddOutcomes:
             (4, 8, 0, 7057, "0b95de13c7eb3e8e24554423cde2154e4ec16e7142092cc2b874ff25ee4c6c0d"),
             (5, 7, 1, 4128, "1212c8251136010f797a40b0c91fd7e0f58f7ebdb86dfc19416e323928ef7393"),
             (3, 9, 5, 81, "1b42cbe645e76ce0abbc09fb569130606aa4e8f4e02d56d8e2b6117667c6e759"),
+            (3, 31, 324, 305, "4c38aac3168e9474ada6b01124ad829b2302821ef987de925c40c12d3cdf9607"),
+            (3, 39, 924, 351, "7c946733a9b9cde119f972d0190fa20ded5a8d9ecbea1acd2c3dc3429d14679d"),
+            (5, 8, 0, 245, "bcc1006bb1f459d97616671810fdd3053ff5a3fb3d24e329f69d45c899ea7bbf"),
+            (6, 8, 0, 380, "23cf22d0fc28fb77cba5530c98b241031afb1044920eb430c0371aabb36e7cbe"),
+            (4, 6, 127, 220, "29945825629c38fef7f0be5c1dba2a68aab8a74fad8e24fd1f46d00fa0fb1228"),
         ],
     )
     def test_exact_cover(self, u, m, seed, nodes, digest):
