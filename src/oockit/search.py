@@ -9,6 +9,7 @@ fixed seed and budget.
 from __future__ import annotations
 
 import array
+import bisect
 import itertools
 import math
 import random
@@ -18,7 +19,7 @@ from dataclasses import InitVar, dataclass, field
 
 from .core import Code, CodeParams, Codeword, make_codeword, normalize
 from .bounds import gdd_exists
-from .verify import _pair_classes, verify_code
+from .verify import _pair_classes, _pure_classes, verify_code
 
 EXACT_COVER = "exact_cover"
 HILL_CLIMB = "hill_climb_restart"
@@ -234,76 +235,98 @@ class _ExactCover:
 # ---------------------------------------------------------------------------
 
 
-def _codeword_mask(cw: Codeword, n: int, m: int) -> tuple[int, int, int, int]:
-    """(mask, pure class count, mixed class count, autocorrelation peak).
+def _codeword_mask(cw: Codeword, n: int, m: int) -> tuple[int, int]:
+    """(mask, autocorrelation peak).
 
     Bits are `verify_code`'s class keys.  The peak counts each pure
     difference over all rows; the half period counts twice.
     """
     keys, pure = _pair_classes(cw, n, m)
-    classes, p = set(keys), len(set(pure))
     diffs = [key % m for key in pure]
     peak = max(map(diffs.count, diffs), default=0)
-    return sum(1 << key for key in classes), p, len(classes) - p, peak
+    return sum(1 << key for key in set(keys)), peak
 
 
-# bytes.translate table from a row's compatibility flags to binary digits
-_DIGITS = bytes.maketrans(b"\x00\x01", b"01")
-
-
-def _max_packing(
-    masks: list[int],
-    usage: list[tuple[int, int]],
-    pure_capacity: int,
-    mixed_capacity: int,
-    budget: _Budget,
-) -> tuple[list[int], bool]:
+def _max_packing(masks: list[int], pure: int, budget: _Budget) -> tuple[list[int], bool]:
     """Largest set of indices with pairwise disjoint masks.
 
     A maximum independent set on the conflict graph of the masks, searched
     depth first on candidate bitsets (Carraghan & Pardalos 1990; Kaski &
     Ostergard 2006).  A frame holds its remaining candidates as one int, bit
-    i for index i, and tries them lowest bit first.  The compatibility row of
-    index i is the bitset of the later indices whose masks miss masks[i].  It
-    is built the first time i is chosen, in one pass over those masks, and
-    reused after that; all rows together hold at most N(N - 1)/2 bits for N
-    candidates.  A frame's candidates all miss the masks chosen above it, so
-    a child's candidates are the parent's remaining ones ANDed with the row
-    of the index just chosen: exactly those that a filter against the union
-    of the chosen masks keeps, in the same order.  The bound, the node count
-    and the rule for a new best are those of such a filter, so the search
-    visits the same tree and returns the same first-found best.
+    i for index i, and tries them lowest bit first.  The index `holders`
+    maps each class bit to the bitset of the indices whose masks hold it.
+    The OR of the holders of index i's classes, built the first time i is
+    chosen, is the set of indices that i conflicts with, so a child's
+    candidates are its frame's remaining ones less that set.
 
-    Uses the capacity bound: with p pure bits and q mixed bits free, at most
-    floor(p/2 + q/3) weight-3 codewords can still fit (every codeword burns
-    at least two pure bits, or one pure and two mixed, or three mixed).
+    Bound: with p pure classes (bits of `pure`) and q mixed ones left, at
+    most floor(p/2 + q/3) weight-3 codewords fit (every codeword burns at
+    least two pure classes, or one pure and two mixed, or three mixed), and
+    at most t masks when the t + 1 smallest masks together hold more than
+    p + q classes.  The classes left are those that the frame's remaining
+    candidates hold: each frame keeps the union of their masks exactly.  A
+    frame that tried index i drops the classes that only i held when it is
+    next visited.  A child's union is the OR of its masks when it holds at
+    most three times as many candidates as the choice took away, else its
+    frame's union less the classes that only i and those candidates held.
+    The union lies inside the classes that no chosen mask holds, so this
+    bound is never above a count of those.  It cuts only subtrees that
+    cannot beat the best packing found so far, so the search returns the
+    same first-found best as a search without it, on a subset of its nodes.
     """
     best: list[int] = []
     size = len(masks)
-    later = masks[::-1]  # later[:size - 1 - i] are the masks after index i, last first
-    rows: list[int | None] = [None] * size
-    min_bits = max(min((p + q for p, q in usage), default=1), 1)
-    # the p/2 + q/3 rate bound is valid only when every candidate pays
-    # at least that rate (true for weight-3 codewords)
-    lp_valid = all(3 * p + 2 * q >= 6 for p, q in usage)
+    width = max(map(int.bit_length, masks), default=0)
+    holders = [0] * width  # the indices whose masks hold each class
+    bits_of: list[list[int]] = []
+    union = 0
+    lp_valid = True
+    for i, mask in enumerate(budget.paced(masks)):
+        union |= mask
+        # the p/2 + q/3 rate bound is valid only when every mask pays at
+        # least that rate (true for weight-3 codewords): 3p + 2q >= 6
+        lp_valid = lp_valid and (mask & pure).bit_count() + 2 * mask.bit_count() >= 6
+        bits = []
+        while mask:
+            low = mask & -mask
+            b = low.bit_length() - 1
+            holders[b] |= 1 << i
+            bits.append(b)
+            mask ^= low
+        bits_of.append(bits)
+    own = [[(1 << b, holders[b]) for b in bits] for bits in bits_of]  # (class bit, its holders)
+    # t disjoint masks hold at least sums[t] classes, the sizes of the t
+    # smallest masks; fits[total] is the most masks that fit in `total` classes
+    sums = [0, *itertools.accumulate(sorted(map(int.bit_count, masks)))]
+    fits = [bisect.bisect_right(sums, total) - 1 for total in range(width + 1)]
 
-    def capacity(p_free: int, q_free: int) -> int:
-        cap = (p_free + q_free) // min_bits
-        if lp_valid:
-            rate = (3 * p_free + 2 * q_free) // 6
+    def capacity(classes: int) -> int:
+        total = classes.bit_count()
+        cap = fits[total]
+        if lp_valid and 3 * cap > total:  # else cap <= total // 3 <= the rate
+            rate = ((classes & pure).bit_count() + 2 * total) // 6  # (3p + 2q) // 6
             if rate < cap:  # compared, not min(): its calls were a third of a node's time
                 return rate
         return cap
 
-    # one [cands, cap, p_free, q_free] frame per chosen index and one for the
-    # root; a frame is done when even its capacity cannot beat best
+    conflicts: list[int | None] = [None] * size  # the holders of each mask's classes, ORed
+    # one [cands, union, cap, tried] frame per chosen index and one for the
+    # root.  `tried` is the index the frame chose last (-1: none yet); the
+    # classes only it held leave `union` when the frame is next visited.  A
+    # frame is done when even its capacity cannot beat best.
     chosen: list[int] = []
-    stack = [[(1 << size) - 1, capacity(pure_capacity, mixed_capacity), pure_capacity, mixed_capacity]]
+    stack = [[(1 << size) - 1, union, capacity(union), -1]]
     try:
         while stack:
             frame = stack[-1]
-            cands, cap, p_free, q_free = frame
+            cands, union, cap, ci = frame
             left = cands.bit_count()  # at most min(left, cap) more can be chosen
+            if ci >= 0 and len(chosen) + (left if left < cap else cap) > len(best):
+                for bit, held in own[ci]:  # the frame goes on: drop the classes only ci held
+                    if not held & cands:
+                        union ^= bit
+                cap = capacity(union)
+                frame[1], frame[2] = union, cap
             if len(chosen) + (left if left < cap else cap) <= len(best):
                 stack.pop()
                 if chosen:
@@ -311,19 +334,44 @@ def _max_packing(
                 continue
             budget.tick()
             low = cands & -cands
-            frame[0] = cands ^ low
+            rest = cands ^ low
             ci = low.bit_length() - 1
-            row = rows[ci]
-            if row is None:
-                mask = masks[ci]
-                flags = bytes([not mask & other for other in later[: size - 1 - ci]])
-                rows[ci] = row = int(flags.translate(_DIGITS) or b"0", 2) << (ci + 1)
+            conf = conflicts[ci]
+            if conf is None:
+                conf = 0
+                for bit, held in own[ci]:
+                    conf |= held
+                conflicts[ci] = conf
             chosen.append(ci)
             if len(chosen) > len(best):
                 best = chosen.copy()
-            p_free -= usage[ci][0]
-            q_free -= usage[ci][1]
-            stack.append([cands & row, capacity(p_free, q_free), p_free, q_free])
+            frame[0], frame[3] = rest, ci
+            lost = rest & conf  # the remaining candidates that meet masks[ci]
+            child = rest ^ lost
+            need = len(best) - len(chosen)
+            left = child.bit_count()
+            if left <= need:
+                chosen.pop()
+                continue
+            if left <= 3 * lost.bit_count():
+                sub, todo = 0, child
+                while todo:
+                    low = todo & -todo
+                    sub |= masks[low.bit_length() - 1]
+                    todo ^= low
+            else:  # the frame's union less the classes that only ci and `lost` held
+                sub, todo = union ^ masks[ci], lost
+                while todo:
+                    low = todo & -todo
+                    for bit, held in own[low.bit_length() - 1]:
+                        if sub & bit and not held & child:
+                            sub ^= bit
+                    todo ^= low
+            cap = capacity(sub)
+            if cap <= need:
+                chosen.pop()
+                continue
+            stack.append([child, sub, cap, -1])
     except _Spent:
         return best, False
     return best, True
@@ -358,17 +406,16 @@ def optimal_search(
     config = config or SearchConfig()
     budget = _Budget(config)
     params = CodeParams(n, m, 3, lambda_a, 1)
-    candidates, masks, usage = [], [], []
+    candidates, masks = [], []
     try:
         for cw in budget.paced(_orbit_representatives(n, m, 3)):
-            mask, p, q, peak = _codeword_mask(cw, n, m)
+            mask, peak = _codeword_mask(cw, n, m)
             if peak <= lambda_a:
                 candidates.append(cw)
                 masks.append(mask)
-                usage.append((p, q))
     except _Spent:
         return _witness(Code(params, []), False, budget)
-    chosen, complete = _max_packing(masks, usage, n * (m // 2), n * (n - 1) // 2 * m, budget)
+    chosen, complete = _max_packing(masks, _pure_classes(n, m), budget)
     return _witness(Code(params, [candidates[i] for i in chosen]), complete, budget)
 
 
@@ -414,10 +461,8 @@ def equi_search(m: int, lambda_a: int = 2, config: SearchConfig | None = None) -
         masks = [sum(1 << d for d in supp) for _, supp in budget.paced(verts)]
     except _Spent:
         return _witness(Code(params, []), False, budget)
-    # every support holds at least two of the m - 1 differences, so the p/2
-    # rate bound of _max_packing never prunes below free // (smallest support)
-    usage = [(len(supp), 0) for _, supp in verts]
-    best, complete = _max_packing(masks, usage, m - 1, 0, budget)
+    # every class is a pure difference 1 .. m - 1
+    best, complete = _max_packing(masks, (1 << m) - 2, budget)
     return _witness(Code(params, [_triple(m, verts[i][0]) for i in best]), complete, budget)
 
 

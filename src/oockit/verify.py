@@ -123,6 +123,12 @@ def _pair_classes(cw: Codeword, n: int, m: int) -> tuple[list[int], list[int]]:
     return keys, pure
 
 
+def _pure_classes(n: int, m: int) -> int:
+    """The bitset of every pure `_pair_classes` key on I_n x Z_m: row pair
+    (i, i) and difference 1 .. m // 2."""
+    return sum(((1 << m // 2) - 1) << (i * n + i) * m + 1 for i in range(n))
+
+
 def verify_code(code: Code) -> VerificationReport:
     """Check the code by the difference method, in one pass over cell pairs.
 

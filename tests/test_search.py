@@ -2,6 +2,7 @@ import functools
 import hashlib
 import inspect
 import itertools
+import math
 import random
 import sys
 import time
@@ -11,7 +12,7 @@ from types import SimpleNamespace
 from unittest import mock
 
 import pytest
-from hypothesis import assume, example, given, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from oockit import search
 from oockit.bounds import cac_optimal_size, me_prime, phi_exact, psi_e_exact
@@ -31,7 +32,7 @@ from oockit.search import (
     optimal_search,
     tight_search,
 )
-from oockit.verify import verify_code
+from oockit.verify import _pair_classes, _pure_classes, verify_code
 
 
 # the first code of size 7 that the 2 x 10 packing search finds
@@ -91,21 +92,22 @@ class TestOptimalSearch:
         assert a.best.codewords == b.best.codewords and a.nodes == b.nodes
 
     @pytest.mark.parametrize(
-        "n, m, size, nodes", [(2, 10, 7, 65739), (3, 5, 8, 220), (4, 3, 6, 67494)]
+        "n, m, size, nodes", [(2, 10, 7, 1124), (3, 5, 8, 76), (4, 3, 6, 5172)]
     )
     def test_node_counts_unchanged(self, n, m, size, nodes):
-        # figures of the search that normalized every k-subset of cells and
-        # filtered a candidate list at every node
+        # figures of the search bounded by the classes its candidates hold;
+        # under the free-class bound they were 65 739, 220 and 67 494
         out = optimal_search(n, m)
         assert (out.best_size, out.nodes, out.proven_optimal) == (size, nodes, True)
 
     @pytest.mark.parametrize(
-        "node_budget, size, nodes", [(1, 0, 1), (17, 7, 17), (1000, 7, 1000), (30001, 7, 30001)]
+        "node_budget, size, nodes", [(1, 0, 1), (17, 7, 17), (1000, 7, 1000), (30001, 7, 1124)]
     )
     def test_node_budget_outcomes_unchanged(self, node_budget, size, nodes):
-        # the outcomes of the search that filtered a candidate list at every node
+        # the outcomes of the search that filtered a candidate list at every
+        # node, up to its first 1 000 nodes; the whole tree now takes 1 124
         out = optimal_search(2, 10, 2, SearchConfig(node_budget=node_budget))
-        assert (out.best_size, out.nodes, out.proven_optimal) == (size, nodes, False)
+        assert (out.best_size, out.nodes, out.proven_optimal) == (size, nodes, nodes < node_budget)
         assert out.best.codewords == FIRST_SEVEN[:size]
 
     def test_budget_covers_setup(self):
@@ -149,14 +151,15 @@ class TestEquiSearch:
     @pytest.mark.parametrize(
         "m, size, nodes, generators",
         [
-            (109, 27, 32990, [1, 3, 4, 5, 7, 9, 12, 15, 16, 20, 21, 22, 25, 26,
-                              27, 28, 29, 31, 34, 35, 36, 38, 43, 45, 46, 48, 49]),
-            (103, 25, 148258, [1, 3, 4, 5, 11, 12, 14, 16, 17, 18, 19, 20, 21,
-                               23, 25, 26, 27, 30, 31, 35, 37, 44, 45, 47, 48]),
+            (109, 27, 166, [1, 3, 4, 5, 7, 9, 12, 15, 16, 20, 21, 22, 25, 26,
+                            27, 28, 29, 31, 34, 35, 36, 38, 43, 45, 46, 48, 49]),
+            (103, 25, 614, [1, 3, 4, 5, 11, 12, 14, 16, 17, 18, 19, 20, 21,
+                            23, 25, 26, 27, 30, 31, 35, 37, 44, 45, 47, 48]),
         ],
     )
     def test_node_counts_unchanged(self, m, size, nodes, generators):
-        # figures of the search that filtered a candidate list at every node
+        # the generators of the search that filtered a candidate list at
+        # every node, on the nodes of the union bound (32 990 and 148 258 before)
         out = equi_search(m, 2)
         assert (out.best_size, out.nodes, out.proven_optimal) == (size, nodes, True)
         assert [cw[1][1] for cw in out.best.codewords] == generators
@@ -191,7 +194,7 @@ def test_peak_rule_is_the_codewords_peak():
     for m in range(1, 200):
         for a in range(1, m):
             if (2 * a) % m:
-                peak = _codeword_mask(search._triple(m, a), 1, m)[3]
+                peak = _codeword_mask(search._triple(m, a), 1, m)[1]
                 assert peak == (3 if (3 * a) % m == 0 else 2), (m, a)
 
 
@@ -252,7 +255,7 @@ class TestMasksAgreeWithVerify:
     @example((3, 5, [()]))
     def test_peak_is_the_auto_multiplicity(self, case):
         n, m, (cw,) = case
-        assert _codeword_mask(cw, n, m)[3] == _verified(n, m, [cw]).max_auto_multiplicity
+        assert _codeword_mask(cw, n, m)[1] == _verified(n, m, [cw]).max_auto_multiplicity
 
     @given(_shape_and_codewords(2))
     @example((2, 6, [HALF, make_codeword([(0, 1), (1, 1), (1, 2)])]))
@@ -262,6 +265,14 @@ class TestMasksAgreeWithVerify:
         assume(_verified(n, m, [a]).passed and _verified(n, m, [b]).passed)
         disjoint = _codeword_mask(a, n, m)[0] & _codeword_mask(b, n, m)[0] == 0
         assert disjoint == _verified(n, m, [a, b]).cross_ok
+
+
+@pytest.mark.parametrize("n, m", [(1, 12), (2, 10), (3, 8), (4, 5), (3, 1), (2, 2)])
+def test_pure_classes_are_the_same_row_keys(n, m):
+    pure = _pure_classes(n, m)
+    for cw in _orbit_representatives(n, m, 3):
+        keys, same_row = _pair_classes(cw, n, m)
+        assert {k for k in keys if pure >> k & 1} == set(same_row)
 
 
 def _largest_disjoint(masks):
@@ -275,25 +286,54 @@ def _largest_disjoint(masks):
 
 @st.composite
 def _mask_family(draw):
-    """Masks over `pure` pure and `mixed` mixed bits, each with the usage
-    (pure bits, mixed bits) of a weight-3 codeword: 3p + 2q >= 6."""
-    pure, mixed = draw(st.integers(2, 8)), draw(st.integers(0, 8))
-    usage = draw(st.lists(
-        st.tuples(st.integers(0, pure), st.integers(0, mixed)).filter(lambda u: 3 * u[0] + 2 * u[1] >= 6),
-        max_size=14,
-    ))
-    masks = []
-    for p, q in usage:
-        bits = draw(st.permutations(range(pure)))[:p] + draw(st.permutations(range(pure, pure + mixed)))[:q]
-        masks.append(sum(1 << b for b in bits))
-    return masks, usage, pure, mixed
+    """0-12 masks of at least two bits over at most 16 classes, and the
+    bitset of the pure classes among them.  Most masks are as small as a
+    codeword's, so that a choice keeps many candidates and removes few."""
+    width = draw(st.integers(2, 16))
+    pure = draw(st.integers(0, (1 << width) - 1))
+    most = draw(st.sampled_from([3, 3, width]))
+    bits = st.sets(st.integers(0, width - 1), min_size=2, max_size=most)
+    masks = draw(st.lists(bits, max_size=12))
+    return [sum(1 << b for b in mask) for mask in masks], pure, width
 
 
+def _reference_packing(masks, pure, width):
+    """(indices, nodes) of the packing search with the free-class bound: depth
+    first, lowest index first, a frame done when its candidates or the
+    capacity of the classes no chosen mask holds cannot beat the best."""
+    min_bits = min((x.bit_count() for x in masks), default=1)
+    rated = all((x & pure).bit_count() + 2 * x.bit_count() >= 6 for x in masks)
+    best, nodes = [], 0
+
+    def capacity(free):
+        rate = ((free & pure).bit_count() + 2 * free.bit_count()) // 6 if rated else math.inf
+        return min(free.bit_count() // min_bits, rate)
+
+    def search(chosen, cands, free):
+        nonlocal best, nodes
+        cap = capacity(free)
+        while cands and len(chosen) + min(len(cands), cap) > len(best):
+            nodes += 1
+            i, *cands = cands
+            if len(chosen) + 1 > len(best):
+                best = chosen + [i]
+            search(chosen + [i], [j for j in cands if not masks[j] & masks[i]], free & ~masks[i])
+
+    search([], list(range(len(masks))), (1 << width) - 1)
+    return best, nodes
+
+
+@settings(max_examples=300)
 @given(_mask_family())
 def test_packing_is_a_largest_disjoint_set(family):
-    masks, usage, pure, mixed = family
-    chosen, complete = _max_packing(masks, usage, pure, mixed, _Budget(SearchConfig()))
-    assert complete and len(set(chosen)) == len(chosen)
+    # the union bound cuts only subtrees that cannot beat the best so far:
+    # same first-found packing as the free-class bound, on no more nodes
+    masks, pure, width = family
+    budget = _Budget(SearchConfig())
+    chosen, complete = _max_packing(masks, pure, budget)
+    reference, nodes = _reference_packing(masks, pure, width)
+    assert (chosen, complete) == (reference, True)
+    assert budget.nodes <= nodes
     assert all(masks[i] & masks[j] == 0 for i, j in itertools.combinations(chosen, 2))
     assert len(chosen) == _largest_disjoint(masks)
 
@@ -578,7 +618,7 @@ class TestDepthBeyondTheRecursionLimit:
 
     def test_packing(self):
         masks = [1 << i for i in range(2500)]
-        chosen, complete = _max_packing(masks, [(1, 0)] * 2500, 2500, 0, _Budget(SearchConfig()))
+        chosen, complete = _max_packing(masks, 0, _Budget(SearchConfig()))
         assert (sorted(chosen), complete) == (list(range(2500)), True)
 
     def test_three_row_construction_through_the_tight_search(self):
@@ -602,8 +642,8 @@ _UNPROVEN = [(1, False, 0), (1, False, 0), (17, False, 0), (400, False, 0)]
     "name, outcomes",
     [
         ("optimal 2x10", [(1, False, 0), (1, False, 0), (17, False, 7), (400, False, 7)]),
-        ("equi 103", [(1, False, 0), (1, False, 0), (17, False, 16), (400, False, 23)]),
-        ("equi 61 relaxed", [(1, False, 0), (1, False, 0), (17, False, 14), (178, True, 15)]),
+        ("equi 103", [(1, False, 0), (1, False, 0), (17, False, 16), (400, False, 24)]),
+        ("equi 61 relaxed", [(1, False, 0), (1, False, 0), (17, False, 14), (27, True, 15)]),
         ("tight 8005", _UNPROVEN),
         ("gdd 4x8 exact cover", _UNPROVEN),
         ("gdd 4x8 hill climb", _UNPROVEN),
