@@ -762,3 +762,42 @@ def test_a_correlation_failure_exits_3_with_its_witnesses(monkeypatch, capsys):
     )
     assert len(witnesses) == 20
     assert all(w.startswith("  witness: Witness(kind='cross', ") for w in witnesses)
+
+
+# the cells of a built codeword are checked once, by `_finalize` (through
+# `Code.validate`): a repeated cell or one outside I_n x Z_m still fails there
+@pytest.mark.parametrize(
+    "cells,message",
+    [
+        (((0, 0), (0, 3), (0, 3)), "codeword 1 repeats a cell"),
+        (((0, 0), (0, 3), (0, 10)), r"cell \(0,10\) of codeword 1 outside I_1 x Z_10"),
+        (((0, 0), (1, 3), (0, 6)), r"cell \(1,3\) of codeword 1 outside I_1 x Z_10"),
+    ],
+)
+def test_finalize_rejects_a_bad_cell_naming_its_codeword(cells, message):
+    code = equi_2mod4(10).code
+    bad = Code(code.params, [code.codewords[0], cells])
+    with pytest.raises(ValueError, match=message):
+        construct._finalize(bad, 2, None, "equi/2mod4")
+
+
+def _with_a_repeated_cell(monkeypatch, builder):
+    if builder is ooc_3xm:  # the last `_add` of the body lands twice on (1, 0)
+        body = construct._THREE_ROW_BODIES["phi/rows0mod3_8mod16"]
+
+        def faulty(m):
+            cws = body(m)[:-1]
+            construct._add(cws, m, (0, 0), (1, m), (1, 0))
+            return cws
+
+        monkeypatch.setitem(construct._THREE_ROW_BODIES, "phi/rows0mod3_8mod16", faulty)
+    else:  # the generator 0 of `_place_on_rows` repeats one cell three times
+        equi = construct._equi
+        monkeypatch.setattr(construct, "_equi", lambda m: ([0] + equi(m)[0][1:], equi(m)[1]))
+
+
+@pytest.mark.parametrize("builder,args", [(ooc_3xm, (24,)), (equi_2mod4, (10,))])
+def test_a_body_that_repeats_a_cell_fails_its_family(monkeypatch, builder, args):
+    _with_a_repeated_cell(monkeypatch, builder)
+    with pytest.raises(ValueError, match="repeat|duplicate"):
+        builder(*args)
