@@ -1,8 +1,9 @@
 """Constructions for optimal codes; every public result is verified once.
 
-Private builders do not verify what they return.  Each public family
-verifies the code it returns once and asserts its claimed size (and, for
-1-D codes, its claimed difference leave).
+Private builders make each codeword once, as the sorted tuple of its cells
+(`_codeword`), and check neither cells nor codes.  Each public family
+verifies the code it returns once, its cells included, and asserts its
+claimed size (and, for 1-D codes, its claimed difference leave).
 The optimal families claim the exact size from `bounds` (psi_e_exact or
 phi_exact).  The two-row, three-row, nxm and tight-derived families
 dispatch on the class it names and reject a class they have no code for
@@ -69,6 +70,11 @@ def _finalize(code, claimed_size, claimed_leave, branch) -> ConstructionResult:
     return ConstructionResult(code, claimed_size, leave, branch, True)
 
 
+def _codeword(cells) -> Codeword:
+    """The sorted tuple of these int cells, unchecked: `_finalize` checks every cell."""
+    return tuple(sorted(cells))
+
+
 def _odds(lo: int, hi: int) -> list[int]:
     start = lo if lo % 2 == 1 else lo + 1
     return list(range(start, hi + 1, 2))
@@ -76,7 +82,7 @@ def _odds(lo: int, hi: int) -> list[int]:
 
 def _place_on_rows(m: int, gens, rows) -> list[Codeword]:
     """The codeword {0, a, 2a} of Z_m for each generator a, on each of these rows."""
-    return [make_codeword(((x, 0), (x, a), (x, 2 * a % m))) for x in rows for a in gens]
+    return [_codeword([(x, 0), (x, a), (x, 2 * a % m)]) for x in rows for a in gens]
 
 
 def _one_row_code(m: int, generators) -> Code:
@@ -84,9 +90,9 @@ def _one_row_code(m: int, generators) -> Code:
     return Code(CodeParams(1, m, 3, 2, 1), _place_on_rows(m, generators, [0]))
 
 
-def _add(cws: list[Codeword], m: int, *cells) -> None:
-    """Append the codeword of the given cells, slots reduced mod m."""
-    cws.append(make_codeword((r, s % m) for r, s in cells))
+def _add(cws: list[Codeword], m: int, a, b, c) -> None:
+    """Append the codeword of the cells a, b, c, slots reduced mod m."""
+    cws.append(_codeword([(a[0], a[1] % m), (b[0], b[1] % m), (c[0], c[1] % m)]))
 
 
 # ---------------------------------------------------------------------------
@@ -148,7 +154,7 @@ def _fill(outer, size, leave, inner, branch) -> ConstructionResult:
         raise ValueError("filling requires equi-difference inputs")
     m = outer.params.m
     w = m // inner.code.params.m
-    scaled = [make_codeword((0, w * s) for _, s in cw) for cw in inner.code.codewords]
+    scaled = [_codeword([(0, w * s) for _, s in cw]) for cw in inner.code.codewords]
     lam = max(outer.params.lambda_a, inner.code.params.lambda_a)
     code = Code(CodeParams(1, m, 3, lam, 1), list(outer.codewords) + scaled)
     leave = set(leave) - set(range(w, m, w)) | {w * d for d in inner_facts.difference_leave}
@@ -376,37 +382,37 @@ _PAIRS_3X52 = [
     (36, 17), (37, 20), (38, 23), (39, 26),
 ]
 
+_MIDDLE_3X52 = [
+    *[((0, 0), (0, 1 + 2 * i), (1, 46 + i)) for i in range(6)],
+    *[((1, 0), (1, 1 + 2 * i), (2, 46 + i)) for i in range(6)],
+    *[((0, 0), (2, 45 - i), (2, 46 + i)) for i in range(6)],
+]
+
+# m -> the generators a of the codewords {0, a, 2a} on each row, the listed
+# codewords, and the slot pairs (a, b) of the codewords {(0, 0), (1, a), (2, b)}
+_THREE_ROW_TABLES = {
+    4: ([1], [], _PAIRS_3X4),
+    8: ([2], _CELLS_3X8, []),
+    20: (_GENS_3X20, _MIDDLE_3X20, _PAIRS_3X20),
+    32: (_GENS_3X32, _MIDDLE_3X32, _PAIRS_3X32),
+    52: (_GENS_3X52, _MIDDLE_3X52, _PAIRS_3X52),
+}
+
 EXPLICIT_IDS = ("1d48", "3x4", "3x8", "3x20", "3x32", "3x52")
 
 
 def _explicit(code_id: str) -> Code:
     """Verbatim transcription of an individually listed code."""
     if code_id == "1d48":
-        cws = [make_codeword((0, s) for s in slots) for slots in _SLOTS_1D48]
+        cws = [_codeword((0, s) for s in slots) for slots in _SLOTS_1D48]
         return Code(CodeParams(1, 48, 3, 2, 1), cws)
-    if code_id == "3x4":
-        cws = _place_on_rows(4, [1], range(3))
-        cws += [make_codeword(((0, 0), (1, a), (2, b))) for a, b in _PAIRS_3X4]
-    elif code_id == "3x8":
-        cws = _place_on_rows(8, [2], range(3))
-        cws += [make_codeword(cells) for cells in _CELLS_3X8]
-    elif code_id == "3x20":
-        cws = _place_on_rows(20, _GENS_3X20, range(3))
-        cws += [make_codeword(cells) for cells in _MIDDLE_3X20]
-        cws += [make_codeword(((0, 0), (1, a), (2, b))) for a, b in _PAIRS_3X20]
-    elif code_id == "3x32":
-        cws = _place_on_rows(32, _GENS_3X32, range(3))
-        cws += [make_codeword(cells) for cells in _MIDDLE_3X32]
-        cws += [make_codeword(((0, 0), (1, a), (2, b))) for a, b in _PAIRS_3X32]
-    elif code_id == "3x52":
-        cws = _place_on_rows(52, _GENS_3X52, range(3))
-        cws += [make_codeword(((0, 0), (0, 1 + 2 * i), (1, 46 + i))) for i in range(6)]
-        cws += [make_codeword(((1, 0), (1, 1 + 2 * i), (2, 46 + i))) for i in range(6)]
-        cws += [make_codeword(((0, 0), (2, 45 - i), (2, 46 + i))) for i in range(6)]
-        cws += [make_codeword(((0, 0), (1, a), (2, b))) for a, b in _PAIRS_3X52]
-    else:
+    if code_id not in EXPLICIT_IDS:
         raise UnsupportedParameterError(f"unknown explicit code id {code_id!r}")
-    return Code(CodeParams(3, int(code_id[2:]), 3, 2, 1), cws)
+    m = int(code_id[2:])
+    gens, listed, pairs = _THREE_ROW_TABLES[m]
+    cws = _place_on_rows(m, gens, range(3)) + [_codeword(cells) for cells in listed]
+    cws += [_codeword(((0, 0), (1, a), (2, b))) for a, b in pairs]
+    return Code(CodeParams(3, m, 3, 2, 1), cws)
 
 
 def explicit_code(code_id: str) -> ConstructionResult:
@@ -597,14 +603,8 @@ def _ooc_3xm_4or20mod48(m: int) -> list[Codeword]:
     _add(cws, m, (0, 0), (1, m // 2), (2, m // 2))
     _add(cws, m, (0, 0), (1, m // 2 - 1), (2, m // 2 - 2))
     t_set = set(range(3 * (m - 12) // 8 + 1)) - {
-        (m - 20) // 16,
-        (m - 28) // 8,
-        (m - 20) // 8,
-        (m - 12) // 8,
-        (3 * m - 28) // 16,
-        m // 4 - 3,
-        m // 4 - 2,
-        (5 * m - 52) // 16,
+        (m - 20) // 16, (m - 28) // 8, (m - 20) // 8, (m - 12) // 8,
+        (3 * m - 28) // 16, m // 4 - 3, m // 4 - 2, (5 * m - 52) // 16,
     }
     if m % 96 in (4, 68):
         skip = {(3 * m - 12) // 32, m // 4 - 1, m // 4}
@@ -646,13 +646,13 @@ _THREE_ROW_BODIES = {
 def _expand_code(gdd: GddBaseBlocks, inputs: list[Code]) -> Code:
     """The base blocks plus, on each group, the input code with as many rows."""
     by_rows = {code.params.n: code for code in inputs}
-    cws = [make_codeword(b) for b in gdd.base_blocks]
+    cws = [make_codeword(b) for b in gdd.base_blocks]  # cells of a search witness
     for rows in gdd.groups:
         try:
             code = by_rows[len(rows)]
         except KeyError:
             raise ValueError(f"no input code with {len(rows)} rows for group {rows}")
-        cws += [make_codeword((rows[r], s) for r, s in cw) for cw in code.codewords]
+        cws += [_codeword([(rows[r], s) for r, s in cw]) for cw in code.codewords]
     lam = max((code.params.lambda_a for code in inputs), default=2)
     return Code(CodeParams(gdd.n_rows(), gdd.m, 3, lam, 1), cws)
 

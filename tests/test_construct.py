@@ -400,14 +400,17 @@ ONE_MAKE_CASES = [
 )
 def test_each_codeword_is_made_once(monkeypatch, builder, make_args, extra):
     args = make_args()
-    calls = []
-    make = construct.make_codeword
+    calls, checked_calls = [], []
+    make = construct._codeword
 
     def counted(cells):
         calls.append(None)
         return make(cells)
 
-    monkeypatch.setattr(construct, "make_codeword", counted)
+    # each codeword is made once by the private constructor; its cells are
+    # checked by the final check, never by the per-codeword `make_codeword`
+    monkeypatch.setattr(construct, "_codeword", counted)
+    monkeypatch.setattr(construct, "make_codeword", lambda cells: checked_calls.append(None))
     leave_calls = []
     measure = construct.difference_leave
 
@@ -419,6 +422,7 @@ def test_each_codeword_is_made_once(monkeypatch, builder, make_args, extra):
     monkeypatch.setattr(construct, "difference_leave", counted_leave)
     res = builder(*args)
     assert len(calls) == res.code.size() + extra
+    assert checked_calls == []
     assert len(leave_calls) == (res.claimed_leave is not None)
 
 

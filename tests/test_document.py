@@ -33,6 +33,20 @@ VALUES = st.recursive(
     max_leaves=12,
 )
 
+# a claimed leave: null, empty, one entry or many
+LEAVES = (
+    st.none()
+    | st.just([])
+    | st.lists(st.integers(1, 10**9), min_size=1, max_size=1)
+    | st.lists(st.integers(1, 10**9), min_size=2, max_size=300)
+)
+
+
+def _leave_document(leave):
+    """The code {0, 1, 2} on Z_6 with this claimed leave."""
+    code = Code(CodeParams(1, 6), [make_codeword(((0, 0), (0, 1), (0, 2)))])
+    return code_to_document(code, {"claimed_leave": leave})
+
 
 @st.composite
 def code_documents(draw):
@@ -49,7 +63,7 @@ def code_documents(draw):
     metadata = {
         "branch": draw(st.none() | st.text(max_size=12)),
         "claimed_size": draw(st.none() | st.integers(0, 10**9)),
-        "claimed_leave": draw(st.none() | st.lists(st.integers(1, 10**9), max_size=300)),
+        "claimed_leave": draw(LEAVES),
         "verified": draw(st.booleans()),
         "provenance": draw(st.none() | st.text()),
         **draw(st.dictionaries(KEYS, VALUES, max_size=3)),
@@ -132,6 +146,11 @@ class TestRenderJson:
     @example({"codewords": None, "witness": {"codewords": {}}})
     @example({"provenance": "construct 3xm --m 24 — été \U0001f600", "x": [None, True, False]})
     @example({1: "a", 2: {"codewords": [[[0, 1]]]}})
+    @example(_leave_document(None))
+    @example(_leave_document(set()))
+    @example(_leave_document({3}))
+    @example(_leave_document(set(range(1, 10**4, 7))))
+    @example({"a": [True, 1], "b": [1, -2, 10**30], "c": {}, "d": [[1], [2, 3]], "e": [1.0]})
     def test_equals_json_dumps(self, doc):
         assert render_json(doc) == json.dumps(doc, sort_keys=True, indent=2)
 
