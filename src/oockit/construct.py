@@ -1,9 +1,8 @@
 """Constructions for optimal codes; every public result is verified once.
 
-Private builders make each codeword once, as the sorted tuple of its cells
-(`_codeword`), and check neither cells nor codes.  Each public family
-verifies the code it returns once, its cells included, and asserts its
-claimed size (and, for 1-D codes, its claimed difference leave).
+Private builders check nothing: each makes a codeword once, as the sorted
+tuple of its cells (`_codeword`).  Each public family verifies its code once,
+cells included, and asserts its claimed size (and a 1-D code's leave).
 The optimal families claim the exact size from `bounds` (psi_e_exact or
 phi_exact).  The two-row, three-row, nxm and tight-derived families
 dispatch on the class it names and reject a class they have no code for
@@ -336,7 +335,7 @@ _SLOTS_1D48 = [
     (0, 23, 46), (0, 1, 17), (0, 5, 9), (0, 13, 21), (0, 12, 24),
 ]
 
-_CELLS_3X8 = [
+_MIDDLE_3X8 = [
     ((0, 0), (0, 1), (1, 6)), ((0, 0), (0, 3), (1, 7)),
     ((1, 0), (1, 1), (2, 5)), ((1, 0), (1, 3), (2, 3)),
     ((0, 0), (2, 5), (2, 6)), ((0, 0), (2, 4), (2, 7)),
@@ -344,9 +343,6 @@ _CELLS_3X8 = [
     ((0, 0), (1, 0), (2, 1)), ((0, 0), (1, 1), (2, 3)),
 ]
 
-_PAIRS_3X4 = [(0, 0), (1, 3), (3, 2)]
-
-_GENS_3X20 = [4, 5, 7, 9]
 _MIDDLE_3X20 = [
     ((0, 0), (0, 1), (1, 18)), ((0, 0), (0, 3), (1, 19)),
     ((1, 0), (1, 1), (2, 18)), ((1, 0), (1, 3), (2, 19)),
@@ -357,7 +353,6 @@ _PAIRS_3X20 = [
     (8, 12), (9, 15), (10, 0), (11, 4), (12, 7), (13, 5), (14, 8), (15, 6),
 ]
 
-_GENS_3X32 = [8, 9, 11, 13, 15]
 _MIDDLE_3X32 = [
     ((0, 0), (0, 12), (1, 25)), ((0, 0), (0, 1), (1, 6)), ((0, 0), (0, 3), (1, 7)),
     ((0, 0), (0, 5), (1, 8)), ((0, 0), (0, 7), (1, 9)), ((0, 0), (0, 4), (1, 31)),
@@ -372,7 +367,11 @@ _PAIRS_3X32 = [
     (23, 17), (24, 2), (26, 24), (28, 15), (29, 25), (30, 27),
 ]
 
-_GENS_3X52 = [4, 12, 16, 13, 15, 17, 19, 21, 23, 25]
+_MIDDLE_3X52 = [
+    *[((0, 0), (0, 1 + 2 * i), (1, 46 + i)) for i in range(6)],
+    *[((1, 0), (1, 1 + 2 * i), (2, 46 + i)) for i in range(6)],
+    *[((0, 0), (2, 45 - i), (2, 46 + i)) for i in range(6)],
+]
 _PAIRS_3X52 = [
     (0, 12), (2, 6), (3, 8), (4, 14), (5, 5), (6, 7), (11, 13), (1, 16),
     (14, 22), (16, 19), (18, 24), (7, 28), (12, 25), (13, 27), (22, 29),
@@ -382,20 +381,13 @@ _PAIRS_3X52 = [
     (36, 17), (37, 20), (38, 23), (39, 26),
 ]
 
-_MIDDLE_3X52 = [
-    *[((0, 0), (0, 1 + 2 * i), (1, 46 + i)) for i in range(6)],
-    *[((1, 0), (1, 1 + 2 * i), (2, 46 + i)) for i in range(6)],
-    *[((0, 0), (2, 45 - i), (2, 46 + i)) for i in range(6)],
-]
-
-# m -> the generators a of the codewords {0, a, 2a} on each row, the listed
-# codewords, and the slot pairs (a, b) of the codewords {(0, 0), (1, a), (2, b)}
+# m -> (generators a of {0, a, 2a} on each row, codewords, pairs (a, b) of {(0,0), (1,a), (2,b)})
 _THREE_ROW_TABLES = {
-    4: ([1], [], _PAIRS_3X4),
-    8: ([2], _CELLS_3X8, []),
-    20: (_GENS_3X20, _MIDDLE_3X20, _PAIRS_3X20),
-    32: (_GENS_3X32, _MIDDLE_3X32, _PAIRS_3X32),
-    52: (_GENS_3X52, _MIDDLE_3X52, _PAIRS_3X52),
+    4: ([1], [], [(0, 0), (1, 3), (3, 2)]),
+    8: ([2], _MIDDLE_3X8, []),
+    20: ([4, 5, 7, 9], _MIDDLE_3X20, _PAIRS_3X20),
+    32: ([8, 9, 11, 13, 15], _MIDDLE_3X32, _PAIRS_3X32),
+    52: ([4, 12, 16, 13, 15, 17, 19, 21, 23, 25], _MIDDLE_3X52, _PAIRS_3X52),
 }
 
 EXPLICIT_IDS = ("1d48", "3x4", "3x8", "3x20", "3x32", "3x52")
@@ -603,8 +595,14 @@ def _ooc_3xm_4or20mod48(m: int) -> list[Codeword]:
     _add(cws, m, (0, 0), (1, m // 2), (2, m // 2))
     _add(cws, m, (0, 0), (1, m // 2 - 1), (2, m // 2 - 2))
     t_set = set(range(3 * (m - 12) // 8 + 1)) - {
-        (m - 20) // 16, (m - 28) // 8, (m - 20) // 8, (m - 12) // 8,
-        (3 * m - 28) // 16, m // 4 - 3, m // 4 - 2, (5 * m - 52) // 16,
+        (m - 20) // 16,
+        (m - 28) // 8,
+        (m - 20) // 8,
+        (m - 12) // 8,
+        (3 * m - 28) // 16,
+        m // 4 - 3,
+        m // 4 - 2,
+        (5 * m - 52) // 16,
     }
     if m % 96 in (4, 68):
         skip = {(3 * m - 12) // 32, m // 4 - 1, m // 4}

@@ -51,9 +51,7 @@ class CodeParams:
 
 
 def make_codeword(cells) -> Codeword:
-    """Sorted, duplicate-checked tuple of (row, slot) cells from outside
-    `construct`: documents, search witnesses, tests.  `construct` makes its
-    codewords unchecked and checks their cells once, in its final check."""
+    """Sorted, duplicate-checked tuple of (row, slot) cells from outside `construct`."""
     out = tuple(sorted((int(r), int(s)) for r, s in cells))
     if len(set(out)) != len(out):
         raise ValueError(f"duplicate cells in codeword: {out}")

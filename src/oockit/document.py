@@ -5,15 +5,13 @@ integers only.  parse(render(doc)) == doc.
 
 `render_json(doc)` prints what `json.dumps(doc, sort_keys=True, indent=2)`
 prints.  That call runs CPython's pure-Python encoder, since the C one takes
-no indent, so `render_json` walks the objects with string keys, the document
-and those nested in it through objects (its metadata, a search report's
-`"witness"`).  It writes each `"codewords"` array of a walked object from one
-%-template per cell and one join per codeword, and each list of ints (a
-claimed leave) with one join.  Every other value goes through
-`json.dumps(value, sort_keys=True, indent=2)`, re-indented to its depth; the
-keys and scalars of a walked object go through the C encoder.  A codewords
-array holds integer cells, as `code_to_document` writes them and
-`document_to_code` requires.
+no indent, so `render_json` walks a document, or a report that nests one (a
+search report's `"witness"`), and the objects in it.  It writes a
+`"codewords"` array from one %-template per cell and one join per codeword,
+a list of ints (a claimed leave) with one join, and any other value through
+`json.dumps(value, sort_keys=True, indent=2)`, re-indented to its depth;
+keys and scalars through the C encoder.  A codewords array holds integer
+cells, as `code_to_document` writes them and `document_to_code` requires.
 """
 
 from __future__ import annotations
@@ -102,28 +100,35 @@ def document_to_code(doc: dict) -> tuple[Code, dict]:
 
 
 def render_json(doc: dict) -> str:
-    return _render(doc, "")
+    return _render(doc, "", _holds_codewords(doc))  # other reports: json writes them whole
 
 
-def _render(value, pad: str) -> str:
+def _render(value, pad: str, walk: bool) -> str:
     """`value` as `json.dumps(value, sort_keys=True, indent=2)` writes it at indent `pad`."""
     inner = pad + "  "
-    if type(value) is dict and value and all(type(key) is str for key in value):
+    if walk and type(value) is dict and value and all(type(key) is str for key in value):
         items = []
         for key in sorted(value):
             item = value[key]
             text = (
                 _codewords(item, inner)
                 if key == "codewords" and type(item) is list
-                else _render(item, inner)
+                else _render(item, inner, True)
             )
             items.append(f"{inner}{json.dumps(key)}: {text}")
         return "{\n" + ",\n".join(items) + f"\n{pad}}}"
-    if type(value) is list and value and all(type(x) is int for x in value):
+    if walk and type(value) is list and value and all(type(x) is int for x in value):
         return f"[\n{inner}" + f",\n{inner}".join(map(str, value)) + f"\n{pad}]"
     if isinstance(value, (dict, list, tuple)):
         return json.dumps(value, sort_keys=True, indent=2).replace("\n", "\n" + pad)
     return json.dumps(value)
+
+
+def _holds_codewords(value) -> bool:
+    """True for an object with a "codewords" key, or one nested in it through objects."""
+    return type(value) is dict and (
+        "codewords" in value or any(map(_holds_codewords, value.values()))
+    )
 
 
 def _codewords(codewords: list, pad: str) -> str:
