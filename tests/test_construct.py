@@ -401,16 +401,20 @@ ONE_MAKE_CASES = [
 def test_each_codeword_is_made_once(monkeypatch, builder, make_args, extra):
     args = make_args()
     calls, checked_calls = [], []
-    make = construct._codeword
+    make, check = construct._codeword, construct.make_codeword
 
     def counted(cells):
         calls.append(None)
         return make(cells)
 
+    def counted_check(cells):
+        checked_calls.append(None)
+        return check(cells)
+
     # each codeword is made once by the private constructor; its cells are
     # checked by the final check, never by the per-codeword `make_codeword`
     monkeypatch.setattr(construct, "_codeword", counted)
-    monkeypatch.setattr(construct, "make_codeword", lambda cells: checked_calls.append(None))
+    monkeypatch.setattr(construct, "make_codeword", counted_check)
     leave_calls = []
     measure = construct.difference_leave
 
