@@ -1,20 +1,25 @@
 """The document writers against their definitions.
 
 `render_json` must print what `json.dumps(doc, sort_keys=True, indent=2)`
-prints, for code documents and for every report that nests one; and
+prints, for code documents and for every report that nests one; for report
+objects, what it prints of their `dataclasses.asdict` copies; and
 `render_matrix` what a per-character scan of each codeword prints.
 """
 
 import contextlib
 import io
 import json
+from dataclasses import asdict, fields, is_dataclass
 
 import pytest
 from hypothesis import example, given, strategies as st
 
+from oockit.bounds import BoundReport
 from oockit.cli import main
 from oockit.core import Code, CodeParams, make_codeword
 from oockit.document import code_to_document, parse_json, render_json, render_matrix
+from oockit.search import GddBaseBlocks
+from oockit.verify import CompositionCensus, ParityCensus, VerificationReport, Witness
 
 # JSON values other than code documents.  NaN is left out because it is
 # unequal to itself, so parse(render(doc)) == doc could not hold; the key
@@ -175,6 +180,87 @@ class TestRenderJson:
             assert main(command.split()) == 0
         text = out.getvalue()
         assert text == json.dumps(json.loads(text), sort_keys=True, indent=2) + "\n"
+
+
+def _asdict_copy(value):
+    """`value` with every dataclass instance in it replaced by its `asdict` copy."""
+    if is_dataclass(value):
+        return asdict(value)
+    if isinstance(value, dict):
+        return {key: _asdict_copy(item) for key, item in value.items()}
+    if isinstance(value, list):
+        return [_asdict_copy(item) for item in value]
+    return value
+
+
+def _counts(cls):
+    return st.builds(cls, **{f.name: st.integers(0, 10**6) for f in fields(cls)})
+
+
+PAIRS = st.tuples(st.integers(0, 10**6), st.integers(0, 10**6))
+WITNESSES = st.builds(
+    Witness, st.sampled_from(["auto", "cross"]), PAIRS, PAIRS, st.integers(0, 10**6)
+)
+
+
+@st.composite
+def gdd_witnesses(draw):
+    """GddBaseBlocks, built with and without its ignored group_type."""
+    groups = draw(st.lists(st.lists(st.integers(0, 40), max_size=4), max_size=4))
+    cell = st.tuples(st.integers(0, 40), st.integers(0, 10**6))
+    blocks = draw(
+        st.lists(st.lists(cell, max_size=3, unique=True).map(make_codeword), max_size=4)
+    )
+    extra = draw(st.sampled_from([{}, {"group_type": None}, {"group_type": [(3, 4)]}]))
+    return GddBaseBlocks(draw(st.integers(1, 100)), groups, blocks, **extra)
+
+
+# the report objects the CLI writes: a verify report and its censuses, a bound
+# report and a GDD search witness
+REPORTS = st.one_of(
+    st.builds(
+        VerificationReport,
+        st.booleans(),
+        st.booleans(),
+        st.integers(0, 10),
+        st.lists(WITNESSES, max_size=3),
+        st.integers(0, 10**6),
+    ),
+    _counts(CompositionCensus),
+    _counts(ParityCensus),
+    st.builds(
+        BoundReport,
+        st.none() | st.integers(0, 10**6),
+        st.sampled_from(["exact", "upper_bound", "unknown"]),
+        st.text(max_size=12),
+        st.lists(st.tuples(st.text(max_size=8), st.integers(0, 10**6)), max_size=3).map(tuple),
+    ),
+    gdd_witnesses(),
+)
+
+
+class TestRenderReports:
+    @given(
+        REPORTS
+        | st.dictionaries(KEYS, REPORTS | st.none(), min_size=1, max_size=3)
+        | st.lists(REPORTS, min_size=1, max_size=3)
+    )
+    def test_equals_json_dumps_of_the_asdict_copy(self, report):
+        expected = json.dumps(_asdict_copy(report), sort_keys=True, indent=2)
+        assert render_json(report) == expected
+
+    @pytest.mark.parametrize(
+        "report",
+        [
+            BoundReport(1, "exact", "x", frozenset({("a", 1)})),
+            {"verification": BoundReport(1, "exact", "x", (("a", frozenset()),))},
+            [VerificationReport(True, True, 1, [Witness("auto", frozenset(), (0, 0), 1)], 0)],
+            {"census": frozenset({1, 2})},
+        ],
+    )
+    def test_a_frozenset_is_no_json_value(self, report):
+        with pytest.raises(TypeError):
+            render_json(report)
 
 
 def _matrix_by_scan(code: Code) -> str:
