@@ -147,7 +147,7 @@ def me_prime(p: int) -> BoundReport:
     The count of `psi_e_exact` at its one divisor d = p.
     """
     if p < 5 or not is_prime(p):
-        raise ValueError(f"need a prime p >= 5, got {p}")
+        raise ValueError(f"need a prime >= 5, got {p}")
     e = mult_order(2, p)
     return BoundReport(_doubling_count(p, p - 1, e), EXACT, "me/prime", ((f"ord_{p}(2)", e),))
 

@@ -1,6 +1,7 @@
 """Command-line surface: construct / verify / bound / search / catalog.
 
-Each `cmd_*` returns a function that builds its JSON object, one that builds
+Each `cmd_*` returns a function that builds its report, its own objects as
+they are (`render_json` writes a dataclass as its fields), one that builds
 its text form, and its verdict.  `main` writes the one form that `--format`
 names to stdout, once the command has finished, and picks the exit code;
 diagnostics go to stderr.  Exit codes: 0 success or pass, 1 verification
@@ -15,11 +16,10 @@ kind does not take with exit 2.
 from __future__ import annotations
 
 import sys
-from dataclasses import asdict
 from types import SimpleNamespace
 
 from . import bounds, construct, search
-from .core import SearchExhausted, UnsupportedParameterError, VerificationFailure
+from .core import Code, SearchExhausted, UnsupportedParameterError, VerificationFailure
 from .document import (
     code_to_document,
     document_to_code,
@@ -27,7 +27,7 @@ from .document import (
     render_json,
     render_matrix,
 )
-from .search import EXACT_COVER, HILL_CLIMB, GddBaseBlocks, SearchConfig
+from .search import EXACT_COVER, HILL_CLIMB, SearchConfig
 from .verify import composition_census, parity_census, verify_code
 
 EXIT_OK = 0
@@ -163,12 +163,12 @@ def cmd_verify(args):
             text = fh.read()
     code, _meta = document_to_code(parse_json(text))
     report = verify_code(code)
-    out = {"verification": asdict(report), "composition_census": None, "parity_census": None}
+    out = {"verification": report, "composition_census": None, "parity_census": None}
     if code.params.k == 3:
-        out["composition_census"] = asdict(composition_census(code))
+        out["composition_census"] = composition_census(code)
     if code.params.n == 1 and code.params.m % 4 == 0:
         try:
-            out["parity_census"] = asdict(parity_census(code))
+            out["parity_census"] = parity_census(code)
         except ValueError:
             pass  # third-period codewords have no parity class
     summary = (
@@ -182,18 +182,14 @@ def cmd_verify(args):
 def cmd_bound(args):
     rep, _ = _call(bounds, BOUNDS, "bound", args.bound, vars(args))
     summary = f"{args.bound} value={rep.value} kind={rep.kind} branch={rep.branch}"
-    return lambda: asdict(rep), lambda: summary, True
+    return lambda: rep, lambda: summary, True
 
 
 def cmd_search(args):
     outcome, _ = _call(search, SEARCHES, "search", args.kind, vars(args))
-    witness = None
-    if isinstance(outcome.best, GddBaseBlocks):
-        witness = asdict(outcome.best)
-    elif outcome.best is not None:
-        witness = code_to_document(
-            outcome.best, {"provenance": f"search {args.kind}", "verified": True}
-        )
+    witness = outcome.best  # a GddBaseBlocks is written as its fields
+    if isinstance(witness, Code):
+        witness = code_to_document(witness, {"provenance": f"search {args.kind}", "verified": True})
     out = {
         "best_size": outcome.best_size,
         "proven_optimal": outcome.proven_optimal,
@@ -348,7 +344,7 @@ def main(argv=None) -> int:
             report = render_json(document()) if args.format == "json" else text()
     except tuple(FAILURES) as exc:
         code, prefix = next(FAILURES[c] for c in type(exc).__mro__ if c in FAILURES)
-        _err(f"{prefix}: {exc}")
+        _err(f"{prefix}: {str(exc) or type(exc).__name__}")
         for w in getattr(exc, "witnesses", [])[:20]:
             _err(f"  witness: {w}")
         return code

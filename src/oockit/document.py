@@ -5,10 +5,10 @@ integers only.  parse(render(doc)) == doc.
 
 `render_json(doc)` prints what `json.dumps(doc, sort_keys=True, indent=2)`
 prints.  That call runs CPython's pure-Python encoder, since the C one takes
-no indent, so `render_json` walks a document, or a report that nests one (a
-search report's `"witness"`), and the objects in it.  It writes a
-`"codewords"` array from one %-template per cell and one join per codeword,
-a list of ints (a claimed leave) with one join, and any other value through
+no indent, so `render_json` walks every document and report, and the objects
+in it, a dataclass instance as its fields.  It writes a `"codewords"` array
+from one %-template per cell and one join per codeword, a list of ints (a
+claimed leave) with one join, and any other value through
 `json.dumps(value, sort_keys=True, indent=2)`, re-indented to its depth;
 keys and scalars through the C encoder.  A codewords array holds integer
 cells, as `code_to_document` writes them and `document_to_code` requires.
@@ -17,7 +17,7 @@ cells, as `code_to_document` writes them and `document_to_code` requires.
 from __future__ import annotations
 
 import json
-from dataclasses import MISSING, fields
+from dataclasses import MISSING, fields, is_dataclass
 
 from .core import Code, CodeParams, Codeword, make_codeword, normalize
 
@@ -41,8 +41,8 @@ def code_to_document(code: Code, metadata: dict | None = None) -> dict:
     meta.update(metadata or {})
     if isinstance(meta.get("claimed_leave"), (set, frozenset)):
         meta["claimed_leave"] = sorted(meta["claimed_leave"])
-    # a CodeParams holds only its int fields, so a copy of its attributes is
-    # `asdict(p)`; asdict's first call in a process costs about 0.2 ms more
+    # a CodeParams holds only its int fields: a copy of its attributes keeps
+    # the document plain JSON values, so parse(render(doc)) == doc
     return {
         "schema_version": SCHEMA_VERSION,
         "params": dict(vars(p)),
@@ -100,35 +100,31 @@ def document_to_code(doc: dict) -> tuple[Code, dict]:
 
 
 def render_json(doc: dict) -> str:
-    return _render(doc, "", _holds_codewords(doc))  # other reports: json writes them whole
+    return _render(doc, "")
 
 
-def _render(value, pad: str, walk: bool) -> str:
-    """`value` as `json.dumps(value, sort_keys=True, indent=2)` writes it at indent `pad`."""
+def _render(value, pad: str) -> str:
+    """`value` as `json.dumps(value, sort_keys=True, indent=2)` writes it at indent
+    `pad`, with each dataclass instance in it written as its fields."""
+    if is_dataclass(value):
+        value = vars(value)
     inner = pad + "  "
-    if walk and type(value) is dict and value and all(type(key) is str for key in value):
+    if type(value) is dict and value and all(type(key) is str for key in value):
         items = []
         for key in sorted(value):
             item = value[key]
             text = (
                 _codewords(item, inner)
                 if key == "codewords" and type(item) is list
-                else _render(item, inner, True)
+                else _render(item, inner)
             )
             items.append(f"{inner}{json.dumps(key)}: {text}")
         return "{\n" + ",\n".join(items) + f"\n{pad}}}"
-    if walk and type(value) is list and value and all(type(x) is int for x in value):
+    if type(value) is list and value and all(type(x) is int for x in value):
         return f"[\n{inner}" + f",\n{inner}".join(map(str, value)) + f"\n{pad}]"
     if isinstance(value, (dict, list, tuple)):
-        return json.dumps(value, sort_keys=True, indent=2).replace("\n", "\n" + pad)
+        return json.dumps(value, sort_keys=True, indent=2, default=vars).replace("\n", "\n" + pad)
     return json.dumps(value)
-
-
-def _holds_codewords(value) -> bool:
-    """True for an object with a "codewords" key, or one nested in it through objects."""
-    return type(value) is dict and (
-        "codewords" in value or any(map(_holds_codewords, value.values()))
-    )
 
 
 def _codewords(codewords: list, pad: str) -> str:

@@ -229,9 +229,9 @@ def matrix_verdicts(code: Code) -> tuple[bool, bool]:
     lam_a, lam_c = code.params.lambda_a, code.params.lambda_c
     cws = [frozenset(cw) for cw in code.codewords]
     auto_ok = True
-    for cw in code.codewords:
+    for cw, cells in zip(code.codewords, cws):
         for r in range(1, m):
-            if _shift_overlap(cw, frozenset(cw), r, m) > lam_a:
+            if _shift_overlap(cw, cells, r, m) > lam_a:
                 auto_ok = False
     cross_ok = True
     for a in range(len(cws)):

@@ -402,6 +402,16 @@ class TestCliBoundSearchCatalog:
         assert captured.out == ""
         assert captured.err == "internal error: maximum recursion depth exceeded\n"
 
+        def exhausted(m):
+            raise MemoryError()
+
+        # an exception with no text is named by its type
+        monkeypatch.setattr(construct, "ooc_3xm", exhausted)
+        assert main(argv) == 4
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "internal error: MemoryError\n"
+
     def test_power4_negative_s_names_the_requirement(self, capsys):
         assert main(["construct", "power4", "--s", "-1", "--r", "6"]) == 2
         captured = capsys.readouterr()
@@ -522,6 +532,9 @@ class TestCliGrammar:
         (["catalog", "3", "--n", "3", "--m", "8"], "error: unrecognized argument '3'"),
         (["catalog", "--m", "8..24"], "error: catalog needs --n"),
         (["catalog", "--n", "3"], "error: catalog needs --m"),
+        # a parameter error names no variable, so none that the command does not take
+        (["bound", "me", "--m", "4"], "error: need a prime >= 5, got 4"),
+        (["construct", "prime", "--p", "4"], "error: need a prime >= 5, got 4"),
     ])
     def test_usage_error_is_one_line_and_exit_2(self, capsys, argv, line):
         assert main(argv) == 2

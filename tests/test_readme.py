@@ -1,7 +1,8 @@
 """Every `oockit ...` command of the README's command-line block runs clean.
 
 A line of the form `oockit A | oockit verify -` feeds the stdout of A to
-`verify -` on stdin; every command must exit 0.  The exit-code sentence
+`verify -` on stdin; every command must exit 0.  The library example runs
+and prints the leave it shows.  The exit-code sentence
 names every code `main` can return, and the family table names the CLI
 families and the explicit code ids.
 """
@@ -36,6 +37,15 @@ def _run(command: str, stdin: str) -> tuple[int, str]:
     finally:
         sys.stdin = saved
     return code, out.getvalue()
+
+
+def test_library_example_prints_the_row_0_leave():
+    text = README.read_text(encoding="utf-8")
+    block = re.search(r"## Library example\n.*?```python\n(.*?)```", text, re.S).group(1)
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        exec(block, {})
+    assert out.getvalue() == "frozenset({1, 33, 3, 35, 5, 37, 7, 39, 9, 15, 25, 31})\n"
 
 
 def test_exit_code_contract_names_every_code_main_returns():
