@@ -20,7 +20,7 @@ silently, so transcription slips cannot leak out as codes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .bounds import me_prime, phi_exact, pow4_decompose, psi_e_exact
 from .core import (
@@ -32,7 +32,7 @@ from .core import (
     VerificationFailure,
     make_codeword,
 )
-from .search import GddBaseBlocks, SearchConfig, gdd_search
+from .search import EXACT_COVER, GddBaseBlocks, SearchConfig, _gdd_orbit_search, gdd_search
 from .verify import difference_leave, structural_facts, verify_code
 
 
@@ -644,7 +644,7 @@ _THREE_ROW_BODIES = {
 def _expand_code(gdd: GddBaseBlocks, inputs: list[Code]) -> Code:
     """The base blocks plus, on each group, the input code with as many rows."""
     by_rows = {code.params.n: code for code in inputs}
-    cws = [make_codeword(b) for b in gdd.base_blocks]  # cells of a search witness
+    cws = [_codeword(b) for b in gdd.base_blocks]
     for rows in gdd.groups:
         try:
             code = by_rows[len(rows)]
@@ -670,10 +670,27 @@ def expand_gdd(gdd: GddBaseBlocks, inputs: list[ConstructionResult]) -> Construc
             raise ValueError(
                 f"input on Z_{res.code.params.m} does not match the design's Z_{gdd.m}"
             )
+    # the caller's cells become int tuples once; `_finalize` checks the rest
+    gdd = replace(gdd, base_blocks=[make_codeword(b) for b in gdd.base_blocks])
     code = _expand_code(gdd, [res.code for res in inputs])
     sizes = {res.code.params.n: res.code.size() for res in inputs}
     total = len(gdd.base_blocks) + sum(sizes[len(rows)] for rows in gdd.groups)
     return _finalize(code, total, None, "gdd/expand")
+
+
+def _base_design(u: int, m0: int, config: SearchConfig) -> GddBaseBlocks | None:
+    """The (3 m0)^u design of `compose_0mod3`, or None when the budget runs out."""
+    if u >= 6 and config.strategy == EXACT_COVER:
+        outcome = _gdd_orbit_search(u, m0, config)
+        if outcome.best is not None or not outcome.proven_optimal:
+            return outcome.best
+        # no design is fixed by the rotation: search them all on what is left
+        config = replace(
+            config,
+            time_budget=max(config.time_budget - outcome.elapsed, 0.0),
+            node_budget=config.node_budget - outcome.nodes,
+        )
+    return gdd_search(u, m0, config).best
 
 
 def compose_0mod3(n: int, m: int, config: SearchConfig | None = None) -> ConstructionResult:
@@ -683,7 +700,10 @@ def compose_0mod3(n: int, m: int, config: SearchConfig | None = None) -> Constru
     type (3m)^(n/3) is searched only at m0 = m & -m (4, 8 or 32 in every
     exact class), lifted by the odd factor m / m0, and its groups are filled
     with the three-row code on Z_m, reaching Phi(n, m) = n(nm + 2 psi)/6
-    codewords.  `config` drives the search at m0.
+    codewords.  `config` drives the search at m0.  From n = 18 on, the exact
+    cover searches only designs fixed by a rotation of the groups; when that
+    search completes without one, `gdd_search` runs on what is left of the
+    budget.
     """
     if n < 3:  # phi_exact takes n >= 1 only
         raise UnsupportedParameterError(f"family needs n >= 3, got n={n}")
@@ -694,10 +714,10 @@ def compose_0mod3(n: int, m: int, config: SearchConfig | None = None) -> Constru
     phi = phi_exact(n, m)
     inner = _three_row(n, m, phi.branch)[0]
     u, m0 = n // 3, m & -m
-    outcome = gdd_search(u, m0, config or SearchConfig())
-    if outcome.best is None:
+    design = _base_design(u, m0, config or SearchConfig())
+    if design is None:
         raise SearchExhausted(f"no (3m)^{u} design witness found for m={m0} in budget")
     # _finalize is the one check of the lift: the correlation check rules out
     # a class covered twice, the exact size a class left uncovered
-    code = _expand_code(outcome.best.lift(m // m0), [inner])
+    code = _expand_code(design.lift(m // m0), [inner])
     return _finalize(code, phi.value, None, "nxm/0mod3")

@@ -525,6 +525,19 @@ def _shuffle(order: list[int], rng: random.Random, budget: _Budget) -> None:
         order[i], order[j] = order[j], order[i]
 
 
+def _first_cover(cover: _ExactCover, slice: int, budget: _Budget, rng) -> list[int] | None:
+    """The first cover found over restarts, each from a fresh random row
+    order, or None once a restart searches its whole tree: no cover exists.
+    The first restart gets `slice` nodes and each later one twice as many,
+    so an unlucky order is dropped early and the search stays complete."""
+    order = list(range(len(cover.rows)))
+    for restart in itertools.count():
+        _shuffle(order, rng, budget)
+        picked, complete = cover.solve(budget, order, slice << restart)
+        if picked is not None or complete:
+            return picked
+
+
 def _gdd_exact_cover(u: int, m: int, budget: _Budget, rng) -> list[Codeword] | None:
     """Exact cover of the cross-group classes by the `_gdd_candidates`."""
     triples, pairs, offsets = _gdd_candidates(u, m, budget)
@@ -540,17 +553,10 @@ def _gdd_exact_cover(u: int, m: int, budget: _Budget, rng) -> list[Codeword] | N
                 yield zip(first, second, third[m - x2 :] + third[: m - x2])
 
     cover = _ExactCover(len(classes), itertools.chain.from_iterable(rows()), budget)
-    order = list(range(len(triples) * m * m))
-    for restart in itertools.count():
-        _shuffle(order, rng, budget)
-        # the first slice has a node per row, so it costs more than the
-        # restart's shuffle and rank table, and each later one doubles: the
-        # setup never dominates and an unlucky order is dropped early
-        picked, complete = cover.solve(budget, order, len(order) << restart)
-        if picked is not None:
-            return [_gdd_block(triples, m, c) for c in picked]
-        if complete:
-            return None  # the whole tree is searched: no cover exists
+    # a node per row: the first slice costs more than a restart's shuffle and
+    # rank table, so the setup never dominates
+    picked = _first_cover(cover, len(cover.rows), budget, rng)
+    return None if picked is None else [_gdd_block(triples, m, c) for c in picked]
 
 
 def _gdd_hill_climb(u: int, m: int, budget: _Budget, rng) -> list[Codeword]:
@@ -670,3 +676,97 @@ def gdd_search(u: int, m: int, config: SearchConfig | None = None) -> SearchOutc
     gdd.validate()
     return SearchOutcome(gdd, len(blocks), proven, budget.nodes, budget.elapsed())
 
+
+
+# ---------------------------------------------------------------------------
+# the same designs, searched among those fixed by a rotation of the groups
+# ---------------------------------------------------------------------------
+
+
+def _gdd_orbit_cover(u: int, m: int, budget: _Budget, rng) -> list[Codeword] | None:
+    """Exact cover of the class orbits by block orbits under a rotation of
+    the groups (Kramer-Mesner; Kaski & Ostergard 2006).
+
+    The rotation adds 1 mod N to each group below N and keeps each row's
+    place in its group: N = u for odd u (Z_u on all groups), N = u - 1 for
+    even u (the last group is fixed).  N is odd, so no rotation but the
+    identity fixes a cross-group row pair, and every class orbit holds N
+    classes.  Column p*m + d is the orbit of the class with difference d on
+    the first pair of pair orbit p: a rotation that takes a pair there keeps
+    its difference, or negates it when it reverses the pair.  Rows are
+    numbered as in
+    `_gdd_candidates`, on the first group triple of each triple orbit, one
+    block per block orbit.  Left out, as empty rows: the blocks on a triple
+    whose orbit is short ({0, 3, 6} under Z_9), and those whose classes meet
+    fewer than three class orbits.  Each picked row is developed into its N
+    blocks.  A completed search without a cover proves only that no design
+    is fixed by the rotation.
+    """
+    order = u - 1 + u % 2
+
+    def turn(g: int, k: int) -> int:
+        """Group g after k rotations."""
+        return g if g == order else (g + k) % order
+
+    pair_orbit = {}  # cross-group row pair -> (first column of its orbit, sign)
+    for r, s in itertools.combinations(range(3 * u), 2):
+        if r // 3 != s // 3 and (r, s) not in pair_orbit:
+            first = len(pair_orbit) // order * m  # each orbit before holds `order` pairs
+            for k in range(order):
+                a, b = 3 * turn(r // 3, k) + r % 3, 3 * turn(s // 3, k) + s % 3
+                pair_orbit[min(a, b), max(a, b)] = first, 1 if a < b else -1
+    seen, firsts = set(), []
+    for groups in itertools.combinations(range(u), 3):
+        if groups not in seen:
+            images = {tuple(sorted(turn(g, k) for g in groups)) for k in range(order)}
+            seen |= images
+            if len(images) == order:
+                firsts.append(groups)
+    triples = [
+        t
+        for groups in firsts
+        for t in itertools.product(*(range(3 * g, 3 * g + 3) for g in groups))
+    ]
+    classes = list(range(len(pair_orbit) // order * m))  # one int object per class orbit
+
+    def line(r: int, s: int) -> list[int]:
+        """The columns of the classes (r, s, d), d in Z_m."""
+        first, sign = pair_orbit[r, s]
+        return [classes[first + sign * d % m] for d in range(m)]
+
+    def rows() -> Iterator[Iterable[tuple[int, ...]]]:
+        """Per triple and x2, its rows by x3 ascending, as in `_gdd_exact_cover`."""
+        for a, b, c in triples:
+            first, second, third = line(a, b), line(a, c), line(b, c)
+            meet = len({pair_orbit[a, b][0], pair_orbit[a, c][0], pair_orbit[b, c][0]})
+            for x2 in range(m):
+                shifted = third[m - x2 :] + third[: m - x2]  # x3 - x2 for x3 ascending
+                batch = zip(itertools.repeat(first[x2], m), second, shifted)
+                yield batch if meet == 3 else (row if len(set(row)) == 3 else () for row in batch)
+
+    cover = _ExactCover(len(classes), itertools.chain.from_iterable(rows()), budget)
+    # a node per column: a cover that hardly backtracks takes a third of that
+    picked = _first_cover(cover, len(classes), budget, rng)
+    if picked is None:
+        return None
+    return [
+        tuple(sorted((3 * turn(r // 3, k) + r % 3, x) for r, x in _gdd_block(triples, m, c)))
+        for c in picked
+        for k in range(order)
+    ]
+
+
+def _gdd_orbit_search(u: int, m: int, config: SearchConfig) -> SearchOutcome:
+    """Base blocks of an m-cyclic (3m)^u design fixed by the rotation of
+    `_gdd_orbit_cover`, u >= 6, not validated: the caller checks what it
+    builds.  `proven_optimal` says that the search completed, which without
+    a design rules out only the designs fixed by the rotation."""
+    budget = _Budget(config)
+    try:
+        blocks = _gdd_orbit_cover(u, m, budget, random.Random(config.seed))
+    except _Spent:
+        return SearchOutcome(None, 0, False, budget.nodes, budget.elapsed())
+    if blocks is None:
+        return SearchOutcome(None, 0, True, budget.nodes, budget.elapsed())
+    gdd = GddBaseBlocks(m, [[3 * t, 3 * t + 1, 3 * t + 2] for t in range(u)], sorted(blocks))
+    return SearchOutcome(gdd, len(blocks), True, budget.nodes, budget.elapsed())

@@ -150,6 +150,12 @@ class TestCliConstructVerify:
         assert len(doc["codewords"]) == bounds.phi_exact(n, m).value
         assert doc["metadata"]["verified"]
 
+    @pytest.mark.parametrize("flag", ["--budget-seconds", "--node-budget"])
+    def test_orbit_cover_exhaustion_exit_3(self, capsys, flag):
+        assert main(["construct", "nxm", "--n", "18", "--m", "8", flag, "0"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith("search exhausted: ")
+
     def test_search_exhaustion_exit_3(self, capsys):
         rc = main(
             ["construct", "nxm", "--n", "12", "--m", "8",

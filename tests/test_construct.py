@@ -24,6 +24,7 @@ from oockit.construct import (
 )
 from oockit.core import (
     Code,
+    SearchExhausted,
     UnsupportedParameterError,
     VerificationFailure,
     make_codeword,
@@ -32,8 +33,10 @@ from oockit.core import (
 from oockit.construct import _equi_generators
 from oockit.search import (
     EXACT_COVER,
+    HILL_CLIMB,
     GddBaseBlocks,
     SearchConfig,
+    SearchOutcome,
     equi_search,
     gdd_search,
     tight_search,
@@ -587,6 +590,53 @@ class TestCompose:
         assert calls == [(n // 3, m0)]
         assert res.code.size() == phi_exact(n, m).value and res.verified
 
+    @pytest.mark.parametrize("n,m", [*((3 * u, 8) for u in range(6, 14)), (18, 32), (24, 32),
+                                     (18, 20), (21, 96)])
+    def test_six_or_more_groups_take_the_orbit_cover(self, monkeypatch, n, m):
+        monkeypatch.setattr(construct, "gdd_search", None)  # no fallback to the direct search
+        res = compose_0mod3(n, m)
+        assert res.code.size() == phi_exact(n, m).value and res.verified
+        assert verify_code(res.code).passed
+
+    def test_one_seed_gives_one_code(self):
+        first = compose_0mod3(21, 8, SearchConfig(seed=5)).code.codewords
+        assert compose_0mod3(21, 8, SearchConfig(seed=5)).code.codewords == first
+        assert compose_0mod3(21, 8, SearchConfig(seed=6)).code.codewords != first
+
+    def test_no_design_fixed_by_the_rotation_falls_back_to_the_direct_search(self, monkeypatch):
+        def none_fixed(u, m, budget, rng):
+            for _ in range(5):
+                budget.tick()
+            return None
+
+        configs = []
+
+        def record(u, length, config=None):
+            configs.append((u, length, config))
+            return gdd_search(u, length, config)
+
+        monkeypatch.setattr(search, "_gdd_orbit_cover", none_fixed)
+        monkeypatch.setattr(construct, "gdd_search", record)
+        res = compose_0mod3(18, 8, SearchConfig(seed=2))
+        assert res.code.size() == phi_exact(18, 8).value and verify_code(res.code).passed
+        [(u, length, config)] = configs
+        # the same budget: what the orbit cover left of it
+        assert (u, length, config.seed, config.node_budget) == (6, 8, 2, 10**9 - 5)
+        assert config.time_budget < 60.0
+
+    def test_hill_climb_keeps_the_direct_search(self, monkeypatch):
+        calls = []
+
+        def record(u, length, config=None):
+            calls.append((u, length, config.strategy))
+            return SearchOutcome(None, 0, False, 1, 0.0)
+
+        monkeypatch.setattr(construct, "_gdd_orbit_search", None)
+        monkeypatch.setattr(construct, "gdd_search", record)
+        with pytest.raises(SearchExhausted):
+            compose_0mod3(18, 8, SearchConfig(strategy=HILL_CLIMB))
+        assert calls == [(6, 8, HILL_CLIMB)]
+
     def test_unreachable_parameters(self):
         with pytest.raises(UnsupportedParameterError):
             compose_0mod3(12, 4)
@@ -642,6 +692,8 @@ ONE_VERIFICATION_CASES = [
     (ooc_3xm, lambda: (68,), 0),
     (expand_gdd, lambda: (_gdd_4x4(), [explicit_code("3x4")]), 0),
     (compose_0mod3, lambda: (12, 8, SearchConfig(30.0, 10**9, EXACT_COVER, 3)), 0),
+    (compose_0mod3, lambda: (18, 8), 0),
+    (compose_0mod3, lambda: (18, 8, SearchConfig(seed=4)), 0),
 ]
 
 
@@ -700,6 +752,8 @@ OPTIMAL_BUILDERS = [
     (ooc_3xm, (24,)),
     (explicit_code, ("3x8",)),
     (compose_0mod3, (12, 8, SearchConfig(seed=3))),
+    (compose_0mod3, (18, 8)),
+    (compose_0mod3, (18, 8, SearchConfig(seed=4))),
 ]
 
 

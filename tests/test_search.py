@@ -14,10 +14,10 @@ from unittest import mock
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
-from oockit import search
+from oockit import construct, search
 from oockit.bounds import cac_optimal_size, me_prime, phi_exact, psi_e_exact
-from oockit.construct import ooc_3xm
-from oockit.core import Code, CodeParams, make_codeword, normalize
+from oockit.construct import compose_0mod3, ooc_3xm
+from oockit.core import Code, CodeParams, SearchExhausted, make_codeword, normalize
 from oockit.search import (
     EXACT_COVER,
     HILL_CLIMB,
@@ -572,6 +572,60 @@ def test_a_restart_past_the_deadline_gets_an_empty_slice(monkeypatch):
     assert (out.best, out.proven_optimal) == (None, False)
 
 
+def _rotated(block, u: int, k: int):
+    """The block after k rotations of the orbit cover: groups below the
+    rotation's odd order N move by k mod N, the last group of an even u stays."""
+    order = u - 1 + u % 2
+    return [(r if r // 3 == order else 3 * ((r // 3 + k) % order) + r % 3, x) for r, x in block]
+
+
+class TestOrbitCover:
+    """`search._gdd_orbit_cover`, the base-block source of `compose_0mod3`
+    from six groups on."""
+
+    @pytest.mark.parametrize("u", range(6, 14))
+    @pytest.mark.parametrize("m, seed", [(4, 0), (8, 1), (8, 2)])
+    def test_a_design_fixed_by_the_rotation(self, u, m, seed):
+        out = search._gdd_orbit_search(u, m, SearchConfig(seed=seed))
+        out.best.validate()  # every cross-group class covered exactly once
+        blocks = {normalize(b, m) for b in out.best.base_blocks}
+        assert len(blocks) == len(out.best.base_blocks) == 3 * comb(u, 2) * m
+        assert all(normalize(_rotated(b, u, 1), m) in blocks for b in blocks)
+        assert out.proven_optimal
+
+    @pytest.mark.parametrize(
+        "u, m, rows, left_out, columns",
+        [
+            # Z_5 and a fixed group: 4 triple orbits; each has a group pair
+            # orbit twice, so some blocks meet only two class orbits
+            (6, 8, 4 * 27 * 64, 192, 216),
+            (7, 4, 5 * 27 * 16, None, 27 * 4),
+            # Z_9: 84 triples, {0, 3, 6} and its images form the one short orbit
+            (9, 4, 9 * 27 * 16, None, 36 * 4),
+            # Z_9 and a fixed group: 4 orbits meet the fixed group, 9 do not
+            (10, 4, 13 * 27 * 16, None, 45 * 4),
+        ],
+    )
+    def test_rows_and_columns(self, monkeypatch, u, m, rows, left_out, columns):
+        covers = []
+        monkeypatch.setattr(search, "_first_cover", lambda cover, *rest: covers.append(cover))
+        assert search._gdd_orbit_cover(u, m, _Budget(SearchConfig()), random.Random(0)) is None
+        [cover] = covers
+        assert (len(cover.rows), len(cover.cols)) == (rows, columns)
+        assert all(len(set(row)) == len(row) for row in cover.rows)
+        if left_out is not None:
+            assert cover.rows.count(()) == left_out
+
+    def test_same_seed_same_design(self):
+        first = search._gdd_orbit_search(7, 8, SearchConfig(seed=3)).best.base_blocks
+        assert search._gdd_orbit_search(7, 8, SearchConfig(seed=3)).best.base_blocks == first
+
+    @pytest.mark.parametrize("config", [SearchConfig(node_budget=0), SearchConfig(time_budget=0)])
+    def test_a_spent_budget_is_no_proof(self, config):
+        out = search._gdd_orbit_search(6, 8, config)
+        assert (out.best, out.proven_optimal) == (None, False)
+
+
 class TestPinnedGddOutcomes:
     """Node counts and witnesses of the GDD searches, which a rewrite of
     their kernels must keep.  The last five exact covers backtrack little:
@@ -666,19 +720,35 @@ _SETUPS = {
         for u, m in ((40, 8), (6, 40))
         for s in (EXACT_COVER, HILL_CLIMB)
     },
+    "gdd orbit 13x32": functools.partial(search._gdd_orbit_search, 13, 32, SearchConfig()),
 }
+
+
+def _past_the_deadline(monkeypatch):
+    """A `time` stand-in on `oockit.search`: the clock reads 0 when the
+    budget starts and is past its deadline at every later read."""
+    reads = itertools.chain([0.0], itertools.repeat(float("inf")))
+    monkeypatch.setattr(search, "time", SimpleNamespace(monotonic=functools.partial(next, reads)))
 
 
 @pytest.mark.parametrize("name", list(_SETUPS))
 def test_a_clock_past_the_deadline_stops_every_setup(name, monkeypatch):
-    # the deterministic form of the wall-clock setup tests: the clock reads 0
-    # when the budget starts and is past its deadline at every later read
-    reads = itertools.chain([0.0], itertools.repeat(float("inf")))
-    monkeypatch.setattr(search, "time", SimpleNamespace(monotonic=functools.partial(next, reads)))
+    # the deterministic form of the wall-clock setup tests
+    _past_the_deadline(monkeypatch)
     start = time.monotonic()
     out = _SETUPS[name]()
     assert time.monotonic() - start < 0.5
     assert (out.best_size, out.proven_optimal, out.nodes) == (0, False, 0)
+
+
+def test_a_clock_past_the_deadline_stops_the_orbit_setup_of_compose(monkeypatch):
+    # 13 groups: 608 256 rows to build; no fallback after a spent budget
+    _past_the_deadline(monkeypatch)
+    monkeypatch.setattr(construct, "gdd_search", None)
+    start = time.monotonic()
+    with pytest.raises(SearchExhausted):
+        compose_0mod3(39, 32)
+    assert time.monotonic() - start < 0.5
 
 
 def test_public_functions_are_the_four_searches():
