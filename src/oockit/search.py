@@ -525,15 +525,15 @@ def _shuffle(order: list[int], rng: random.Random, budget: _Budget) -> None:
         order[i], order[j] = order[j], order[i]
 
 
-def _first_cover(cover: _ExactCover, slice: int, budget: _Budget, rng) -> list[int] | None:
+def _first_cover(cover: _ExactCover, nodes: int, budget: _Budget, rng) -> list[int] | None:
     """The first cover found over restarts, each from a fresh random row
     order, or None once a restart searches its whole tree: no cover exists.
-    The first restart gets `slice` nodes and each later one twice as many,
+    The first restart gets `nodes` nodes and each later one twice as many,
     so an unlucky order is dropped early and the search stays complete."""
     order = list(range(len(cover.rows)))
     for restart in itertools.count():
         _shuffle(order, rng, budget)
-        picked, complete = cover.solve(budget, order, slice << restart)
+        picked, complete = cover.solve(budget, order, nodes << restart)
         if picked is not None or complete:
             return picked
 
@@ -677,7 +677,6 @@ def gdd_search(u: int, m: int, config: SearchConfig | None = None) -> SearchOutc
     return SearchOutcome(gdd, len(blocks), proven, budget.nodes, budget.elapsed())
 
 
-
 # ---------------------------------------------------------------------------
 # the same designs, searched among those fixed by a rotation of the groups
 # ---------------------------------------------------------------------------
@@ -694,13 +693,12 @@ def _gdd_orbit_cover(u: int, m: int, budget: _Budget, rng) -> list[Codeword] | N
     classes.  Column p*m + d is the orbit of the class with difference d on
     the first pair of pair orbit p: a rotation that takes a pair there keeps
     its difference, or negates it when it reverses the pair.  Rows are
-    numbered as in
-    `_gdd_candidates`, on the first group triple of each triple orbit, one
-    block per block orbit.  Left out, as empty rows: the blocks on a triple
-    whose orbit is short ({0, 3, 6} under Z_9), and those whose classes meet
-    fewer than three class orbits.  Each picked row is developed into its N
-    blocks.  A completed search without a cover proves only that no design
-    is fixed by the rotation.
+    numbered as in `_gdd_candidates`, on the first group triple of each
+    triple orbit, one block per block orbit.  Left out, as empty rows: the
+    blocks on a triple whose orbit is short ({0, 3, 6} under Z_9), and those
+    whose classes meet fewer than three class orbits.  Each picked row is
+    developed into its N blocks.  A completed search without a cover proves
+    only that no design is fixed by the rotation.
     """
     order = u - 1 + u % 2
 
@@ -737,11 +735,11 @@ def _gdd_orbit_cover(u: int, m: int, budget: _Budget, rng) -> list[Codeword] | N
     def rows() -> Iterator[Iterable[tuple[int, ...]]]:
         """Per triple and x2, its rows by x3 ascending, as in `_gdd_exact_cover`."""
         for a, b, c in triples:
-            first, second, third = line(a, b), line(a, c), line(b, c)
+            ab, ac, bc = line(a, b), line(a, c), line(b, c)
             meet = len({pair_orbit[a, b][0], pair_orbit[a, c][0], pair_orbit[b, c][0]})
             for x2 in range(m):
-                shifted = third[m - x2 :] + third[: m - x2]  # x3 - x2 for x3 ascending
-                batch = zip(itertools.repeat(first[x2], m), second, shifted)
+                shifted = bc[m - x2 :] + bc[: m - x2]  # x3 - x2 for x3 ascending
+                batch = zip(itertools.repeat(ab[x2], m), ac, shifted)
                 yield batch if meet == 3 else (row if len(set(row)) == 3 else () for row in batch)
 
     cover = _ExactCover(len(classes), itertools.chain.from_iterable(rows()), budget)
@@ -758,8 +756,7 @@ def _gdd_orbit_cover(u: int, m: int, budget: _Budget, rng) -> list[Codeword] | N
 
 def _gdd_orbit_search(u: int, m: int, config: SearchConfig) -> SearchOutcome:
     """Base blocks of an m-cyclic (3m)^u design fixed by the rotation of
-    `_gdd_orbit_cover`, u >= 6, not validated: the caller checks what it
-    builds.  `proven_optimal` says that the search completed, which without
+    `_gdd_orbit_cover`, not validated: the caller checks what it builds.  `proven_optimal` says that the search completed, which without
     a design rules out only the designs fixed by the rotation."""
     budget = _Budget(config)
     try:
