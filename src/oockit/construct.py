@@ -32,7 +32,7 @@ from .core import (
     VerificationFailure,
     make_codeword,
 )
-from .search import EXACT_COVER, GddBaseBlocks, SearchConfig, _gdd_orbit_search, gdd_search
+from .search import EXACT_COVER, GddBaseBlocks, SearchConfig, _gdd_search, gdd_search
 from .verify import difference_leave, structural_facts, verify_code
 
 
@@ -681,7 +681,7 @@ def expand_gdd(gdd: GddBaseBlocks, inputs: list[ConstructionResult]) -> Construc
 def _base_design(u: int, m0: int, config: SearchConfig) -> GddBaseBlocks | None:
     """The (3 m0)^u design of `compose_0mod3`, or None when the budget runs out."""
     if u >= 6 and config.strategy == EXACT_COVER:
-        outcome = _gdd_orbit_search(u, m0, config)
+        outcome = _gdd_search(u, m0, config, u - 1 + u % 2)  # Z_u, or Z_(u-1) and a fixed group
         if outcome.best is not None or not outcome.proven_optimal:
             return outcome.best
         # no design is fixed by the rotation: search them all on what is left

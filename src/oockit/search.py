@@ -29,7 +29,7 @@ HILL_CLIMB = "hill_climb_restart"
 class SearchConfig:
     time_budget: float = 60.0
     node_budget: int = 10**9
-    strategy: str = EXACT_COVER  # gdd_search only; optimal, equi and tight search ignore it
+    strategy: str = EXACT_COVER  # gdd_search and compose_0mod3; the other searches ignore it
     seed: int = 0
 
     def __post_init__(self):  # a NaN budget compares False with everything: no stop
@@ -488,28 +488,43 @@ def tight_search(m: int, config: SearchConfig | None = None) -> SearchOutcome:
 
 
 # ---------------------------------------------------------------------------
-# m-cyclic triple GDD of type (3m)^u
+# m-cyclic triple GDD of type (3m)^u, fixed by a rotation of the groups
 # ---------------------------------------------------------------------------
 
 
-def _gdd_candidates(u: int, m: int, budget: _Budget):
-    """Row triples, cross-group row pairs, and each triple's class offsets.
+def _gdd_candidates(u: int, m: int, order: int, budget: _Budget):
+    """Row triples, cross-group row pair orbits, and the rotation they are under.
 
-    Rows 3g, 3g + 1 and 3g + 2 form group g.  Class p*m + d is row pair p
-    with difference d.  Candidate (t*m + x2)*m + x3 is the normalized base
-    block {(r1, 0), (r2, x2), (r3, x3)} on row triple t, three rows in
-    distinct groups; its classes are the offsets of (r1, r2), (r1, r3) and
-    (r2, r3) plus x2, x3 and x3 - x2 (mod m).
+    Rows 3g, 3g + 1 and 3g + 2 form group g.  The rotation adds 1 mod N =
+    `order` to each group below N, fixes the others and keeps each row's
+    place in its group.  N is odd, so no rotation but the identity fixes a
+    cross-group row pair.  Each pair maps to the first column of its orbit,
+    p*m for orbit p, and a sign: a rotation that takes the orbit's first
+    pair to it keeps a difference, or negates it when it reverses the pair.
+    The triples lie on the first group triple of each orbit of N group
+    triples; shorter orbits ({0, 3, 6} under Z_9) are left out.  Order 1 is
+    the identity: each pair is its own orbit, with sign +1.
     """
-    n = 3 * u
-    pairs = [(i, j) for i in range(n) for j in range(i + 1, n) if i // 3 != j // 3]
-    pair_id = {pr: p for p, pr in enumerate(pairs)}
-    triples, offsets = [], []
+
+    def turn(g: int, k: int) -> int:
+        """Group g after k rotations."""
+        return g if g >= order else (g + k) % order
+
+    pair_orbit = {}  # cross-group row pair -> (first column of its orbit, sign)
+    for r, s in budget.paced(itertools.combinations(range(3 * u), 2)):
+        if r // 3 != s // 3 and (r, s) not in pair_orbit:
+            first = len(pair_orbit) // order * m  # each orbit before holds `order` pairs
+            for k in range(order):
+                a, b = 3 * turn(r // 3, k) + r % 3, 3 * turn(s // 3, k) + s % 3
+                pair_orbit[min(a, b), max(a, b)] = first, 1 if a < b else -1
+    seen, triples = set(), []
     for groups in budget.paced(itertools.combinations(range(u), 3)):
-        batch = list(itertools.product(*(range(3 * g, 3 * g + 3) for g in groups)))
-        triples += batch
-        offsets += [(pair_id[a, b] * m, pair_id[a, c] * m, pair_id[b, c] * m) for a, b, c in batch]
-    return triples, pairs, offsets
+        if groups not in seen:
+            images = {tuple(sorted(turn(g, k) for g in groups)) for k in range(order)}
+            seen |= images
+            if len(images) == order:
+                triples += itertools.product(*(range(3 * g, 3 * g + 3) for g in groups))
+    return triples, pair_orbit, turn
 
 
 def _gdd_block(triples: list[tuple[int, int, int]], m: int, c: int) -> Codeword:
@@ -538,36 +553,61 @@ def _first_cover(cover: _ExactCover, nodes: int, budget: _Budget, rng) -> list[i
             return picked
 
 
-def _gdd_exact_cover(u: int, m: int, budget: _Budget, rng) -> list[Codeword] | None:
-    """Exact cover of the cross-group classes by the `_gdd_candidates`."""
-    triples, pairs, offsets = _gdd_candidates(u, m, budget)
-    classes = list(range(len(pairs) * m))  # one int object per class, shared by its rows
+def _gdd_cover(u: int, m: int, order: int, budget: _Budget, rng) -> list[Codeword] | None:
+    """Exact cover of the class orbits by block orbits under the rotation of
+    `_gdd_candidates` (Kramer-Mesner; Kaski & Ostergard 2006).
 
-    def rows() -> Iterator[Iterator[tuple[int, int, int]]]:
-        """Per triple and x2, its rows (c12 + x2, c13 + x3, c23 + (x3 - x2) % m)
-        by x3 ascending."""
-        for c12, c13, c23 in offsets:
-            second, third = classes[c13 : c13 + m], classes[c23 : c23 + m]
+    Column p*m + d is the orbit of the class with difference d on the first
+    pair of pair orbit p.  Row (t*m + x2)*m + x3 is the orbit of the base
+    block {(r1, 0), (r2, x2), (r3, x3)} on row triple t, left empty when its
+    classes meet fewer than three class orbits.  Each picked row is
+    developed into its N blocks.  Order 1 is the direct cover of every
+    class; above it, a completed search without a cover proves only that no
+    design is fixed by the rotation.
+    """
+    triples, pair_orbit, turn = _gdd_candidates(u, m, order, budget)
+    classes = list(range(len(pair_orbit) // order * m))  # one int object per class orbit
+
+    def line(r: int, s: int) -> list[int]:
+        """The columns of the classes (r, s, d), d in Z_m."""
+        first, sign = pair_orbit[r, s]
+        return [classes[first + sign * d % m] for d in range(m)]
+
+    def rows() -> Iterator[Iterable[tuple[int, ...]]]:
+        """Per triple and x2, its rows by x3 ascending."""
+        for a, b, c in triples:
+            ab, ac, bc = line(a, b), line(a, c), line(b, c)
+            meet = len({pair_orbit[a, b][0], pair_orbit[a, c][0], pair_orbit[b, c][0]})
             for x2 in range(m):
-                first = itertools.repeat(classes[c12 + x2], m)
-                yield zip(first, second, third[m - x2 :] + third[: m - x2])
+                shifted = bc[m - x2 :] + bc[: m - x2]  # x3 - x2 for x3 ascending
+                batch = zip(itertools.repeat(ab[x2], m), ac, shifted)
+                yield batch if meet == 3 else (row if len(set(row)) == 3 else () for row in batch)
 
     cover = _ExactCover(len(classes), itertools.chain.from_iterable(rows()), budget)
-    # a node per row: the first slice costs more than a restart's shuffle and
-    # rank table, so the setup never dominates
-    picked = _first_cover(cover, len(cover.rows), budget, rng)
-    return None if picked is None else [_gdd_block(triples, m, c) for c in picked]
+    # first slice: a node per row at order 1, so the setup never dominates; a
+    # node per column above it, where a cover hardly backtracks
+    picked = _first_cover(cover, len(cover.rows) if order == 1 else len(classes), budget, rng)
+    if picked is None:
+        return None
+    return [
+        tuple(sorted((3 * turn(r // 3, k) + r % 3, x) for r, x in _gdd_block(triples, m, c)))
+        for c in picked
+        for k in range(order)
+    ]
 
 
 def _gdd_hill_climb(u: int, m: int, budget: _Budget, rng) -> list[Codeword]:
-    """Min-conflicts hill climb (Minton et al., 1992) on `_gdd_candidates`.
+    """Min-conflicts hill climb (Minton et al., 1992) on the order-1 `_gdd_candidates`.
 
     A greedy start places as many blocks as a design has; each move adds a
     block on a random uncovered class and drops one from a random class
     covered twice.  A stall restarts from a fresh greedy start, which counts
     no nodes.
     """
-    triples, pairs, offsets = _gdd_candidates(u, m, budget)
+    triples, pair_orbit, _ = _gdd_candidates(u, m, 1, budget)
+    pairs = list(pair_orbit)  # pair p holds columns p*m to p*m + m - 1
+    col = {pair: first for pair, (first, _) in pair_orbit.items()}  # every sign is +1
+    offsets = [(col[a, b], col[a, c], col[b, c]) for a, b, c in budget.paced(triples)]
     n, mm = 3 * u, m * m
     n_classes = len(pairs) * m
     target = m * n * (n - 3) // 6
@@ -649,6 +689,28 @@ def _gdd_hill_climb(u: int, m: int, budget: _Budget, rng) -> list[Codeword]:
             return [_gdd_block(triples, m, b) for b in chosen]
 
 
+def _gdd_search(u: int, m: int, config: SearchConfig, order: int) -> SearchOutcome:
+    """Base blocks of an m-cyclic (3m)^u design fixed by the rotation of
+    `_gdd_candidates`, not validated: the caller checks them.  The hill
+    climb runs at order 1 only and proves nothing."""
+    budget = _Budget(config)
+    if not gdd_exists(3, u, m):
+        return SearchOutcome(None, 0, True, 0, budget.elapsed())
+    proven = config.strategy != HILL_CLIMB  # the hill climb only hunts for a witness
+    rng = random.Random(config.seed)
+    try:
+        if proven:
+            blocks = _gdd_cover(u, m, order, budget, rng)
+        else:
+            blocks = _gdd_hill_climb(u, m, budget, rng)
+    except _Spent:
+        blocks, proven = None, False
+    if blocks is None:
+        return SearchOutcome(None, 0, proven, budget.nodes, budget.elapsed())
+    gdd = GddBaseBlocks(m, [[3 * t, 3 * t + 1, 3 * t + 2] for t in range(u)], sorted(blocks))
+    return SearchOutcome(gdd, len(blocks), proven, budget.nodes, budget.elapsed())
+
+
 def gdd_search(u: int, m: int, config: SearchConfig | None = None) -> SearchOutcome:
     """Base blocks of an m-cyclic triple GDD of type (3m)^u.
 
@@ -660,110 +722,7 @@ def gdd_search(u: int, m: int, config: SearchConfig | None = None) -> SearchOutc
         raise ValueError(f"need at least u = 3 groups, got {u}")
     if m < 1:
         raise ValueError(f"need m >= 1, got {m}")
-    config = config or SearchConfig()
-    budget = _Budget(config)
-    if not gdd_exists(3, u, m):
-        return SearchOutcome(None, 0, True, 0, budget.elapsed())
-    proven = config.strategy != HILL_CLIMB  # the hill climb only hunts for a witness
-    search = _gdd_exact_cover if proven else _gdd_hill_climb
-    try:
-        blocks = search(u, m, budget, random.Random(config.seed))
-    except _Spent:
-        blocks, proven = None, False
-    if blocks is None:
-        return SearchOutcome(None, 0, proven, budget.nodes, budget.elapsed())
-    gdd = GddBaseBlocks(m, [[3 * t, 3 * t + 1, 3 * t + 2] for t in range(u)], sorted(blocks))
-    gdd.validate()
-    return SearchOutcome(gdd, len(blocks), proven, budget.nodes, budget.elapsed())
-
-
-# ---------------------------------------------------------------------------
-# the same designs, searched among those fixed by a rotation of the groups
-# ---------------------------------------------------------------------------
-
-
-def _gdd_orbit_cover(u: int, m: int, budget: _Budget, rng) -> list[Codeword] | None:
-    """Exact cover of the class orbits by block orbits under a rotation of
-    the groups (Kramer-Mesner; Kaski & Ostergard 2006).
-
-    The rotation adds 1 mod N to each group below N and keeps each row's
-    place in its group: N = u for odd u (Z_u on all groups), N = u - 1 for
-    even u (the last group is fixed).  N is odd, so no rotation but the
-    identity fixes a cross-group row pair, and every class orbit holds N
-    classes.  Column p*m + d is the orbit of the class with difference d on
-    the first pair of pair orbit p: a rotation that takes a pair there keeps
-    its difference, or negates it when it reverses the pair.  Rows are
-    numbered as in `_gdd_candidates`, on the first group triple of each
-    triple orbit, one block per block orbit.  Left out, as empty rows: the
-    blocks on a triple whose orbit is short ({0, 3, 6} under Z_9), and those
-    whose classes meet fewer than three class orbits.  Each picked row is
-    developed into its N blocks.  A completed search without a cover proves
-    only that no design is fixed by the rotation.
-    """
-    order = u - 1 + u % 2
-
-    def turn(g: int, k: int) -> int:
-        """Group g after k rotations."""
-        return g if g == order else (g + k) % order
-
-    pair_orbit = {}  # cross-group row pair -> (first column of its orbit, sign)
-    for r, s in itertools.combinations(range(3 * u), 2):
-        if r // 3 != s // 3 and (r, s) not in pair_orbit:
-            first = len(pair_orbit) // order * m  # each orbit before holds `order` pairs
-            for k in range(order):
-                a, b = 3 * turn(r // 3, k) + r % 3, 3 * turn(s // 3, k) + s % 3
-                pair_orbit[min(a, b), max(a, b)] = first, 1 if a < b else -1
-    seen, firsts = set(), []
-    for groups in itertools.combinations(range(u), 3):
-        if groups not in seen:
-            images = {tuple(sorted(turn(g, k) for g in groups)) for k in range(order)}
-            seen |= images
-            if len(images) == order:
-                firsts.append(groups)
-    triples = [
-        t
-        for groups in firsts
-        for t in itertools.product(*(range(3 * g, 3 * g + 3) for g in groups))
-    ]
-    classes = list(range(len(pair_orbit) // order * m))  # one int object per class orbit
-
-    def line(r: int, s: int) -> list[int]:
-        """The columns of the classes (r, s, d), d in Z_m."""
-        first, sign = pair_orbit[r, s]
-        return [classes[first + sign * d % m] for d in range(m)]
-
-    def rows() -> Iterator[Iterable[tuple[int, ...]]]:
-        """Per triple and x2, its rows by x3 ascending, as in `_gdd_exact_cover`."""
-        for a, b, c in triples:
-            ab, ac, bc = line(a, b), line(a, c), line(b, c)
-            meet = len({pair_orbit[a, b][0], pair_orbit[a, c][0], pair_orbit[b, c][0]})
-            for x2 in range(m):
-                shifted = bc[m - x2 :] + bc[: m - x2]  # x3 - x2 for x3 ascending
-                batch = zip(itertools.repeat(ab[x2], m), ac, shifted)
-                yield batch if meet == 3 else (row if len(set(row)) == 3 else () for row in batch)
-
-    cover = _ExactCover(len(classes), itertools.chain.from_iterable(rows()), budget)
-    # a node per column: a cover that hardly backtracks takes a third of that
-    picked = _first_cover(cover, len(classes), budget, rng)
-    if picked is None:
-        return None
-    return [
-        tuple(sorted((3 * turn(r // 3, k) + r % 3, x) for r, x in _gdd_block(triples, m, c)))
-        for c in picked
-        for k in range(order)
-    ]
-
-
-def _gdd_orbit_search(u: int, m: int, config: SearchConfig) -> SearchOutcome:
-    """Base blocks of an m-cyclic (3m)^u design fixed by the rotation of
-    `_gdd_orbit_cover`, not validated: the caller checks what it builds.  `proven_optimal` says that the search completed, which without
-    a design rules out only the designs fixed by the rotation."""
-    budget = _Budget(config)
-    try:
-        blocks = _gdd_orbit_cover(u, m, budget, random.Random(config.seed))
-    except _Spent:
-        return SearchOutcome(None, 0, False, budget.nodes, budget.elapsed())
-    if blocks is None:
-        return SearchOutcome(None, 0, True, budget.nodes, budget.elapsed())
-    gdd = GddBaseBlocks(m, [[3 * t, 3 * t + 1, 3 * t + 2] for t in range(u)], sorted(blocks))
-    return SearchOutcome(gdd, len(blocks), True, budget.nodes, budget.elapsed())
+    outcome = _gdd_search(u, m, config or SearchConfig(), 1)
+    if outcome.best is not None:
+        outcome.best.validate()
+    return outcome

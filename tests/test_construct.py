@@ -604,7 +604,11 @@ class TestCompose:
         assert compose_0mod3(21, 8, SearchConfig(seed=6)).code.codewords != first
 
     def test_no_design_fixed_by_the_rotation_falls_back_to_the_direct_search(self, monkeypatch):
-        def none_fixed(u, m, budget, rng):
+        cover = search._gdd_cover
+
+        def none_fixed(u, m, order, budget, rng):
+            if order == 1:  # the fallback's direct cover
+                return cover(u, m, order, budget, rng)
             for _ in range(5):
                 budget.tick()
             return None
@@ -615,7 +619,7 @@ class TestCompose:
             configs.append((u, length, config))
             return gdd_search(u, length, config)
 
-        monkeypatch.setattr(search, "_gdd_orbit_cover", none_fixed)
+        monkeypatch.setattr(search, "_gdd_cover", none_fixed)
         monkeypatch.setattr(construct, "gdd_search", record)
         res = compose_0mod3(18, 8, SearchConfig(seed=2))
         assert res.code.size() == phi_exact(18, 8).value and verify_code(res.code).passed
@@ -631,7 +635,7 @@ class TestCompose:
             calls.append((u, length, config.strategy))
             return SearchOutcome(None, 0, False, 1, 0.0)
 
-        monkeypatch.setattr(construct, "_gdd_orbit_search", None)
+        monkeypatch.setattr(construct, "_gdd_search", None)
         monkeypatch.setattr(construct, "gdd_search", record)
         with pytest.raises(SearchExhausted):
             compose_0mod3(18, 8, SearchConfig(strategy=HILL_CLIMB))

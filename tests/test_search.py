@@ -580,13 +580,13 @@ def _rotated(block, u: int, k: int):
 
 
 class TestOrbitCover:
-    """`search._gdd_orbit_cover`, the base-block source of `compose_0mod3`
-    from six groups on."""
+    """`search._gdd_cover` above order 1, the base-block source of
+    `compose_0mod3` from six groups on, and its numbering at order 1."""
 
     @pytest.mark.parametrize("u", range(6, 14))
     @pytest.mark.parametrize("m, seed", [(4, 0), (8, 1), (8, 2)])
     def test_a_design_fixed_by_the_rotation(self, u, m, seed):
-        out = search._gdd_orbit_search(u, m, SearchConfig(seed=seed))
+        out = search._gdd_search(u, m, SearchConfig(seed=seed), u - 1 + u % 2)
         out.best.validate()  # every cross-group class covered exactly once
         blocks = {normalize(b, m) for b in out.best.base_blocks}
         assert len(blocks) == len(out.best.base_blocks) == 3 * comb(u, 2) * m
@@ -596,6 +596,9 @@ class TestOrbitCover:
     @pytest.mark.parametrize(
         "u, m, rows, left_out, columns",
         [
+            # below six groups the identity: the direct cover, every group
+            # triple and each of the 54 cross-group row pairs on its own
+            (4, 8, 4 * 27 * 64, 0, 54 * 8),
             # Z_5 and a fixed group: 4 triple orbits; each has a group pair
             # orbit twice, so some blocks meet only two class orbits
             (6, 8, 4 * 27 * 64, 192, 216),
@@ -609,7 +612,8 @@ class TestOrbitCover:
     def test_rows_and_columns(self, monkeypatch, u, m, rows, left_out, columns):
         covers = []
         monkeypatch.setattr(search, "_first_cover", lambda cover, *rest: covers.append(cover))
-        assert search._gdd_orbit_cover(u, m, _Budget(SearchConfig()), random.Random(0)) is None
+        order = u - 1 + u % 2 if u >= 6 else 1
+        assert search._gdd_cover(u, m, order, _Budget(SearchConfig()), random.Random(0)) is None
         [cover] = covers
         assert (len(cover.rows), len(cover.cols)) == (rows, columns)
         assert all(len(set(row)) == len(row) for row in cover.rows)
@@ -618,7 +622,7 @@ class TestOrbitCover:
 
     @pytest.mark.parametrize("config", [SearchConfig(node_budget=0), SearchConfig(time_budget=0)])
     def test_a_spent_budget_is_no_proof(self, config):
-        out = search._gdd_orbit_search(6, 8, config)
+        out = search._gdd_search(6, 8, config, 5)
         assert (out.best, out.proven_optimal) == (None, False)
 
 
@@ -716,7 +720,7 @@ _SETUPS = {
         for u, m in ((40, 8), (6, 40))
         for s in (EXACT_COVER, HILL_CLIMB)
     },
-    "gdd orbit 13x32": functools.partial(search._gdd_orbit_search, 13, 32, SearchConfig()),
+    "gdd orbit 13x32": functools.partial(search._gdd_search, 13, 32, SearchConfig(), 13),
 }
 
 
@@ -745,6 +749,17 @@ def test_a_clock_past_the_deadline_stops_the_orbit_setup_of_compose(monkeypatch)
     with pytest.raises(SearchExhausted):
         compose_0mod3(39, 32)
     assert time.monotonic() - start < 0.5
+
+
+def test_a_spent_budget_stops_the_orbit_setup_before_its_matrix(monkeypatch):
+    # 16 groups: the pair orbits are set up over 1 128 row pairs under the
+    # clock, so a zero budget never reaches the matrix build
+    def unreached(*args):
+        raise AssertionError("the matrix build ran on a spent budget")
+
+    monkeypatch.setattr(search._ExactCover, "__init__", unreached)
+    with pytest.raises(SearchExhausted):
+        compose_0mod3(48, 8, SearchConfig(time_budget=0))
 
 
 def test_public_functions_are_the_four_searches():
