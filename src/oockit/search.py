@@ -511,12 +511,18 @@ def _gdd_candidates(u: int, m: int, order: int, budget: _Budget):
         return g if g >= order else (g + k) % order
 
     pair_orbit = {}  # cross-group row pair -> (first column of its orbit, sign)
-    for r, s in budget.paced(itertools.combinations(range(3 * u), 2)):
-        if r // 3 != s // 3 and (r, s) not in pair_orbit:
-            first = len(pair_orbit) // order * m  # each orbit before holds `order` pairs
-            for k in range(order):
-                a, b = 3 * turn(r // 3, k) + r % 3, 3 * turn(s // 3, k) + s % 3
-                pair_orbit[min(a, b), max(a, b)] = first, 1 if a < b else -1
+
+    def pair_images() -> Iterator[tuple[int, int, int]]:
+        """(r, s, k) for the first pair (r, s) of each orbit and k < N."""
+        for r, s in itertools.combinations(range(3 * u), 2):
+            if r // 3 != s // 3 and (r, s) not in pair_orbit:
+                yield from ((r, s, k) for k in range(order))
+
+    # paced per image, not per pair visited: an orbit holds N pairs
+    for r, s, k in budget.paced(pair_images()):
+        first = len(pair_orbit) // order * m  # each orbit before holds `order` pairs
+        a, b = 3 * turn(r // 3, k) + r % 3, 3 * turn(s // 3, k) + s % 3
+        pair_orbit[min(a, b), max(a, b)] = first, 1 if a < b else -1
     seen, triples = set(), []
     for groups in budget.paced(itertools.combinations(range(u), 3)):
         if groups not in seen:
@@ -540,15 +546,16 @@ def _shuffle(order: list[int], rng: random.Random, budget: _Budget) -> None:
         order[i], order[j] = order[j], order[i]
 
 
-def _first_cover(cover: _ExactCover, nodes: int, budget: _Budget, rng) -> list[int] | None:
+def _first_cover(cover: _ExactCover, budget: _Budget, rng) -> list[int] | None:
     """The first cover found over restarts, each from a fresh random row
     order, or None once a restart searches its whole tree: no cover exists.
-    The first restart gets `nodes` nodes and each later one twice as many,
-    so an unlucky order is dropped early and the search stays complete."""
+    The first restart gets a node per column and each later one twice as
+    many (Luby, Sinclair & Zuckerman 1993), so an unlucky order is dropped
+    early and the search stays complete."""
     order = list(range(len(cover.rows)))
     for restart in itertools.count():
         _shuffle(order, rng, budget)
-        picked, complete = cover.solve(budget, order, nodes << restart)
+        picked, complete = cover.solve(budget, order, len(cover.cols) << restart)
         if picked is not None or complete:
             return picked
 
@@ -584,9 +591,7 @@ def _gdd_cover(u: int, m: int, order: int, budget: _Budget, rng) -> list[Codewor
                 yield batch if meet == 3 else (row if len(set(row)) == 3 else () for row in batch)
 
     cover = _ExactCover(len(classes), itertools.chain.from_iterable(rows()), budget)
-    # first slice: a node per row at order 1, so the setup never dominates; a
-    # node per column above it, where a cover hardly backtracks
-    picked = _first_cover(cover, len(cover.rows) if order == 1 else len(classes), budget, rng)
+    picked = _first_cover(cover, budget, rng)
     if picked is None:
         return None
     return [

@@ -600,7 +600,8 @@ class TestCliGrammar:
             "print(sorted(m for m in ('argparse', 'locale') if m in sys.modules))\n"
         )
         proc = subprocess.run(
-            [sys.executable, "-c", code], env={"PYTHONPATH": str(SRC)},
+            # -B: the bare environment drops PYTHONDONTWRITEBYTECODE
+            [sys.executable, "-B", "-c", code], env={"PYTHONPATH": str(SRC)},
             capture_output=True, text=True, timeout=60,
         )
         assert proc.returncode == 0, proc.stderr

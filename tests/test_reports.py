@@ -94,13 +94,13 @@ def test_report_keys_are_the_dataclass_fields(monkeypatch):
     assert params.keys() == _names(CodeParams)
 
 
-@pytest.mark.parametrize("nodes", [1, 17, 100, 6912, 6913, 7000, 7057])
+@pytest.mark.parametrize("nodes", [1, 17, 100, 432, 433, 500, 577])
 def test_gdd_exact_cover_spends_exactly_its_node_budget(nodes):
-    # the first restart's slice is one node per candidate: 108 row triples x 8^2 slots = 6912
+    # the first restart's slice is one node per column: 54 cross-group row pairs x 8 = 432
     outcome = gdd_search(4, 8, SearchConfig(node_budget=nodes))
     assert (outcome.nodes, outcome.best, outcome.proven_optimal) == (nodes, None, False)
 
 
-def test_gdd_exact_cover_finds_its_witness_at_node_7057():
-    outcome = gdd_search(4, 8, SearchConfig(node_budget=7058))
-    assert (outcome.nodes, outcome.best_size, outcome.proven_optimal) == (7057, 144, True)
+def test_gdd_exact_cover_finds_its_witness_at_node_577():
+    outcome = gdd_search(4, 8, SearchConfig(node_budget=578))
+    assert (outcome.nodes, outcome.best_size, outcome.proven_optimal) == (577, 144, True)

@@ -445,7 +445,7 @@ class TestGddSearch:
         # the way the exact cover has to prove it by searching the whole tree
         with mock.patch.object(search, "gdd_exists", return_value=True):
             out = gdd_search(3, 2)
-        assert (out.best, out.best_size, out.proven_optimal, out.nodes) == (None, 0, True, 351330)
+        assert (out.best, out.best_size, out.proven_optimal, out.nodes) == (None, 0, True, 351384)
 
     def test_budget_covers_setup(self):
         # block enumeration and the class tuples of (3*40)^6 take seconds
@@ -537,20 +537,20 @@ class TestLiftGdd:
 
 
 class TestRestartSlices:
-    def test_first_slice_is_the_candidate_count(self):
-        # seed 0 fails its first slice of 6 912 nodes and then finishes within
-        # the doubled one; a fixed 200 000-node first slice took 200 145
+    def test_first_slice_is_the_column_count(self):
+        # seed 0 fails its first slice of 432 nodes and then finishes within
+        # the doubled one; a first slice of a node per row, 6 912, took 7 057
         first = gdd_search(4, 8, SearchConfig())
         again = gdd_search(4, 8, SearchConfig())
-        candidates = comb(4, 3) * 27 * 8 * 8
+        columns = (comb(12, 2) - 4 * 3) * 8  # cross-group row pairs x Z_8
         assert first.best_size == 144 and first.proven_optimal
-        assert candidates < first.nodes <= candidates + 1000
+        assert columns < first.nodes <= 3 * columns
         assert again.nodes == first.nodes
         assert again.best.base_blocks == first.best.base_blocks
 
     def test_a_search_that_fits_its_first_slice_never_restarts(self):
         out = gdd_search(3, 5, SearchConfig(seed=3))
-        assert out.proven_optimal and out.nodes <= comb(3, 3) * 27 * 5 * 5
+        assert out.proven_optimal and out.nodes <= 27 * 5  # 27 cross-group row pairs x Z_5
 
 
 def _blocks_digest(out) -> str:
@@ -628,14 +628,15 @@ class TestOrbitCover:
 
 class TestPinnedGddOutcomes:
     """Node counts and witnesses of the GDD searches, which a rewrite of
-    their kernels must keep.  The last five exact covers backtrack little:
-    they pin the trees of searches whose cost is mostly setup."""
+    their kernels or of the exact cover's restart schedule must keep.  The
+    last five exact covers backtrack little: they pin the trees of searches
+    whose cost is mostly setup."""
 
     @pytest.mark.parametrize(
         "u, m, seed, nodes, digest",
         [
-            (4, 8, 0, 7057, "0b95de13c7eb3e8e24554423cde2154e4ec16e7142092cc2b874ff25ee4c6c0d"),
-            (5, 7, 1, 4128, "1212c8251136010f797a40b0c91fd7e0f58f7ebdb86dfc19416e323928ef7393"),
+            (4, 8, 0, 577, "0b95de13c7eb3e8e24554423cde2154e4ec16e7142092cc2b874ff25ee4c6c0d"),
+            (5, 7, 1, 2116, "f1d10a34b3ff57663008b832aae392655b20594bfcc3e9f55519cc1d180a4fd0"),
             (3, 9, 5, 81, "1b42cbe645e76ce0abbc09fb569130606aa4e8f4e02d56d8e2b6117667c6e759"),
             (3, 31, 324, 305, "4c38aac3168e9474ada6b01124ad829b2302821ef987de925c40c12d3cdf9607"),
             (3, 39, 924, 351, "7c946733a9b9cde119f972d0190fa20ded5a8d9ecbea1acd2c3dc3429d14679d"),
@@ -647,6 +648,13 @@ class TestPinnedGddOutcomes:
     def test_exact_cover(self, u, m, seed, nodes, digest):
         out = gdd_search(u, m, SearchConfig(seed=seed))
         assert (out.nodes, out.proven_optimal, _blocks_digest(out)) == (nodes, True, digest)
+
+    def test_a_deep_tree_is_cut_after_a_node_per_column(self):
+        # (3*32)^6 at seed 0: a first slice of a node per row spent 552 960
+        # of its 556 106 nodes on a failed restart before this witness
+        out = gdd_search(6, 32, SearchConfig(seed=0))
+        digest = "8c1902ba44d50f189935c2bb8f7d5a77533302a993d88523f9231c232d6540fb"
+        assert (out.nodes, out.proven_optimal, _blocks_digest(out)) == (7466, True, digest)
 
     @pytest.mark.parametrize(
         "u, m, seed, nodes, digest",
@@ -760,6 +768,24 @@ def test_a_spent_budget_stops_the_orbit_setup_before_its_matrix(monkeypatch):
     monkeypatch.setattr(search._ExactCover, "__init__", unreached)
     with pytest.raises(SearchExhausted):
         compose_0mod3(48, 8, SearchConfig(time_budget=0))
+
+
+def test_a_clock_past_the_deadline_stops_the_pair_orbits_within_an_orbit(monkeypatch):
+    # 200 groups under Z_199: each new orbit inserts 199 pair images, so a
+    # clock read per 1 024 row pairs visited let up to 1 023 orbits run first
+    _past_the_deadline(monkeypatch)
+    visited = []
+
+    def combinations(*args):
+        for pair in itertools.combinations(*args):
+            visited.append(pair)
+            yield pair
+
+    counting = SimpleNamespace(**{**vars(itertools), "combinations": combinations})
+    monkeypatch.setattr(search, "itertools", counting)
+    with pytest.raises(search._Spent):
+        search._gdd_candidates(200, 8, 199, _Budget(SearchConfig()))
+    assert len(visited) < 100
 
 
 def test_public_functions_are_the_four_searches():
