@@ -533,11 +533,6 @@ def _gdd_candidates(u: int, m: int, order: int, budget: _Budget):
     return triples, pair_orbit, turn
 
 
-def _gdd_block(triples: list[tuple[int, int, int]], m: int, c: int) -> Codeword:
-    (r1, r2, r3), x2, x3 = triples[c // (m * m)], c // m % m, c % m
-    return (r1, 0), (r2, x2), (r3, x3)
-
-
 def _shuffle(order: list[int], rng: random.Random, budget: _Budget) -> None:
     """`rng.shuffle(order)`, draw for draw."""
     randbelow = rng._randbelow  # the draws random.shuffle makes
@@ -560,17 +555,17 @@ def _first_cover(cover: _ExactCover, budget: _Budget, rng) -> list[int] | None:
             return picked
 
 
-def _gdd_cover(u: int, m: int, order: int, budget: _Budget, rng) -> list[Codeword] | None:
-    """Exact cover of the class orbits by block orbits under the rotation of
-    `_gdd_candidates` (Kramer-Mesner; Kaski & Ostergard 2006).
+def _gdd_matrix(u: int, m: int, order: int, budget: _Budget):
+    """The exact cover of the class orbits by block orbits under the rotation
+    of `_gdd_candidates` (Kramer-Mesner; Kaski & Ostergard 2006), and the step
+    that develops picked row ids into base blocks.
 
     Column p*m + d is the orbit of the class with difference d on the first
     pair of pair orbit p.  Row (t*m + x2)*m + x3 is the orbit of the base
     block {(r1, 0), (r2, x2), (r3, x3)} on row triple t, left empty when its
     classes meet fewer than three class orbits.  Each picked row is
-    developed into its N blocks.  Order 1 is the direct cover of every
-    class; above it, a completed search without a cover proves only that no
-    design is fixed by the rotation.
+    developed into its N blocks.  At order 1 every row is a block and its
+    three classes, and every column a class and the blocks on it.
     """
     triples, pair_orbit, turn = _gdd_candidates(u, m, order, budget)
     classes = list(range(len(pair_orbit) // order * m))  # one int object per class orbit
@@ -590,65 +585,47 @@ def _gdd_cover(u: int, m: int, order: int, budget: _Budget, rng) -> list[Codewor
                 batch = zip(itertools.repeat(ab[x2], m), ac, shifted)
                 yield batch if meet == 3 else (row if len(set(row)) == 3 else () for row in batch)
 
-    cover = _ExactCover(len(classes), itertools.chain.from_iterable(rows()), budget)
+    def develop(picked: list[int]) -> list[Codeword]:
+        """The base block of each picked row under each of the N rotations."""
+        blocks = [list(zip(triples[c // (m * m)], (0, c // m % m, c % m))) for c in picked]
+        return [
+            tuple(sorted((3 * turn(r // 3, k) + r % 3, x) for r, x in block))
+            for block in blocks
+            for k in range(order)
+        ]
+
+    return _ExactCover(len(classes), itertools.chain.from_iterable(rows()), budget), develop
+
+
+def _gdd_cover(u: int, m: int, order: int, budget: _Budget, rng) -> list[Codeword] | None:
+    """Base blocks from the first cover of `_gdd_matrix`, or None.  Order 1
+    is the direct cover of every class; above it, a completed search without
+    a cover proves only that no design is fixed by the rotation."""
+    cover, develop = _gdd_matrix(u, m, order, budget)
     picked = _first_cover(cover, budget, rng)
-    if picked is None:
-        return None
-    return [
-        tuple(sorted((3 * turn(r // 3, k) + r % 3, x) for r, x in _gdd_block(triples, m, c)))
-        for c in picked
-        for k in range(order)
-    ]
+    return None if picked is None else develop(picked)
 
 
-def _gdd_hill_climb(u: int, m: int, budget: _Budget, rng) -> list[Codeword]:
-    """Min-conflicts hill climb (Minton et al., 1992) on the order-1 `_gdd_candidates`.
+def _gdd_hill_climb(cover: _ExactCover, budget: _Budget, rng) -> list[int]:
+    """Min-conflicts hill climb (Minton et al., 1992) for an exact cover of
+    `cover`'s columns by rows of three columns each, as row ids.
 
-    A greedy start places as many blocks as a design has; each move adds a
-    block on a random uncovered class and drops one from a random class
-    covered twice.  A stall restarts from a fresh greedy start, which counts
-    no nodes.
+    A greedy start places a third as many rows as there are columns; each
+    move adds a row on a random uncovered column and drops one from a random
+    column covered twice.  A stall restarts from a fresh greedy start, which
+    counts no nodes.
     """
-    triples, pair_orbit, _ = _gdd_candidates(u, m, 1, budget)
-    pairs = list(pair_orbit)  # pair p holds columns p*m to p*m + m - 1
-    col = {pair: first for pair, (first, _) in pair_orbit.items()}  # every sign is +1
-    offsets = [(col[a, b], col[a, c], col[b, c]) for a, b, c in budget.paced(triples)]
-    n, mm = 3 * u, m * m
-    n_classes = len(pairs) * m
-    target = m * n * (n - 3) // 6
-    triple_id = {triple: t for t, triple in enumerate(triples)}
-
-    def classes(b: int) -> tuple[int, int, int]:
-        c12, c13, c23 = offsets[b // mm]
-        x2, x3 = b // m % m, b % m
-        return c12 + x2, c13 + x3, c23 + (x3 - x2) % m
-
-    def covering(cid: int) -> list[int]:
-        """Candidates on class cid's pair (i, j): third row t ascending, then its slot z."""
-        (i, j), d = pairs[cid // m], cid % m
-        out: list[int] = []
-        for t in range(n):
-            if t // 3 == i // 3 or t // 3 == j // 3:
-                continue
-            if t < i:  # {(t, z), (i, 0), (j, d)} shifted by -z
-                first = triple_id[t, i, j] * mm
-                out += [first + (-z % m) * m + (d - z) % m for z in range(m)]
-            elif t < j:
-                first = triple_id[i, t, j] * mm + d
-                out += range(first, first + mm, m)
-            else:
-                first = (triple_id[i, j, t] * m + d) * m
-                out += range(first, first + m)
-        return out
+    rows, cols = cover.rows, cover.cols
+    n_classes = len(cols)
 
     def pick(cands: list[int], level: int, best) -> int:
         """A random candidate among those with the `best` count of classes at `level`."""
-        scores = [(cov[a], cov[b], cov[c]).count(level) for a, b, c in map(classes, cands)]
+        scores = [(cov[a], cov[b], cov[c]).count(level) for a, b, c in map(rows.__getitem__, cands)]
         top = best(scores)
         return rng.choice([b for b, s in zip(cands, scores) if s == top])
 
     def add(b: int) -> None:
-        chosen[b] = cls = classes(b)
+        chosen[b] = cls = rows[b]
         for c in cls:
             cov[c] += 1
             if cov[c] == 1:
@@ -666,19 +643,19 @@ def _gdd_hill_climb(u: int, m: int, budget: _Budget, rng) -> list[Codeword]:
 
     while True:
         cov = [0] * n_classes
-        chosen: dict[int, tuple[int, int, int]] = {}  # placed blocks and their classes
+        chosen: dict[int, tuple[int, ...]] = {}  # placed rows and their classes
         uncovered = set(range(n_classes))
         overcovered: set[int] = set()
-        # greedy start: favour blocks whose classes are all uncovered
-        for _ in range(target):
+        # greedy start: favour rows whose classes are all uncovered
+        for _ in range(n_classes // 3):
             budget.check()
-            add(pick(covering(rng.choice(tuple(uncovered))), 0, max))
+            add(pick(cols[rng.choice(tuple(uncovered))], 0, max))
 
         stall = 0
         best_deficit = len(uncovered)
         while uncovered:
             budget.tick()
-            cands = covering(rng.choice(tuple(uncovered)))
+            cands = cols[rng.choice(tuple(uncovered))]
             add(rng.choice(cands) if rng.random() < 0.02 else pick(cands, 0, max))
             oid = rng.choice(tuple(overcovered))
             victims = [b for b, cls in chosen.items() if oid in cls]
@@ -691,7 +668,7 @@ def _gdd_hill_climb(u: int, m: int, budget: _Budget, rng) -> list[Codeword]:
                 if stall > 4000 + 40 * n_classes:
                     break  # restart from a fresh greedy state
         if not uncovered:
-            return [_gdd_block(triples, m, b) for b in chosen]
+            return list(chosen)
 
 
 def _gdd_search(u: int, m: int, config: SearchConfig, order: int) -> SearchOutcome:
@@ -707,7 +684,8 @@ def _gdd_search(u: int, m: int, config: SearchConfig, order: int) -> SearchOutco
         if proven:
             blocks = _gdd_cover(u, m, order, budget, rng)
         else:
-            blocks = _gdd_hill_climb(u, m, budget, rng)
+            cover, develop = _gdd_matrix(u, m, 1, budget)
+            blocks = develop(_gdd_hill_climb(cover, budget, rng))
     except _Spent:
         blocks, proven = None, False
     if blocks is None:
