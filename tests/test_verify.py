@@ -1,15 +1,22 @@
 import random
 from collections import Counter
+from dataclasses import replace
+from itertools import combinations
 
 import pytest
 
+from oockit import verify
 from oockit.construct import (
+    HALF_FREE,
+    compose_0mod3,
     equi_2mod4,
     equi_power4,
     explicit_code,
     g_regular_4g,
     ooc_2xm,
     ooc_3xm,
+    prime_derived,
+    tight_derived,
 )
 from oockit.core import Code, CodeParams, make_codeword, translate
 from oockit.verify import (
@@ -171,6 +178,69 @@ def random_code(rng: random.Random) -> Code:
     return Code(CodeParams(n, m, k, lam_a, 1), cws)
 
 
+def grow_passing_code(rng: random.Random, params: CodeParams, codewords: list, draw) -> Code:
+    """`codewords`, then each of 60 drawn codewords that keeps the code passing by the oracle."""
+    for _ in range(60):
+        trial = Code(params, [*codewords, draw(rng)])
+        if oracle_verify_code(trial).passed:
+            codewords = trial.codewords
+    return Code(params, codewords)
+
+
+def any_codeword(n: int, m: int):
+    cells = [(r, s) for r in range(n) for s in range(m)]
+    return lambda rng: make_codeword(rng.sample(cells, 3))
+
+
+def half_period_codeword(n: int, m: int):
+    """A codeword with a pure pair at difference m/2: one row, or a pair on either row."""
+
+    def draw(rng):
+        r, s = rng.randrange(n), rng.randrange(m)
+        half = {(r, s), (r, (s + m // 2) % m)}
+        third = rng.choice([(q, t) for q in range(n) for t in range(m) if (q, t) not in half])
+        return make_codeword([*half, third])
+
+    return draw
+
+
+@pytest.fixture
+def fast_pass(monkeypatch):
+    """What `verify._weight3_pass` returned, one entry per `verify_code` call
+    on a weight-3 code: the report when it decided, None when the witness
+    path ran."""
+    results = []
+    real = verify._weight3_pass
+
+    def spy(code):
+        results.append(real(code))
+        return results[-1]
+
+    monkeypatch.setattr(verify, "_weight3_pass", spy)
+    return results
+
+
+FAMILY_CODES = {
+    "equi_2mod4-14": lambda: equi_2mod4(14),
+    "equi_2mod4-18": lambda: equi_2mod4(18),
+    "g_regular_4g-3": lambda: g_regular_4g(3),
+    "g_regular_4g-5": lambda: g_regular_4g(5),
+    "equi_power4-1-6": lambda: equi_power4(1, 6),
+    "equi_power4-2-2-half_free": lambda: equi_power4(2, 2, HALF_FREE),
+    "tight_derived-13-1": lambda: tight_derived(13, 1),
+    "tight_derived-15-1": lambda: tight_derived(15, 1),
+    "prime_derived-11-1": lambda: prime_derived(11, 1),
+    "prime_derived-31-0": lambda: prime_derived(31, 0),
+    "explicit-1d48": lambda: explicit_code("1d48"),
+    "explicit-3x52": lambda: explicit_code("3x52"),
+    "ooc_2xm-8": lambda: ooc_2xm(8),
+    "ooc_2xm-20": lambda: ooc_2xm(20),
+    "ooc_3xm-20": lambda: ooc_3xm(20),
+    "ooc_3xm-24": lambda: ooc_3xm(24),
+    "compose_0mod3-12-8": lambda: compose_0mod3(12, 8),
+}
+
+
 class TestVerifyCodeAgainstOracle:
     def test_random_codes(self):
         rng = random.Random(20261018)
@@ -195,6 +265,112 @@ class TestVerifyCodeAgainstOracle:
         report = verify_code(planted)
         assert not report.cross_ok
         assert report == oracle_verify_code(planted)
+
+    @pytest.mark.parametrize("family", FAMILY_CODES)
+    def test_every_family_and_its_sub_codes_pass_in_the_weight3_pass(self, family, fast_pass):
+        code = FAMILY_CODES[family]().code
+        rng = random.Random(family)
+        for size in [len(code.codewords)] + [rng.randint(1, len(code.codewords)) for _ in range(20)]:
+            sub = Code(code.params, rng.sample(code.codewords, size))
+            report = verify_code(sub)
+            assert report == oracle_verify_code(sub) and report.passed
+            assert fast_pass[-1] is report
+
+    @pytest.mark.parametrize("n, m", [(1, 9), (1, 24), (2, 12), (3, 15)])
+    def test_third_period_codewords_at_lambda_3(self, n, m, fast_pass):
+        third = make_codeword((n - 1, s) for s in (0, m // 3, 2 * m // 3))
+        code = grow_passing_code(
+            random.Random(n * m), CodeParams(n, m, 3, 3, 1), [third], any_codeword(n, m)
+        )
+        report = verify_code(code)
+        assert report == oracle_verify_code(code) and report.passed
+        assert report.max_auto_multiplicity == 3 and fast_pass[-1] is report
+        at_two = Code(replace(code.params, lambda_a=2), code.codewords)
+        assert verify_code(at_two) == oracle_verify_code(at_two)
+        assert fast_pass[-1] is None
+
+    @pytest.mark.parametrize("n, m", [(1, 16), (2, 8), (2, 12), (3, 10)])
+    def test_half_period_codewords(self, n, m, fast_pass):
+        code = grow_passing_code(
+            random.Random(n * m), CodeParams(n, m), [], half_period_codeword(n, m)
+        )
+        code = grow_passing_code(random.Random(m), code.params, code.codewords, any_codeword(n, m))
+        assert len(code.codewords) >= 2
+        report = verify_code(code)
+        assert report == oracle_verify_code(code) and report.passed
+        assert report.max_auto_multiplicity == 2 and fast_pass[-1] is report
+        at_one = Code(replace(code.params, lambda_a=1), code.codewords)
+        assert verify_code(at_one) == oracle_verify_code(at_one)
+        assert fast_pass[-1] is None
+
+    @pytest.mark.parametrize("family", ["ooc_3xm-20", "ooc_2xm-8", "equi_power4-1-6"])
+    def test_unsorted_cells_take_the_witness_path(self, family, fast_pass):
+        code = FAMILY_CODES[family]().code
+        sorted_report = oracle_verify_code(code)
+        for idx, cw in enumerate(code.codewords):
+            for order in ((2, 1, 0), (1, 0, 2), (0, 2, 1)):
+                hand = list(code.codewords)
+                hand[idx] = tuple(cw[o] for o in order)
+                report = verify_code(Code(code.params, hand))
+                assert fast_pass[-1] is None
+                assert report == sorted_report, hand[idx]
+
+    @pytest.mark.parametrize("lambda_a", [1, 2, 3])
+    def test_every_codeword_and_every_pair_on_I2_x_Z6(self, lambda_a, fast_pass):
+        # the weight-3 pass restates `_pair_classes` for each row shape; on
+        # this grid every shape meets every difference, the half period and
+        # the third period included
+        params = CodeParams(2, 6, 3, lambda_a, 1)
+        cws = list(combinations([(r, s) for r in range(2) for s in range(6)], 3))
+        codes = [[cw] for cw in cws] + [list(pair) for pair in combinations(cws, 2)]
+        passing = 0
+        for codewords in codes:
+            code = Code(params, codewords)
+            report = verify_code(code)
+            assert report == oracle_verify_code(code), codewords
+            assert (fast_pass[-1] is report) == report.passed, codewords
+            passing += report.passed
+        assert 0 < passing < len(codes)
+
+
+def outcome(code: Code):
+    try:
+        return verify_code(code)
+    except Exception as exc:
+        return type(exc).__name__, str(exc)
+
+
+GOOD = ((0, 0), (0, 1), (1, 3))
+MALFORMED = {
+    "weight-2": (None, lambda: [GOOD, ((0, 2), (1, 0))]),
+    "weight-4": (None, lambda: [GOOD, ((0, 2), (0, 4), (1, 0), (1, 1))]),
+    "repeated-cell": (None, lambda: [GOOD, ((0, 2), (0, 2), (1, 0))]),
+    "row-past-n": (None, lambda: [GOOD, ((0, 2), (1, 0), (2, 0))]),
+    "negative-row": (None, lambda: [GOOD, ((-1, 0), (0, 2), (1, 0))]),
+    "slot-past-m": (None, lambda: [GOOD, ((0, 2), (1, 0), (1, 8))]),
+    "negative-slot": (None, lambda: [GOOD, ((0, -1), (0, 2), (1, 0))]),
+    "unsorted-cells": (True, lambda: [GOOD, ((1, 0), (0, 2), (0, 4))]),
+    "unsorted-cells-sharing-a-class": (False, lambda: [GOOD, ((1, 4), (0, 2), (0, 3))]),
+    "float-slot": (True, lambda: [GOOD, ((0, 2), (0, 4.5), (1, 0))]),
+    "list-cells": (None, lambda: [GOOD, ([0, 2], [0, 4], [1, 0])]),
+    "generator-codeword": (None, lambda: [GOOD, (c for c in ((0, 2), (0, 4), (1, 0)))]),
+    "generator-of-codewords": (True, lambda: (cw for cw in [GOOD, ((0, 2), (0, 4), (1, 0))])),
+}
+
+
+class TestWeight3PassNeverDecidesAMalformedCode:
+    @pytest.mark.parametrize("name", MALFORMED)
+    def test_the_witness_path_gives_the_outcome(self, name, fast_pass, monkeypatch):
+        passes, codewords = MALFORMED[name]
+        params = CodeParams(2, 8)
+        got = outcome(Code(params, codewords()))
+        assert fast_pass == [None]
+        monkeypatch.setattr(verify, "_weight3_pass", lambda code: None)
+        assert got == outcome(Code(params, codewords()))
+        if passes is None:
+            assert isinstance(got, tuple)  # an exception of `Code.validate`
+        else:
+            assert got.passed is passes
 
 
 class TestMatrixCorrelation:
