@@ -73,6 +73,8 @@ class Code:
             if len(set(cw)) != len(cw):
                 raise ValueError(f"codeword {idx} repeats a cell")
             for row, slot in cw:
+                if not (isinstance(row, int) and isinstance(slot, int)):
+                    raise ValueError(f"cell ({row},{slot}) of codeword {idx} is not a pair of ints")
                 if not (0 <= row < n and 0 <= slot < m):
                     raise ValueError(
                         f"cell ({row},{slot}) of codeword {idx} outside I_{n} x Z_{m}"

@@ -6,12 +6,14 @@ integers only.  parse(render(doc)) == doc.
 `render_json(doc)` prints what `json.dumps(doc, sort_keys=True, indent=2)`
 prints.  That call runs CPython's pure-Python encoder, since the C one takes
 no indent, so `render_json` walks every document and report, and the objects
-in it, a dataclass instance as its fields.  It writes a `"codewords"` array
-from one %-template per cell and one join per codeword, a list of ints (a
-claimed leave) with one join, and any other value through
-`json.dumps(value, sort_keys=True, indent=2)`, re-indented to its depth;
-keys and scalars through the C encoder.  A codewords array holds integer
-cells, as `code_to_document` writes them and `document_to_code` requires.
+in it, a dataclass instance as its fields.  It writes a `"codewords"` or
+`"base_blocks"` array from one %-template per cell and one join per
+codeword or block, a list of ints (a claimed leave) with one join, and any
+other value through `json.dumps(value, sort_keys=True, indent=2)`,
+re-indented to its depth; keys and scalars through the C encoder.  Both
+keys name arrays of integer cells: a code document's codewords, as
+`code_to_document` writes them and `document_to_code` requires, and a GDD
+witness's base blocks, as `search.gdd_search` finds them.
 """
 
 from __future__ import annotations
@@ -115,7 +117,7 @@ def _render(value, pad: str) -> str:
             item = value[key]
             text = (
                 _codewords(item, inner)
-                if key == "codewords" and type(item) is list
+                if key in ("codewords", "base_blocks") and type(item) is list
                 else _render(item, inner)
             )
             items.append(f"{inner}{json.dumps(key)}: {text}")
@@ -128,7 +130,8 @@ def _render(value, pad: str) -> str:
 
 
 def _codewords(codewords: list, pad: str) -> str:
-    """A codewords array whose key sits at indent `pad`: one template per [r, s] cell."""
+    """A codewords or base-blocks array whose key sits at indent `pad`: one
+    template per [r, s] cell."""
     if not codewords:
         return "[]"
     word = pad + "  "

@@ -152,8 +152,8 @@ class _Budget:
 class _ExactCover:
     """Algorithm X (Knuth, TAOCP 7.2.2.1) on alive flags.  The matrix is the
     row tuples of column indices and each column's rows by id, built once;
-    a `solve` starts from fresh flags, sizes and ranks, so one matrix serves
-    every restart."""
+    a `solve` starts from fresh flags and sizes under the ranks it is given,
+    so one matrix serves every restart."""
 
     def __init__(self, n_cols: int, rows: Iterable[tuple[int, ...]], budget: _Budget):
         self.rows = []
@@ -164,7 +164,7 @@ class _ExactCover:
                 cols[c].append(rid)
 
     def solve(
-        self, budget: _Budget, order: Iterable[int] | None = None, limit: int | None = None
+        self, budget: _Budget, rank: array.array | None = None, limit: int | None = None
     ) -> tuple[list[int] | None, bool]:
         """(first solution as row ids, level by level, or None, whether the
         search is complete).
@@ -172,7 +172,8 @@ class _ExactCover:
         Each row tried ticks `budget`; the `limit`-th node of this call stops
         the search incomplete.  A search of the whole tree is complete, a
         proof that no solution exists.  A node takes the first uncovered
-        column of least live size and tries its live rows by rank in `order`
+        column of least live size and tries its live rows by `rank`, the
+        position of each row id in a row order such as `_shuffle` returns
         (default: by id).  Choosing a row covers its columns: it unlinks them
         from the list of uncovered columns, turns off every live row through
         them and lowers the sizes of those rows' columns.
@@ -184,10 +185,6 @@ class _ExactCover:
         sizes = list(map(len, cols))
         alive = [True] * len(rows)
         live = alive.__getitem__
-        if order is not None:
-            rank = array.array("l", [0]) * len(rows)  # no int object per row to free
-            for i, rid in enumerate(budget.paced(order)):
-                rank[rid] = i
         # per picked row: its node's column and the live rows through it, the
         # rows not yet tried there, the row, and the rows it turned off
         frames = []
@@ -203,7 +200,7 @@ class _ExactCover:
                         break
                 j = after[j]
             found = list(filter(live, cols[c]))
-            tries = iter(found if order is None else sorted(found, key=rank.__getitem__))
+            tries = iter(found if rank is None else sorted(found, key=rank.__getitem__))
             r = next(tries, None)
             while r is None:  # column exhausted: back up one level
                 if not frames:
@@ -533,12 +530,35 @@ def _gdd_candidates(u: int, m: int, order: int, budget: _Budget):
     return triples, pair_orbit, turn
 
 
-def _shuffle(order: list[int], rng: random.Random, budget: _Budget) -> None:
-    """`rng.shuffle(order)`, draw for draw."""
-    randbelow = rng._randbelow  # the draws random.shuffle makes
-    for i in budget.paced(reversed(range(1, len(order)))):
-        j = randbelow(i + 1)
-        order[i], order[j] = order[j], order[i]
+def _shuffle(order: list[int], rng: random.Random, budget: _Budget) -> array.array:
+    """`rng.shuffle(order)`, draw for draw, and the rank of each row id in
+    the new order.
+
+    For i from len - 1 down to 1, `random.shuffle` swaps position i with
+    j = `rng._randbelow(i + 1)`: a draw of k = (i + 1).bit_length() bits,
+    drawn again while j > i.  Here k is held over each run of i with the
+    same width, so a draw is one `getrandbits` call.  Step i fixes position
+    i for good, so its rank is written there.  The clock is read where
+    `budget.paced` reads it, before draw 1024, 2048, ...
+    """
+    n = len(order)
+    rank = array.array("l", [0]) * n  # no int object per row to free
+    getrandbits = rng.getrandbits
+    i, check = n - 1, n - 1024  # the next position to fix, the next clock read
+    while i > 0:
+        if i == check:
+            budget.check()
+            check -= 1024
+        k = (i + 1).bit_length()
+        stop = max(check, (1 << k - 1) - 2, 0)  # past this width's run, or at the next read
+        for i in range(i, stop, -1):
+            j = getrandbits(k)
+            while j > i:
+                j = getrandbits(k)
+            order[i], order[j] = order[j], order[i]
+            rank[order[i]] = i
+        i = stop
+    return rank  # the row left at position 0 keeps the fill's rank 0
 
 
 def _first_cover(cover: _ExactCover, budget: _Budget, rng) -> list[int] | None:
@@ -549,8 +569,8 @@ def _first_cover(cover: _ExactCover, budget: _Budget, rng) -> list[int] | None:
     early and the search stays complete."""
     order = list(range(len(cover.rows)))
     for restart in itertools.count():
-        _shuffle(order, rng, budget)
-        picked, complete = cover.solve(budget, order, len(cover.cols) << restart)
+        rank = _shuffle(order, rng, budget)
+        picked, complete = cover.solve(budget, rank, len(cover.cols) << restart)
         if picked is not None or complete:
             return picked
 

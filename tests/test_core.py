@@ -1,3 +1,4 @@
+import re
 from collections import Counter
 
 import pytest
@@ -48,6 +49,17 @@ class TestCodewords:
         code = Code(CodeParams(1, 4), [cw((0, 0), (0, 1), (0, 5))])
         with pytest.raises(ValueError):
             code.validate()
+
+    @pytest.mark.parametrize("cell", [(0, 4.5), (1.0, 2), (0, "3"), (None, 2), (0, 3 + 0j)])
+    def test_code_validate_names_a_cell_that_is_not_ints(self, cell):
+        code = Code(CodeParams(2, 8), [cw((0, 0), (0, 1), (1, 3)), ((0, 1), (1, 5), cell)])
+        named = re.escape(f"cell ({cell[0]},{cell[1]}) of codeword 1")
+        with pytest.raises(ValueError, match=named):
+            code.validate()
+
+    def test_code_validate_takes_a_bool_as_an_int(self):
+        # bool is an int subclass, and its class keys are ints
+        Code(CodeParams(2, 8), [((False, 0), (False, 1), (True, 3))]).validate()
 
     def test_code_validate_catches_wrong_weight(self):
         code = Code(CodeParams(2, 4, k=3), [cw((0, 0), (1, 1))])

@@ -18,13 +18,14 @@ from oockit.bounds import BoundReport
 from oockit.cli import main
 from oockit.core import Code, CodeParams, make_codeword
 from oockit.document import code_to_document, parse_json, render_json, render_matrix
-from oockit.search import GddBaseBlocks
+from oockit.search import GddBaseBlocks, SearchConfig, gdd_search
 from oockit.verify import CompositionCensus, ParityCensus, VerificationReport, Witness
 
 # JSON values other than code documents.  NaN is left out because it is
-# unequal to itself, so parse(render(doc)) == doc could not hold; the key
-# "codewords" is left out because it names an array of integer cells.
-KEYS = st.text(max_size=6).filter(lambda key: key != "codewords")
+# unequal to itself, so parse(render(doc)) == doc could not hold; the keys
+# "codewords" and "base_blocks" are left out because each names an array of
+# integer cells.
+KEYS = st.text(max_size=6).filter(lambda key: key not in ("codewords", "base_blocks"))
 SCALARS = (
     st.none()
     | st.booleans()
@@ -170,6 +171,7 @@ class TestRenderJson:
             "search equi --m 50",
             "search tight --m 13",
             "search gdd --u 3 --m 5 --strategy exact_cover --seed 3",
+            "search gdd --u 4 --m 8 --seed 0",
             "bound phi --n 3 --m 24",
             "catalog --n 2 --m 4..40",
         ],
@@ -248,6 +250,22 @@ class TestRenderReports:
     def test_equals_json_dumps_of_the_asdict_copy(self, report):
         expected = json.dumps(_asdict_copy(report), sort_keys=True, indent=2)
         assert render_json(report) == expected
+
+    @pytest.mark.parametrize("u, m, seed", [(3, 5, 3), (4, 8, 0), (5, 8, 0), (3, 39, 924)])
+    def test_a_gdd_search_witness_equals_json_dumps(self, u, m, seed):
+        witness = gdd_search(u, m, SearchConfig(seed=seed)).best
+        expected = json.dumps(vars(witness), sort_keys=True, indent=2)
+        assert render_json(witness) == expected
+        assert render_json({"witness": witness}) == json.dumps(
+            {"witness": vars(witness)}, sort_keys=True, indent=2
+        )
+
+    def test_empty_and_four_cell_base_blocks_equal_json_dumps(self):
+        blocks = [(), ((0, 0), (1, 2), (2, 4), (3, 10**12)), ((1, 0),), ()]
+        for witness in (GddBaseBlocks(5, [[0, 1], [2], [3]], blocks), GddBaseBlocks(1, [])):
+            for report in (witness, {"best": witness, "nodes": 3}, [witness, None]):
+                expected = json.dumps(_asdict_copy(report), sort_keys=True, indent=2)
+                assert render_json(report) == expected
 
     @pytest.mark.parametrize(
         "report",

@@ -1,3 +1,4 @@
+import array
 import functools
 import hashlib
 import inspect
@@ -374,8 +375,11 @@ def test_exact_cover_kernel_is_algorithm_x():
                 for _ in range(rng.randint(0, 14) if n_cols else 0)]
         order = rng.sample(range(len(rows)), len(rows)) if rng.random() < 0.9 else None
         limit = rng.choice([None, 1, 2, 3, 5, 8, 13])
+        rank = None  # or the inverse of `order`: each row id's position in it
+        if order is not None:
+            rank = array.array("l", sorted(range(len(rows)), key=order.__getitem__))
         budget = _Budget(SearchConfig())
-        picked, complete = search._ExactCover(n_cols, rows, budget).solve(budget, order, limit)
+        picked, complete = search._ExactCover(n_cols, rows, budget).solve(budget, rank, limit)
         assert (picked, complete, budget.nodes) == _algorithm_x(n_cols, rows, order, limit)
 
 
@@ -613,6 +617,74 @@ def _blocks_digest(out) -> str:
     return hashlib.sha256(repr(sorted(out.best.base_blocks)).encode()).hexdigest()
 
 
+def _paced_shuffle(order, rng, budget):
+    """`rng.shuffle(order)` with its draws under `budget.paced`: the reference
+    for the draws and clock reads of `search._shuffle`."""
+    for i in budget.paced(reversed(range(1, len(order)))):
+        j = rng._randbelow(i + 1)
+        order[i], order[j] = order[j], order[i]
+
+
+def _clock_reads(shuffle, n: int, spent_at: int):
+    """The generator state at each clock read of `shuffle` over n rows, and
+    the order and state it leaves once read `spent_at` raises `_Spent`."""
+    order, rng, budget = list(range(n)), random.Random(5), _Budget(SearchConfig())
+    states = []
+
+    def check():
+        states.append(rng.getstate())
+        if len(states) == spent_at:
+            raise search._Spent
+
+    budget.check = check
+    try:
+        shuffle(order, rng, budget)
+    except search._Spent:
+        pass
+    return states, order, rng.getstate()
+
+
+class TestShuffle:
+    """`search._shuffle` makes the draws of `random.shuffle` and returns the
+    rank table `_ExactCover.solve` takes."""
+
+    @pytest.mark.parametrize("n", [*range(10), 1023, 1024, 1025, 1026, 2047, 2048, 2049, 41067])
+    @pytest.mark.parametrize("seed", [0, 7, 2**40 + 3])
+    def test_the_draws_of_random_shuffle(self, n, seed):
+        start = random.Random(-seed).sample(range(n), n)  # a restart shuffles the last order
+        expected, reference = start[:], random.Random(seed)
+        reference.shuffle(expected)
+        order, rng = start[:], random.Random(seed)
+        rank = search._shuffle(order, rng, _Budget(SearchConfig()))
+        assert order == expected
+        assert rng.getstate() == reference.getstate()
+        assert rank.typecode == "l" and len(rank) == n
+        assert all(rank[rid] == i for i, rid in enumerate(order))  # the inverse permutation
+
+    @pytest.mark.parametrize("n, reads", [(1024, 0), (1025, 1), (2048, 1), (2049, 2), (41067, 40)])
+    @pytest.mark.parametrize("spent_at", [0, 1, 2, 40])
+    def test_the_clock_is_read_where_paced_reads_it(self, n, reads, spent_at):
+        # before draw 1024, 2048, ...; a read that raises stops at that draw
+        states, order, state = _clock_reads(search._shuffle, n, spent_at)
+        assert len(states) == (reads if spent_at == 0 else min(reads, spent_at))
+        assert (states, order, state) == _clock_reads(_paced_shuffle, n, spent_at)
+
+    @pytest.mark.parametrize("n", [1024, 1025, 41067])
+    def test_a_clock_past_the_deadline_stops_it_at_the_first_read(self, n):
+        runs = []
+        for shuffle in (search._shuffle, _paced_shuffle):
+            order, rng, budget = list(range(n)), random.Random(3), _Budget(SearchConfig())
+            budget.deadline = time.monotonic() - 1.0
+            try:
+                shuffle(order, rng, budget)
+                spent = False
+            except search._Spent:
+                spent = True
+            runs.append((spent, order, rng.getstate()))
+        assert runs[0] == runs[1]
+        assert runs[0][0] == (n > 1024)  # 1 024 rows take 1 023 draws, no read
+
+
 def test_a_restart_past_the_deadline_gets_an_empty_slice(monkeypatch):
     # the clock can pass the deadline between the last check of `_shuffle`
     # and the slice's own read of it; the slice then gets no time, not a
@@ -620,8 +692,9 @@ def test_a_restart_past_the_deadline_gets_an_empty_slice(monkeypatch):
     shuffle = search._shuffle
 
     def late(order, rng, budget):
-        shuffle(order, rng, budget)
+        rank = shuffle(order, rng, budget)
         budget.deadline = time.monotonic() - 1.0
+        return rank
 
     monkeypatch.setattr(search, "_shuffle", late)
     out = gdd_search(3, 5, SearchConfig(seed=3))

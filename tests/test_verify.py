@@ -137,8 +137,10 @@ def oracle_verify_code(code: Code) -> VerificationReport:
                 if i == j:
                     d = (y - x) % m
                     key = (i, i, min(d, (m - d) % m))
-                else:
+                elif i < j:  # (lower row, upper row), lower slot minus upper
                     key = (i, j, (x - y) % m)
+                else:
+                    key = (j, i, (y - x) % m)
                 if key in seen:
                     continue
                 seen.add(key)
@@ -313,7 +315,25 @@ class TestVerifyCodeAgainstOracle:
                 hand[idx] = tuple(cw[o] for o in order)
                 report = verify_code(Code(code.params, hand))
                 assert fast_pass[-1] is None
-                assert report == sorted_report, hand[idx]
+                assert report == sorted_report == oracle_verify_code(Code(code.params, hand))
+
+    @pytest.mark.parametrize(
+        "codewords, cross_ok",
+        [
+            # both codewords hold rows (0, 1) at difference 6 once the second
+            # one's pair is read lower row first
+            ([((0, 0), (0, 1), (1, 3)), ((1, 4), (0, 2), (0, 5))], False),
+            ([((0, 0), (0, 1), (1, 3)), ((1, 0), (0, 2), (0, 4))], True),
+            ([((0, 0), (0, 1), (1, 3)), ((1, 4), (0, 2), (0, 3))], False),
+            ([((1, 3), (0, 0), (0, 1)), ((1, 4), (0, 2), (0, 5))], False),
+        ],
+    )
+    def test_unsorted_cells_equal_the_oracle(self, codewords, cross_ok, fast_pass):
+        code = Code(CodeParams(2, 8), codewords)
+        report = verify_code(code)
+        assert fast_pass[-1] is None
+        assert report == oracle_verify_code(code)
+        assert report.cross_ok is cross_ok
 
     @pytest.mark.parametrize("lambda_a", [1, 2, 3])
     def test_every_codeword_and_every_pair_on_I2_x_Z6(self, lambda_a, fast_pass):
@@ -351,7 +371,7 @@ MALFORMED = {
     "negative-slot": (None, lambda: [GOOD, ((0, -1), (0, 2), (1, 0))]),
     "unsorted-cells": (True, lambda: [GOOD, ((1, 0), (0, 2), (0, 4))]),
     "unsorted-cells-sharing-a-class": (False, lambda: [GOOD, ((1, 4), (0, 2), (0, 3))]),
-    "float-slot": (True, lambda: [GOOD, ((0, 2), (0, 4.5), (1, 0))]),
+    "float-slot": (None, lambda: [GOOD, ((0, 2), (0, 4.5), (1, 0))]),
     "list-cells": (None, lambda: [GOOD, ([0, 2], [0, 4], [1, 0])]),
     "generator-codeword": (None, lambda: [GOOD, (c for c in ((0, 2), (0, 4), (1, 0)))]),
     "generator-of-codewords": (True, lambda: (cw for cw in [GOOD, ((0, 2), (0, 4), (1, 0))])),
@@ -371,6 +391,16 @@ class TestWeight3PassNeverDecidesAMalformedCode:
             assert isinstance(got, tuple)  # an exception of `Code.validate`
         else:
             assert got.passed is passes
+
+
+def test_bool_cells_pass_both_paths_alike(fast_pass, monkeypatch):
+    # `Code.validate` takes a bool as an int, as the weight-3 pass does
+    bools = ((False, 0), (False, 1), (True, 3))
+    code = Code(CodeParams(2, 8), [bools, ((0, 2), (0, 4), (1, 0))])
+    report = verify_code(code)
+    assert fast_pass == [report] and report.passed
+    monkeypatch.setattr(verify, "_weight3_pass", lambda code: None)
+    assert verify_code(code) == report
 
 
 class TestMatrixCorrelation:
