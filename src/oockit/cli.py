@@ -1,7 +1,8 @@
 """Command-line surface: construct / verify / bound / search / catalog.
 
 Each `cmd_*` returns a function that builds its report, its own objects as
-they are (`render_json` writes a dataclass as its fields), one that builds
+they are (`render_json` writes a dataclass as its fields, and a code
+document's codewords as the normal-form tuples they are), one that builds
 its text form, and its verdict.  `main` writes the one form that `--format`
 names to stdout, once the command has finished, and picks the exit code;
 diagnostics go to stderr.  Exit codes: 0 success or pass, 1 verification
@@ -20,13 +21,7 @@ from types import SimpleNamespace
 
 from . import bounds, construct, search
 from .core import Code, SearchExhausted, UnsupportedParameterError, VerificationFailure
-from .document import (
-    code_to_document,
-    document_to_code,
-    parse_json,
-    render_json,
-    render_matrix,
-)
+from .document import _document, document_to_code, parse_json, render_json, render_matrix
 from .search import EXACT_COVER, HILL_CLIMB, SearchConfig
 from .verify import composition_census, parity_census, verify_code
 
@@ -152,7 +147,7 @@ def cmd_construct(args):
         "verified": res.verified,
         "provenance": " ".join([f"construct {args.family}", *flags]),
     }
-    return lambda: code_to_document(res.code, meta), lambda: render_matrix(res.code), True
+    return lambda: _document(res.code, meta), lambda: render_matrix(res.code), True
 
 
 def cmd_verify(args):
@@ -189,7 +184,7 @@ def cmd_search(args):
     outcome, _ = _call(search, SEARCHES, "search", args.kind, vars(args))
     witness = outcome.best  # a GddBaseBlocks is written as its fields
     if isinstance(witness, Code):
-        witness = code_to_document(witness, {"provenance": f"search {args.kind}", "verified": True})
+        witness = _document(witness, {"provenance": f"search {args.kind}", "verified": True})
     out = {
         "best_size": outcome.best_size,
         "proven_optimal": outcome.proven_optimal,

@@ -51,8 +51,17 @@ class CodeParams:
 
 
 def make_codeword(cells) -> Codeword:
-    """Sorted, duplicate-checked tuple of (row, slot) cells from outside `construct`."""
-    out = tuple(sorted((int(r), int(s)) for r, s in cells))
+    """Sorted, duplicate-checked tuple of (row, slot) cells from outside `construct`.
+
+    A cell that is not a pair of ints raises ValueError; a bool becomes the
+    int it equals.
+    """
+    out = []
+    for r, s in cells:
+        if not (isinstance(r, int) and isinstance(s, int)):
+            raise ValueError(f"cell ({r},{s}) is not a pair of ints")
+        out.append((int(r), int(s)))
+    out = tuple(sorted(out))
     if len(set(out)) != len(out):
         raise ValueError(f"duplicate cells in codeword: {out}")
     return out
@@ -98,7 +107,38 @@ def normalize(codeword: Codeword, m: int) -> Codeword:
     cell (r0, s) to slot 0.  So the only candidate shifts are -s for the
     cells of row r0: at most k of them, not all m.  The empty codeword
     normalizes to ().
+
+    Three sorted distinct tuple cells with slots in [0, m) take a closed
+    form, by how many cells share row r0.  One: its slot goes to 0.  Two, d
+    apart: the shift that leaves the smaller of d and m - d between them,
+    and at d = m/2 the one that puts the third cell lower.  Three: the least
+    rotation of the gap triple (s1 - s0, s2 - s1, m - s2 + s0).  A codeword
+    already in normal form comes back as the same object.  Every other input
+    tries the candidate shifts.
     """
+    if type(codeword) is tuple and len(codeword) == 3:
+        a, b, c = codeword
+        if type(a) is tuple and type(b) is tuple and type(c) is tuple and a < b < c:
+            (r0, s0), (r1, s1), (r2, s2) = codeword
+            if 0 <= s0 < m and 0 <= s1 < m and 0 <= s2 < m:
+                if r0 != r1:
+                    if s0 == 0:
+                        return codeword
+                    u, v = (r1, (s1 - s0) % m), (r2, (s2 - s0) % m)
+                    return ((r0, 0), u, v) if u < v else ((r0, 0), v, u)
+                if r1 != r2:
+                    d = s1 - s0
+                    if d < m - d or (d == m - d and (s2 - s0) % m < (s2 - s1) % m):
+                        if s0 == 0:
+                            return codeword
+                        return (r0, 0), (r0, d), (r2, (s2 - s0) % m)
+                    return (r0, 0), (r0, m - d), (r2, (s2 - s1) % m)
+                x, y, z = s1 - s0, s2 - s1, m - s2 + s0
+                least = min((x, y), (y, z), (z, x))
+                if s0 == 0 and least == (x, y):
+                    return codeword
+                x, y = least
+                return (r0, 0), (r0, x), (r0, x + y)
     if not codeword:
         return ()
     r0 = min(codeword)[0]

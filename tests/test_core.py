@@ -1,3 +1,4 @@
+import itertools
 import re
 from collections import Counter
 
@@ -60,6 +61,17 @@ class TestCodewords:
     def test_code_validate_takes_a_bool_as_an_int(self):
         # bool is an int subclass, and its class keys are ints
         Code(CodeParams(2, 8), [((False, 0), (False, 1), (True, 3))]).validate()
+
+    @pytest.mark.parametrize("cell", [(1, 4.5), (1.0, 2), (0, "3"), (None, 2)])
+    def test_make_codeword_names_a_cell_that_is_not_ints(self, cell):
+        # int() would truncate 4.5 to 4 and read "3" as 3: another codeword
+        with pytest.raises(ValueError, match=re.escape(f"cell ({cell[0]},{cell[1]})")):
+            make_codeword([(0, 0), (0, 1), cell])
+
+    def test_make_codeword_takes_a_bool_as_an_int(self):
+        out = make_codeword([(True, False), (0, 0), (False, 3)])
+        assert out == ((0, 0), (0, 3), (1, 0))
+        assert all(type(x) is int for cell in out for x in cell)
 
     def test_code_validate_catches_wrong_weight(self):
         code = Code(CodeParams(2, 4, k=3), [cw((0, 0), (1, 1))])
@@ -162,6 +174,36 @@ class TestNormalize:
     def test_weight_two(self):
         # all four translations checked by hand
         assert normalize(cw((0, 2), (1, 3)), 4) == cw((0, 0), (1, 1))
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_closed_form_matches_scan_on_every_three_subset(self, n):
+        # every 3-subset of I_n x Z_m, m <= 12: the ties at d = m/2 and of
+        # equal gaps included; a normal codeword comes back as itself
+        for m in range(1, 13):
+            cells = [(r, s) for r in range(n) for s in range(m)]
+            for w in itertools.combinations(cells, 3):
+                least = min(translate(w, s, m) for s in range(m))
+                got = normalize(w, m)
+                assert got == least, (w, m)
+                assert (got is w) == (w == least), (w, m)
+
+    @pytest.mark.parametrize(
+        "w,m",
+        [
+            (((0, 5), (0, 2), (1, 3)), 8),  # unsorted
+            (((1, 3), (0, 2), (0, 6)), 8),
+            ([(0, 0), (0, 1), (0, 3)], 8),  # a list of cells
+            (([0, 0], [0, 1], [0, 3]), 8),  # list cells
+            (((0, 0), (0, 1), (0, 9)), 8),  # out of range
+            (((0, -3), (1, 0), (1, 2)), 8),
+            (((0, 0), (0, 8), (1, 1)), 8),  # equal mod m
+            (((0, 1), (0, 1), (1, 1)), 8),  # a repeated cell
+        ],
+    )
+    def test_other_inputs_take_the_candidate_shifts(self, w, m):
+        got = normalize(w, m)
+        assert got == min(translate(w, s, m) for s in range(m))
+        assert type(got) is tuple and all(type(cell) is tuple for cell in got)
 
 
 class TestRestrictToRow:

@@ -17,7 +17,7 @@ from hypothesis import example, given, strategies as st
 from oockit.bounds import BoundReport
 from oockit.cli import main
 from oockit.core import Code, CodeParams, make_codeword
-from oockit.document import code_to_document, parse_json, render_json, render_matrix
+from oockit.document import _document, code_to_document, parse_json, render_json, render_matrix
 from oockit.search import GddBaseBlocks, SearchConfig, gdd_search
 from oockit.verify import CompositionCensus, ParityCensus, VerificationReport, Witness
 
@@ -55,8 +55,8 @@ def _leave_document(leave):
 
 
 @st.composite
-def code_documents(draw):
-    """Documents as code_to_document writes them, over k = 1..4 and large cells."""
+def codes_and_metadata(draw):
+    """A code over k = 1..4 and large cells, and metadata for its document."""
     n = draw(st.integers(1, 10**6))
     m = draw(st.integers(1, 10**12))
     k = draw(st.integers(1, 4))
@@ -74,7 +74,12 @@ def code_documents(draw):
         "provenance": draw(st.none() | st.text()),
         **draw(st.dictionaries(KEYS, VALUES, max_size=3)),
     }
-    return code_to_document(Code(CodeParams(n, m, k), codewords), metadata)
+    return Code(CodeParams(n, m, k), codewords), metadata
+
+
+def code_documents():
+    """Documents as code_to_document writes them."""
+    return codes_and_metadata().map(lambda pair: code_to_document(*pair))
 
 
 def _gdd_witness():
@@ -157,6 +162,8 @@ class TestRenderJson:
     @example(_leave_document({3}))
     @example(_leave_document(set(range(1, 10**4, 7))))
     @example({"a": [True, 1], "b": [1, -2, 10**30], "c": {}, "d": [[1], [2, 3]], "e": [1.0]})
+    # bool cells, which verify_code passes, are written as the ints they equal
+    @example(code_to_document(Code(CodeParams(2, 8), [((False, 0), (True, 1), (True, 3))])))
     def test_equals_json_dumps(self, doc):
         assert render_json(doc) == json.dumps(doc, sort_keys=True, indent=2)
 
@@ -164,9 +171,23 @@ class TestRenderJson:
     def test_parse_inverts_render(self, doc):
         assert parse_json(render_json(doc)) == doc
 
+    def test_a_cell_that_is_not_an_integer_is_refused(self):
+        # render_json's template would write the slot 4.5 as 4: another code
+        with pytest.raises(TypeError):
+            code_to_document(Code(CodeParams(2, 8), [((0, 0), (0, 1), (1, 4.5))]))
+
+    @given(codes_and_metadata())
+    def test_the_tuple_form_renders_as_the_document(self, pair):
+        # what the CLI writes for a code: its codewords as normal-form tuples
+        assert render_json(_document(*pair)) == render_json(code_to_document(*pair))
+
     @pytest.mark.parametrize(
         "command",
         [
+            "construct 3xm --m 24",
+            "construct 2xm --m 16",
+            "construct power4 --s 1 --r 6",
+            "construct nxm --n 12 --m 24 --seed 3",  # lifted: some codewords move
             "search optimal --n 2 --m 6",
             "search equi --m 50",
             "search tight --m 13",

@@ -13,7 +13,10 @@ The `search optimal` and `search equi` entries were re-recorded when the
 packing search came to be bounded by the classes its candidates hold: only
 their `nodes=` changed.  The `construct nxm` entry was re-recorded when the
 GDD exact cover's first restart shrank to a node per column: seed 3 now
-restarts once and finds another code of the same 196 codewords.
+restarts once and finds another code of the same 196 codewords.  The
+lifted `construct nxm` entry (m = 24 = 3 x 8) was recorded before a three-cell
+codeword took a closed-form normal form and the CLI wrote codewords from
+their tuples.
 """
 
 import contextlib
@@ -40,6 +43,10 @@ GOLDEN = {
     "construct explicit --id 3x8": "3119a9fe790ec480ed6d5af737f1fe6b0792aa4b741ab48e9fb46f37cb5f96d7",
     # m = 8 is its own base (lift factor 1): the searched design, unlifted
     NXM: "83722fdf04e00d0ad45ebde529566d0fece31cf3afcbf8144093e3dc71b0ce5b",
+    # lift factor 3: 12 of its 592 codewords are not their own normal form
+    "construct nxm --n 12 --m 24 --seed 3": (
+        "23a02340234089cd2f61a6f3be2d7f427690823ca03970f614e49732d4628d06"
+    ),
     "construct 3xm --m 24 --format matrix": (
         "86354f3aba98aec91e2ad6b21fd7b49a1ea9da7d6e3b3065d783b60db29f331a"
     ),

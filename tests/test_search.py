@@ -4,6 +4,7 @@ import hashlib
 import inspect
 import itertools
 import math
+import re
 import random
 import sys
 import time
@@ -531,6 +532,14 @@ class TestGddSearch:
         ]:
             with pytest.raises(ValueError, match=message):
                 gdd.validate()
+
+    def test_validation_rejects_a_slot_that_is_not_an_int(self):
+        # make_codeword would once truncate 0.5 to 0 and pass the design
+        design = gdd_search(3, 5, SearchConfig(seed=3)).best
+        (a, _), b, c = design.base_blocks[0]
+        blocks = [((a, 0.5), b, c), *design.base_blocks[1:]]
+        with pytest.raises(ValueError, match=re.escape(f"cell ({a},0.5)")):
+            GddBaseBlocks(design.m, design.groups, blocks).validate()
 
 
 @functools.lru_cache(maxsize=None)
