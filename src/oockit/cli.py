@@ -21,7 +21,13 @@ from types import SimpleNamespace
 
 from . import bounds, construct, search
 from .core import Code, SearchExhausted, UnsupportedParameterError, VerificationFailure
-from .document import _document, document_to_code, parse_json, render_json, render_matrix
+from .document import (
+    code_to_document,
+    document_to_code,
+    parse_json,
+    render_json,
+    render_matrix,
+)
 from .search import EXACT_COVER, HILL_CLIMB, SearchConfig
 from .verify import composition_census, parity_census, verify_code
 
@@ -147,7 +153,11 @@ def cmd_construct(args):
         "verified": res.verified,
         "provenance": " ".join([f"construct {args.family}", *flags]),
     }
-    return lambda: _document(res.code, meta), lambda: render_matrix(res.code), True
+    return (
+        lambda: code_to_document(res.code, meta, tuples=True),
+        lambda: render_matrix(res.code),
+        True,
+    )
 
 
 def cmd_verify(args):
@@ -184,7 +194,8 @@ def cmd_search(args):
     outcome, _ = _call(search, SEARCHES, "search", args.kind, vars(args))
     witness = outcome.best  # a GddBaseBlocks is written as its fields
     if isinstance(witness, Code):
-        witness = _document(witness, {"provenance": f"search {args.kind}", "verified": True})
+        meta = {"provenance": f"search {args.kind}", "verified": True}
+        witness = code_to_document(witness, meta, tuples=True)
     out = {
         "best_size": outcome.best_size,
         "proven_optimal": outcome.proven_optimal,

@@ -4,17 +4,16 @@ Documents are canonical: sorted keys, slot-normalized and sorted codewords,
 integers only.  parse(render(doc)) == doc.
 
 `code_to_document` writes the codewords as nested lists of plain ints.  The
-CLI renders the same document with the codewords left as the sorted
-normal-form tuples (`_document`): the bytes are the same, and no list is
-built only to be written.
+CLI asks it for the codewords as the sorted normal-form tuples instead
+(`tuples=True`): the bytes are the same, and no list is built only to be
+written.
 
 `render_json(doc)` prints what `json.dumps(doc, sort_keys=True, indent=2)`
 prints.  That call runs CPython's pure-Python encoder, since the C one takes
 no indent, so `render_json` walks every document and report, and the objects
 in it, a dataclass instance as its fields.  It writes a `"codewords"` or
-`"base_blocks"` array from one %-template per three-cell codeword (one per
-cell when a codeword has another size) and one join, a list of ints (a
-claimed leave) with one join, and any other value through
+`"base_blocks"` array from one %-template per codeword size and one join, a
+list of ints (a claimed leave) with one join, and any other value through
 `json.dumps(value, sort_keys=True, indent=2)`, re-indented to its depth;
 keys and scalars through the C encoder.  Both keys name arrays of integer
 cells: a code document's codewords, as `code_to_document` writes them and
@@ -37,20 +36,16 @@ class DocumentError(ValueError):
     """The input is not a well-formed code document."""
 
 
-def code_to_document(code: Code, metadata: dict | None = None) -> dict:
+def code_to_document(code: Code, metadata: dict | None = None, *, tuples: bool = False) -> dict:
     """The document of `code`, its codewords as lists of plain ints: a bool
     cell is written as the int it equals, and a cell that is not an integer
-    raises TypeError."""
-    doc = _document(code, metadata)
-    doc["codewords"] = [[[index(r), index(s)] for r, s in cw] for cw in doc["codewords"]]
-    return doc
-
-
-def _document(code: Code, metadata: dict | None) -> dict:
-    """The document of `code` with its codewords as the sorted normal-form
-    tuples: `render_json` writes it as it writes `code_to_document`'s."""
+    raises TypeError.  With `tuples` the codewords stay the sorted
+    normal-form tuples, which `render_json` writes as the same bytes when
+    the cells are ints."""
     p = code.params
     cws = sorted([normalize(cw, p.m) for cw in code.codewords])
+    if not tuples:
+        cws = [[[index(r), index(s)] for r, s in cw] for cw in cws]
     meta = {
         "branch": None,
         "claimed_size": None,
@@ -148,22 +143,24 @@ def _render(value, pad: str) -> str:
 
 
 def _codewords(codewords: list, pad: str) -> str:
-    """A codewords or base-blocks array whose key sits at indent `pad`: one
-    template per three-cell codeword, or per [r, s] cell when some codeword
-    has another size."""
+    """A codewords or base-blocks array whose key sits at indent `pad`, one
+    %-template per codeword size.  When every codeword has three cells, the
+    six values of one come from unpacking it in place, else from its [r, s]
+    cells in turn."""
     if not codewords:
         return "[]"
     word = pad + "  "
     cell = f"{word}  [\n{word}    %d,\n{word}    %d\n{word}  ]"
-    head, tail = word + "[\n", f"\n{word}]"
-    three = head + ",\n".join([cell] * 3) + tail
-    try:
+    sizes = set(map(len, codewords))
+    block = {
+        k: f"{word}[\n" + ",\n".join([cell] * k) + f"\n{word}]" if k else word + "[]"
+        for k in sizes
+    }
+    if sizes == {3}:
+        three = block[3]
         words = [three % (r0, s0, r1, s1, r2, s2) for (r0, s0), (r1, s1), (r2, s2) in codewords]
-    except (TypeError, ValueError):  # not every codeword is three [r, s] cells
-        words = [
-            head + ",\n".join([cell % (r, s) for r, s in cw]) + tail if cw else word + "[]"
-            for cw in codewords
-        ]
+    else:
+        words = [block[len(cw)] % tuple(x for r, s in cw for x in (r, s)) for cw in codewords]
     return "[\n" + ",\n".join(words) + f"\n{pad}]"
 
 

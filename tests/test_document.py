@@ -17,7 +17,7 @@ from hypothesis import example, given, strategies as st
 from oockit.bounds import BoundReport
 from oockit.cli import main
 from oockit.core import Code, CodeParams, make_codeword
-from oockit.document import _document, code_to_document, parse_json, render_json, render_matrix
+from oockit.document import code_to_document, parse_json, render_json, render_matrix
 from oockit.search import GddBaseBlocks, SearchConfig, gdd_search
 from oockit.verify import CompositionCensus, ParityCensus, VerificationReport, Witness
 
@@ -179,7 +179,7 @@ class TestRenderJson:
     @given(codes_and_metadata())
     def test_the_tuple_form_renders_as_the_document(self, pair):
         # what the CLI writes for a code: its codewords as normal-form tuples
-        assert render_json(_document(*pair)) == render_json(code_to_document(*pair))
+        assert render_json(code_to_document(*pair, tuples=True)) == render_json(code_to_document(*pair))
 
     @pytest.mark.parametrize(
         "command",
