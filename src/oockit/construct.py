@@ -32,7 +32,7 @@ from .core import (
     VerificationFailure,
     make_codeword,
 )
-from .search import EXACT_COVER, GddBaseBlocks, SearchConfig, _gdd_search, gdd_search
+from .search import GddBaseBlocks, SearchConfig, _gdd_search
 from .verify import difference_leave, structural_facts, verify_code
 
 
@@ -678,21 +678,6 @@ def expand_gdd(gdd: GddBaseBlocks, inputs: list[ConstructionResult]) -> Construc
     return _finalize(code, total, None, "gdd/expand")
 
 
-def _base_design(u: int, m0: int, config: SearchConfig) -> GddBaseBlocks | None:
-    """The (3 m0)^u design of `compose_0mod3`, or None when the budget runs out."""
-    if u >= 6 and config.strategy == EXACT_COVER:
-        outcome = _gdd_search(u, m0, config, u - 1 + u % 2)  # Z_u, or Z_(u-1) and a fixed group
-        if outcome.best is not None or not outcome.proven_optimal:
-            return outcome.best
-        # no design is fixed by the rotation: search them all on what is left
-        config = replace(
-            config,
-            time_budget=max(config.time_budget - outcome.elapsed, 0.0),
-            node_budget=config.node_budget - outcome.nodes,
-        )
-    return gdd_search(u, m0, config).best
-
-
 def compose_0mod3(n: int, m: int, config: SearchConfig | None = None) -> ConstructionResult:
     """Optimal (n x m) code in the `rows0mod3_*` classes of `phi_exact`.
 
@@ -700,10 +685,12 @@ def compose_0mod3(n: int, m: int, config: SearchConfig | None = None) -> Constru
     type (3m)^(n/3) is searched only at m0 = m & -m (4, 8 or 32 in every
     exact class), lifted by the odd factor m / m0, and its groups are filled
     with the three-row code on Z_m, reaching Phi(n, m) = n(nm + 2 psi)/6
-    codewords.  `config` drives the search at m0.  From n = 18 on, the exact
-    cover searches only designs fixed by a rotation of the groups; when that
-    search completes without one, `gdd_search` runs on what is left of the
-    budget.
+    codewords.  `config` drives the one search at m0 (`_gdd_search`).  From
+    n = 18 on, the exact cover first searches only the designs fixed by a
+    rotation of the groups, Z_u or Z_(u-1) and a fixed group, and then all
+    of them if it completes without one, on the same budget.  The design is
+    not validated on its own: `_finalize`'s check of the lifted code proves
+    it.
     """
     if n < 3:  # phi_exact takes n >= 1 only
         raise UnsupportedParameterError(f"family needs n >= 3, got n={n}")
@@ -714,7 +701,8 @@ def compose_0mod3(n: int, m: int, config: SearchConfig | None = None) -> Constru
     phi = phi_exact(n, m)
     inner = _three_row(n, m, phi.branch)[0]
     u, m0 = n // 3, m & -m
-    design = _base_design(u, m0, config or SearchConfig())
+    orders = (u - 1 + u % 2, 1) if u >= 6 else (1,)
+    design = _gdd_search(u, m0, config or SearchConfig(), *orders).best
     if design is None:
         raise SearchExhausted(f"no (3m)^{u} design witness found for m={m0} in budget")
     # _finalize is the one check of the lift: the correlation check rules out

@@ -29,7 +29,7 @@ HILL_CLIMB = "hill_climb_restart"
 class SearchConfig:
     time_budget: float = 60.0
     node_budget: int = 10**9
-    strategy: str = EXACT_COVER  # gdd_search and compose_0mod3; the other searches ignore it
+    strategy: str = EXACT_COVER  # or HILL_CLIMB; read by the GDD search alone
     seed: int = 0
 
     def __post_init__(self):  # a NaN budget compares False with everything: no stop
@@ -37,6 +37,8 @@ class SearchConfig:
             raise ValueError("a search budget must not be NaN")
         if self.time_budget < 0 or self.node_budget < 0:
             raise ValueError("a search budget must not be negative")
+        if self.strategy not in (EXACT_COVER, HILL_CLIMB):
+            raise ValueError(f"strategy must be {EXACT_COVER} or {HILL_CLIMB}: {self.strategy!r}")
 
 
 @dataclass
@@ -617,15 +619,6 @@ def _gdd_matrix(u: int, m: int, order: int, budget: _Budget):
     return _ExactCover(len(classes), itertools.chain.from_iterable(rows()), budget), develop
 
 
-def _gdd_cover(u: int, m: int, order: int, budget: _Budget, rng) -> list[Codeword] | None:
-    """Base blocks from the first cover of `_gdd_matrix`, or None.  Order 1
-    is the direct cover of every class; above it, a completed search without
-    a cover proves only that no design is fixed by the rotation."""
-    cover, develop = _gdd_matrix(u, m, order, budget)
-    picked = _first_cover(cover, budget, rng)
-    return None if picked is None else develop(picked)
-
-
 def _gdd_hill_climb(cover: _ExactCover, budget: _Budget, rng) -> list[int]:
     """Min-conflicts hill climb (Minton et al., 1992) for an exact cover of
     `cover`'s columns by rows of three columns each, as row ids.
@@ -691,23 +684,29 @@ def _gdd_hill_climb(cover: _ExactCover, budget: _Budget, rng) -> list[int]:
             return list(chosen)
 
 
-def _gdd_search(u: int, m: int, config: SearchConfig, order: int) -> SearchOutcome:
-    """Base blocks of an m-cyclic (3m)^u design fixed by the rotation of
-    `_gdd_candidates`, not validated: the caller checks them.  The hill
-    climb runs at order 1 only and proves nothing."""
+def _gdd_search(u: int, m: int, config: SearchConfig, *orders: int) -> SearchOutcome:
+    """Base blocks of an m-cyclic (3m)^u design, not validated: the caller
+    checks them.  Each order in turn searches, on one budget and from a fresh
+    `random.Random(config.seed)`, the designs fixed by the rotation of
+    `_gdd_candidates` until one has a cover; only order 1, the identity,
+    proves that none exists.  The hill climb runs at order 1 only and
+    proves nothing."""
     budget = _Budget(config)
     if not gdd_exists(3, u, m):
         return SearchOutcome(None, 0, True, 0, budget.elapsed())
     proven = config.strategy != HILL_CLIMB  # the hill climb only hunts for a witness
-    rng = random.Random(config.seed)
+    find = _first_cover if proven else _gdd_hill_climb
+    blocks = None
     try:
-        if proven:
-            blocks = _gdd_cover(u, m, order, budget, rng)
-        else:
-            cover, develop = _gdd_matrix(u, m, 1, budget)
-            blocks = develop(_gdd_hill_climb(cover, budget, rng))
+        for order in orders if proven else (1,):
+            cover, develop = _gdd_matrix(u, m, order, budget)
+            picked = find(cover, budget, random.Random(config.seed))
+            if picked is not None:
+                blocks = develop(picked)
+                break
+            del cover  # the next order builds its matrix without this one
     except _Spent:
-        blocks, proven = None, False
+        proven = False
     if blocks is None:
         return SearchOutcome(None, 0, proven, budget.nodes, budget.elapsed())
     gdd = GddBaseBlocks(m, [[3 * t, 3 * t + 1, 3 * t + 2] for t in range(u)], sorted(blocks))

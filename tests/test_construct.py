@@ -1,5 +1,6 @@
 import dataclasses
 import inspect
+import random
 import typing
 
 import pytest
@@ -36,7 +37,6 @@ from oockit.search import (
     HILL_CLIMB,
     GddBaseBlocks,
     SearchConfig,
-    SearchOutcome,
     equi_search,
     gdd_search,
     tight_search,
@@ -565,6 +565,26 @@ class TestExpandGdd:
             assert len({r // 3 for r, _ in block}) == 3
 
 
+def _none_fixed_by_the_rotation(monkeypatch, built) -> list[tuple]:
+    """Make each GDD cover search above order 1 spend five nodes, drawing
+    once from its rng per node, and find no cover; `built` is the
+    `gdd_matrices` list.  Returns the list that gets the state of the rng
+    each order-1 search starts from."""
+    first, starts = search._first_cover, []
+
+    def none_fixed(cover, budget, rng):
+        if built[-1].order == 1:
+            starts.append(rng.getstate())
+            return first(cover, budget, rng)
+        for _ in range(5):
+            budget.tick()
+            rng.random()
+        return None
+
+    monkeypatch.setattr(search, "_first_cover", none_fixed)
+    return starts
+
+
 class TestCompose:
     def test_three_rows_delegates(self):
         assert compose_0mod3(3, 8).code.size() == 13
@@ -579,22 +599,24 @@ class TestCompose:
 
     @pytest.mark.parametrize("n,m,m0", [(12, 8, 8), (12, 24, 8), (15, 20, 4), (12, 96, 32)])
     def test_one_search_at_the_two_part_of_m(self, monkeypatch, n, m, m0):
-        calls = []
+        calls, real = [], construct._gdd_search
 
-        def record(u, length, config=None):
-            calls.append((u, length))
-            return gdd_search(u, length, config)
+        def record(u, length, config, *orders):
+            calls.append((u, length, orders))
+            return real(u, length, config, *orders)
 
-        monkeypatch.setattr(construct, "gdd_search", record)
+        monkeypatch.setattr(construct, "_gdd_search", record)
         res = compose_0mod3(n, m)
-        assert calls == [(n // 3, m0)]
+        assert calls == [(n // 3, m0, (1,))]  # below six groups the direct search alone
         assert res.code.size() == phi_exact(n, m).value and res.verified
 
     @pytest.mark.parametrize("n,m", [*((3 * u, 8) for u in range(6, 14)), (18, 32), (24, 32),
                                      (18, 20), (21, 96)])
-    def test_six_or_more_groups_take_the_orbit_cover(self, monkeypatch, n, m):
-        monkeypatch.setattr(construct, "gdd_search", None)  # no fallback to the direct search
+    def test_six_or_more_groups_take_the_orbit_cover(self, gdd_matrices, n, m):
         res = compose_0mod3(n, m)
+        u = n // 3
+        # no fallback to the direct search
+        assert [(b.u, b.m, b.order) for b in gdd_matrices] == [(u, m & -m, u - 1 + u % 2)]
         assert res.code.size() == phi_exact(n, m).value and res.verified
         assert verify_code(res.code).passed
 
@@ -603,43 +625,47 @@ class TestCompose:
         assert compose_0mod3(21, 8, SearchConfig(seed=5)).code.codewords == first
         assert compose_0mod3(21, 8, SearchConfig(seed=6)).code.codewords != first
 
-    def test_no_design_fixed_by_the_rotation_falls_back_to_the_direct_search(self, monkeypatch):
-        cover = search._gdd_cover
-
-        def none_fixed(u, m, order, budget, rng):
-            if order == 1:  # the fallback's direct cover
-                return cover(u, m, order, budget, rng)
-            for _ in range(5):
-                budget.tick()
-            return None
-
-        configs = []
-
-        def record(u, length, config=None):
-            configs.append((u, length, config))
-            return gdd_search(u, length, config)
-
-        monkeypatch.setattr(search, "_gdd_cover", none_fixed)
-        monkeypatch.setattr(construct, "gdd_search", record)
+    def test_no_design_fixed_by_the_rotation_falls_back_to_the_direct_search(
+        self, monkeypatch, gdd_matrices
+    ):
+        starts = _none_fixed_by_the_rotation(monkeypatch, gdd_matrices)
         res = compose_0mod3(18, 8, SearchConfig(seed=2))
         assert res.code.size() == phi_exact(18, 8).value and verify_code(res.code).passed
-        [(u, length, config)] = configs
-        # the same budget: what the orbit cover left of it
-        assert (u, length, config.seed, config.node_budget) == (6, 8, 2, 10**9 - 5)
-        assert config.time_budget < 60.0
+        rotated, direct = gdd_matrices
+        assert [(b.u, b.m, b.order) for b in gdd_matrices] == [(6, 8, 5), (6, 8, 1)]
+        # the caller's seed, undrawn by the rotated search
+        assert starts == [random.Random(2).getstate()]
+        assert rotated.budget is direct.budget  # one budget: the direct search runs on what is left
+        nodes = direct.budget.nodes  # the rotated search's five and the direct search's
+        gdd_matrices.clear()
+        # a node budget N stops the whole search at its N-th node
+        with pytest.raises(SearchExhausted):
+            compose_0mod3(18, 8, SearchConfig(node_budget=nodes, seed=2))
+        assert gdd_matrices[-1].budget.nodes == nodes
+        gdd_matrices.clear()
+        again = compose_0mod3(18, 8, SearchConfig(node_budget=nodes + 1, seed=2))
+        assert again.code.codewords == res.code.codewords
+        assert gdd_matrices[-1].budget.nodes == nodes
 
-    def test_hill_climb_keeps_the_direct_search(self, monkeypatch):
-        calls = []
+    def test_the_rotated_matrix_is_freed_before_the_direct_one_is_built(
+        self, monkeypatch, gdd_matrices
+    ):
+        _none_fixed_by_the_rotation(monkeypatch, gdd_matrices)
+        compose_0mod3(18, 8)
+        assert [(b.order, b.held) for b in gdd_matrices] == [(5, 0), (1, 0)]
 
-        def record(u, length, config=None):
-            calls.append((u, length, config.strategy))
-            return SearchOutcome(None, 0, False, 1, 0.0)
+    def test_hill_climb_keeps_the_direct_search(self, monkeypatch, gdd_matrices):
+        climbs = []
 
-        monkeypatch.setattr(construct, "_gdd_search", None)
-        monkeypatch.setattr(construct, "gdd_search", record)
+        def spent(cover, budget, rng):
+            climbs.append(len(cover.cols))
+            raise search._Spent
+
+        monkeypatch.setattr(search, "_gdd_hill_climb", spent)
         with pytest.raises(SearchExhausted):
             compose_0mod3(18, 8, SearchConfig(strategy=HILL_CLIMB))
-        assert calls == [(6, 8, HILL_CLIMB)]
+        assert [(b.u, b.m, b.order) for b in gdd_matrices] == [(6, 8, 1)]
+        assert climbs == [15 * 9 * 8]  # every cross-group class
 
     def test_unreachable_parameters(self):
         with pytest.raises(UnsupportedParameterError):
@@ -653,7 +679,7 @@ class TestCompose:
 
     def test_rejects_every_class_without_a_three_row_code(self, monkeypatch):
         # a rejection needs no search
-        monkeypatch.setattr(construct, "gdd_search", None)
+        monkeypatch.setattr(construct, "_gdd_search", None)
         for n in range(-2, 16):
             for m in range(1, 65):
                 if n == 3 or n >= 1 and phi_exact(n, m).branch.startswith("phi/rows0mod3_"):
@@ -724,14 +750,17 @@ class TestConstructionHygiene:
         self, monkeypatch, builder, make_args, other_facts
     ):
         args = make_args()
-        verified, facts = [], []
+        verified, checked, facts = [], [], []
         monkeypatch.setattr(construct, "verify_code", _recording(construct.verify_code, verified))
+        monkeypatch.setattr(search, "verify_code", _recording(search.verify_code, checked))
         monkeypatch.setattr(
             construct, "structural_facts", _recording(construct.structural_facts, facts)
         )
         res = builder(*args)
         assert res.verified
         assert len(verified) == 1 and verified[0] is res.code
+        # a searched design is not checked on its own; expand_gdd validates its caller's
+        assert len(checked) == (builder is expand_gdd)
         assert sum(c is res.code for c in facts) <= 1
         assert sum(c is not res.code for c in facts) == other_facts
 

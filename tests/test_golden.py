@@ -16,7 +16,10 @@ GDD exact cover's first restart shrank to a node per column: seed 3 now
 restarts once and finds another code of the same 196 codewords.  The
 lifted `construct nxm` entry (m = 24 = 3 x 8) was recorded before a three-cell
 codeword took a closed-form normal form and the CLI wrote codewords from
-their tuples.
+their tuples.  The four `construct nxm` entries of six groups and more, whose
+designs come from the cover under a rotation of the groups, were recorded
+before that search and its fallback to the direct cover ran as one search
+on one budget.
 """
 
 import contextlib
@@ -46,6 +49,19 @@ GOLDEN = {
     # lift factor 3: 12 of its 592 codewords are not their own normal form
     "construct nxm --n 12 --m 24 --seed 3": (
         "23a02340234089cd2f61a6f3be2d7f427690823ca03970f614e49732d4628d06"
+    ),
+    # the orbit route: Z_5 and a fixed group, Z_7, and Z_7 and a fixed group
+    "construct nxm --n 18 --m 8": (
+        "d831f42a129aa7f67e761e76ee3b925f98766efefaecf0ffbd7662cc14567983"
+    ),
+    "construct nxm --n 21 --m 8 --seed 5": (
+        "9983ccca594ff060f011d367a05bf746beb54e1eb054beb3fc90f2dd97db7b77"
+    ),
+    "construct nxm --n 18 --m 20": (
+        "93bc227ac51f1b18e222c5541780c2ae8088bc1a908c0bf95113fdd3d1c28ad8"
+    ),
+    "construct nxm --n 24 --m 32": (
+        "ae010adad6b6b4bda46c75171815e082f27f59570cacaefb67f19fe5c96ccb08"
     ),
     "construct 3xm --m 24 --format matrix": (
         "86354f3aba98aec91e2ad6b21fd7b49a1ea9da7d6e3b3065d783b60db29f331a"

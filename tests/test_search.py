@@ -16,7 +16,7 @@ from unittest import mock
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
-from oockit import construct, search
+from oockit import search
 from oockit.bounds import cac_optimal_size, me_prime, phi_exact, psi_e_exact
 from oockit.construct import compose_0mod3, ooc_3xm
 from oockit.core import Code, CodeParams, SearchExhausted, make_codeword, normalize
@@ -82,6 +82,11 @@ class TestOptimalSearch:
             SearchConfig(**{field: float("nan")})
         SearchConfig(**{field: float("inf")})
         SearchConfig(**{field: 0})
+
+    def test_unknown_strategy_rejected(self):
+        # else it would run as the exact cover and report its result as proven
+        with pytest.raises(ValueError, match="exact_cover or hill_climb_restart"):
+            SearchConfig(strategy="bogus")
 
     def test_budget_exhaustion_reports_partial(self):
         out = optimal_search(3, 8, 2, SearchConfig(node_budget=50))
@@ -718,7 +723,7 @@ def _rotated(block, u: int, k: int):
 
 
 class TestOrbitCover:
-    """`search._gdd_cover` above order 1, the base-block source of
+    """`search._gdd_search` above order 1, the first search of
     `compose_0mod3` from six groups on, and its numbering at order 1."""
 
     @pytest.mark.parametrize("u", range(6, 14))
@@ -751,7 +756,7 @@ class TestOrbitCover:
         covers = []
         monkeypatch.setattr(search, "_first_cover", lambda cover, *rest: covers.append(cover))
         order = u - 1 + u % 2 if u >= 6 else 1
-        assert search._gdd_cover(u, m, order, _Budget(SearchConfig()), random.Random(0)) is None
+        assert search._gdd_search(u, m, SearchConfig(), order).best is None
         [cover] = covers
         assert (len(cover.rows), len(cover.cols)) == (rows, columns)
         assert all(len(set(row)) == len(row) for row in cover.rows)
@@ -891,14 +896,14 @@ def test_a_clock_past_the_deadline_stops_every_setup(name, monkeypatch):
     assert (out.best_size, out.proven_optimal, out.nodes) == (0, False, 0)
 
 
-def test_a_clock_past_the_deadline_stops_the_orbit_setup_of_compose(monkeypatch):
+def test_a_clock_past_the_deadline_stops_the_orbit_setup_of_compose(monkeypatch, gdd_matrices):
     # 13 groups: 608 256 rows to build; no fallback after a spent budget
     _past_the_deadline(monkeypatch)
-    monkeypatch.setattr(construct, "gdd_search", None)
     start = time.monotonic()
     with pytest.raises(SearchExhausted):
         compose_0mod3(39, 32)
     assert time.monotonic() - start < 0.5
+    assert [b.order for b in gdd_matrices] == [13]
 
 
 def test_a_spent_budget_stops_the_orbit_setup_before_its_matrix(monkeypatch):
