@@ -663,6 +663,7 @@ def expand_gdd(gdd: GddBaseBlocks, inputs: list[ConstructionResult]) -> Construc
     the union stays correlation-clean.
     """
     gdd.validate()
+    sizes = {}  # the size of the input code with each row count
     for res in inputs:
         if not res.verified:
             raise ValueError("expansion requires verified input codes")
@@ -670,10 +671,12 @@ def expand_gdd(gdd: GddBaseBlocks, inputs: list[ConstructionResult]) -> Construc
             raise ValueError(
                 f"input on Z_{res.code.params.m} does not match the design's Z_{gdd.m}"
             )
+        if res.code.params.n in sizes:
+            raise ValueError(f"two input codes have {res.code.params.n} rows")
+        sizes[res.code.params.n] = res.code.size()
     # the caller's cells become int tuples once; `_finalize` checks the rest
     gdd = replace(gdd, base_blocks=[make_codeword(b) for b in gdd.base_blocks])
     code = _expand_code(gdd, [res.code for res in inputs])
-    sizes = {res.code.params.n: res.code.size() for res in inputs}
     total = len(gdd.base_blocks) + sum(sizes[len(rows)] for rows in gdd.groups)
     return _finalize(code, total, None, "gdd/expand")
 

@@ -255,10 +255,7 @@ def parity_class(codeword: Codeword, m: int) -> str:
     odd = sum(1 for d in halved if d % 2 == 1)
     singly = sum(1 for d in halved if d % 4 == 2)
     doubly = sum(1 for d in halved if d % 4 == 0)
-    try:
-        return _PARITY_BY_COUNTS[(odd, singly, doubly)]
-    except KeyError:  # unreachable for weight-3 codewords
-        raise ValueError(f"unclassifiable parity pattern {(odd, singly, doubly)}") from None
+    return _PARITY_BY_COUNTS[(odd, singly, doubly)]
 
 
 def restrict_to_row(code: Code, row: int) -> Code:

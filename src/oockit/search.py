@@ -399,23 +399,31 @@ def optimal_search(
     The candidates are the translation-orbit representatives, enumerated
     directly (`_orbit_representatives`) rather than by normalizing every
     3-subset of cells; the code is assembled in lexicographic order, which
-    breaks the slot-shift symmetry.  The time budget covers this setup too:
-    when it runs out there, the empty code returns, not proven optimal.
+    breaks the slot-shift symmetry.
     """
-    config = config or SearchConfig()
-    budget = _Budget(config)
-    params = CodeParams(n, m, 3, lambda_a, 1)
-    candidates, masks = [], []
+    budget = _Budget(config or SearchConfig())
+    return _pack(CodeParams(n, m, 3, lambda_a, 1), _orbit_representatives(n, m, 3), budget)
+
+
+def _pack(params: CodeParams, candidates: Iterable[Codeword], budget: _Budget) -> SearchOutcome:
+    """The largest code of `params` whose codewords are candidates, each
+    with an autocorrelation peak of at most lambda_a and no class shared.
+
+    The time budget covers the mask build too: when it runs out there, the
+    empty code returns, not proven optimal.
+    """
+    n, m = params.n, params.m
+    kept, masks = [], []
     try:
-        for cw in budget.paced(_orbit_representatives(n, m, 3)):
+        for cw in budget.paced(candidates):
             mask, peak = _codeword_mask(cw, n, m)
-            if peak <= lambda_a:
-                candidates.append(cw)
+            if peak <= params.lambda_a:
+                kept.append(cw)
                 masks.append(mask)
     except _Spent:
         return _witness(Code(params, []), False, budget)
     chosen, complete = _max_packing(masks, _pure_classes(n, m), budget)
-    return _witness(Code(params, [candidates[i] for i in chosen]), complete, budget)
+    return _witness(Code(params, [kept[i] for i in chosen]), complete, budget)
 
 
 def _witness(code: Code, proven: bool, budget: _Budget) -> SearchOutcome:
@@ -425,65 +433,47 @@ def _witness(code: Code, proven: bool, budget: _Budget) -> SearchOutcome:
     return SearchOutcome(code, code.size(), proven, budget.nodes, budget.elapsed())
 
 
-def _triple(m: int, a: int) -> Codeword:
-    """The codeword {0, a, 2a} of Z_m."""
-    return make_codeword(((0, 0), (0, a % m), (0, 2 * a % m)))
+def _equi_codewords(m: int) -> Iterator[Codeword]:
+    """{0, a, 2a} on Z_m for the least generator a of each difference
+    support {a, -a, 2a, -2a}, a ascending.
 
-
-def _equi_vertices(m: int, lambda_a: int, budget: _Budget) -> list[tuple[int, frozenset[int]]]:
-    """Generators of distinct {0, a, 2a} difference supports, smallest first.
-
-    A generator is dropped when its codeword's autocorrelation peak exceeds
-    lambda_a: three at 3a = 0 (mod m), else two.
+    A generator is kept when a < m/2 (so 2a is not 0) and, where 5a = 0
+    makes 2a span the same support, when a < m - 2a as well.
     """
-    by_support: dict[frozenset[int], int] = {}
-    for a in budget.paced(range(1, m)):
-        if (2 * a) % m == 0 or (3 if (3 * a) % m == 0 else 2) > lambda_a:
-            continue
-        supp = frozenset({a, m - a, (2 * a) % m, (m - 2 * a) % m})
-        by_support.setdefault(supp, a)
-    return sorted((a, supp) for supp, a in by_support.items())
+    for a in range(1, (m + 1) // 2):
+        if 5 * a % m or 3 * a < m:
+            yield (0, 0), (0, a), (0, 2 * a)
 
 
 def equi_search(m: int, lambda_a: int = 2, config: SearchConfig | None = None) -> SearchOutcome:
     """Exact largest equi-difference code on Z_m with the given lambda_a.
 
     lambda_a = 2 searches 1-D (m,3,2,1) codes, lambda_a = 3 the
-    conflict-avoiding relaxation.
+    conflict-avoiding relaxation.  Two codewords share a folded class
+    exactly when their difference supports meet.
     """
     params = CodeParams(1, m, 3, lambda_a, 1)  # rejects lambda_a < 1 before the search
-    config = config or SearchConfig()
-    budget = _Budget(config)
-    try:
-        verts = _equi_vertices(m, lambda_a, budget)
-        # the masks grow as m^2, so their build is paced as the walk is
-        masks = [sum(1 << d for d in supp) for _, supp in budget.paced(verts)]
-    except _Spent:
-        return _witness(Code(params, []), False, budget)
-    # every class is a pure difference 1 .. m - 1
-    best, complete = _max_packing(masks, (1 << m) - 2, budget)
-    return _witness(Code(params, [_triple(m, verts[i][0]) for i in best]), complete, budget)
+    return _pack(params, _equi_codewords(m), _Budget(config or SearchConfig()))
 
 
 def tight_search(m: int, config: SearchConfig | None = None) -> SearchOutcome:
     """Partition Z_m minus zero into {0,a,2a} difference supports, if possible.
 
-    Exact cover search; a completed run without a solution proves that no
-    tight equi-difference conflict-avoiding code of length m exists.
+    Exact cover of the folded classes 1 .. m // 2 by the codewords' class
+    keys; a completed run without a solution proves that no tight
+    equi-difference conflict-avoiding code of length m exists.
     """
     params = CodeParams(1, m, 3, 3, 1)  # rejects m < 1 before the search
-    config = config or SearchConfig()
-    budget = _Budget(config)
+    budget = _Budget(config or SearchConfig())
     try:
-        verts = _equi_vertices(m, 3, budget)
-        rows = [tuple(sorted(d - 1 for d in supp)) for _, supp in verts]
-        picked, complete = _ExactCover(m - 1, rows, budget).solve(budget)
+        codewords = list(budget.paced(_equi_codewords(m)))
+        rows = (tuple(sorted({key - 1 for key in _pair_classes(cw, 1, m)[0]})) for cw in codewords)
+        picked, complete = _ExactCover(m // 2, rows, budget).solve(budget)
     except _Spent:
         picked, complete = None, False
     if picked is None:
         return SearchOutcome(None, 0, complete, budget.nodes, budget.elapsed())
-    gens = sorted(verts[i][0] for i in picked)
-    return _witness(Code(params, [_triple(m, a) for a in gens]), True, budget)
+    return _witness(Code(params, sorted(codewords[i] for i in picked)), True, budget)
 
 
 # ---------------------------------------------------------------------------

@@ -254,10 +254,27 @@ class TestGddExists:
         assert gdd_exists(3, 3, 9)      # odd m, three groups
         assert not gdd_exists(3, 3, 2)  # even m needs even v at u = 3
         assert not gdd_exists(1, 6, 2)  # u = 2 (mod 4), m = 2 (mod 4), odd v
+        assert not gdd_exists(1, 5, 1)  # 3 does not divide u (u - 1) v m: no STS(5)
 
     def test_too_few_groups_rejected(self):
         with pytest.raises(ValueError):
             gdd_exists(3, 2, 8)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: psi_e_upper_bound(0),
+        lambda: tight_admissible(0),
+        lambda: mult_order(2, 1),
+        lambda: prime_factorization(0),
+        lambda: gdd_exists(0, 4, 8),
+    ],
+    ids=["psi_e_upper_bound", "tight_admissible", "mult_order", "prime_factorization", "gdd_exists"],
+)
+def test_rejects_a_length_below_its_domain(call):
+    with pytest.raises(ValueError):
+        call()
 
 
 class TestHelpers:
@@ -267,4 +284,4 @@ class TestHelpers:
         assert pow4_decompose(7) == (0, 7)
 
     def test_is_prime(self):
-        assert [p for p in range(2, 20) if is_prime(p)] == [2, 3, 5, 7, 11, 13, 17, 19]
+        assert [p for p in range(1, 20) if is_prime(p)] == [2, 3, 5, 7, 11, 13, 17, 19]

@@ -540,6 +540,12 @@ class TestExpandGdd:
         with pytest.raises(ValueError):
             expand_gdd(gdd, [explicit_code("3x8")])
 
+    def test_rejects_two_inputs_with_one_row_count(self):
+        # one of them would be left out of the expansion without a word
+        gdd = GddBaseBlocks(m=8, groups=[[0, 1, 2]], base_blocks=[])
+        with pytest.raises(ValueError, match="two input codes have 3 rows"):
+            expand_gdd(gdd, [ooc_3xm(8), explicit_code("3x8")])
+
     def test_rejects_unverified_input(self):
         gdd = GddBaseBlocks(m=8, groups=[[0, 1, 2]], base_blocks=[])
         inner = dataclasses.replace(explicit_code("3x8"), verified=False)

@@ -1,4 +1,5 @@
 import itertools
+import math
 import re
 from collections import Counter
 
@@ -162,6 +163,23 @@ class TestParityClass:
         with pytest.raises(ValueError):
             parity_class(cw((0, 0), (0, 4), (0, 8)), 12)
 
+    def test_weight_checked(self):
+        with pytest.raises(ValueError, match="needs weight 3, got 2"):
+            parity_class(cw((0, 0), (0, 1)), 8)
+
+    def test_every_triple_gets_a_label_or_lies_on_the_third_period(self):
+        # the seven count patterns are every halved set a weight-3 codeword has
+        labels = Counter()
+        for m in range(4, 33, 4):
+            for slots in itertools.combinations(range(m), 3):
+                try:
+                    labels[parity_class(cw(*((0, s) for s in slots)), m)] += 1
+                except ValueError as err:
+                    assert "third-period" in str(err), (m, slots)
+                    labels["third period"] += 1
+        assert sum(labels.values()) == sum(math.comb(m, 3) for m in range(4, 33, 4))
+        assert set(labels) == {"i", "ii", "iii", "iv", "v", "vi", "vii", "third period"}
+
 
 class TestNormalize:
     def test_translates_to_origin(self):
@@ -312,3 +330,6 @@ class TestProperties:
             if a != 0 and (2 * a) % m not in (0, a):
                 gens.add(normalize(make_codeword(((0, 0), (0, a), (0, 2 * a % m))), m))
         assert is_equi_difference_codeword(w, m) == (normalize(w, m) in gens)
+
+    def test_a_two_row_codeword_is_not_equi_difference(self):
+        assert not is_equi_difference_codeword(cw((0, 0), (0, 1), (1, 2)), 8)

@@ -75,6 +75,12 @@ class TestOptimalSearch:
         out = optimal_search(3, 4, 2)
         assert verify_code(out.best).passed
 
+    def test_an_unverifiable_packing_is_refused(self, monkeypatch):
+        # {0, 1, 2} and {0, 1, 3}, the first two candidates on Z_8, share the difference 1
+        monkeypatch.setattr(search, "_max_packing", lambda masks, pure, budget: ([0, 1], True))
+        with pytest.raises(AssertionError, match="unverifiable witness"):
+            optimal_search(1, 8)
+
     @pytest.mark.parametrize("field", ["time_budget", "node_budget"])
     def test_nan_budget_rejected(self, field):
         # a NaN deadline or node cap would never stop a search
@@ -191,17 +197,20 @@ def _equi_vertices_by_hand(m, lambda_a):
 
 @pytest.mark.parametrize("lambda_a", [2, 3, 4])
 def test_equi_vertices_follow_the_peak_rule(lambda_a):
+    # the generators that equi_search packs: those of _equi_codewords whose
+    # peak passes the packing's filter
     for m in range(1, 400):
-        budget = _Budget(SearchConfig())
-        assert search._equi_vertices(m, lambda_a, budget) == _equi_vertices_by_hand(m, lambda_a)
+        kept = [cw[1][1] for cw in search._equi_codewords(m) if _codeword_mask(cw, 1, m)[1] <= lambda_a]
+        assert kept == [a for a, _ in _equi_vertices_by_hand(m, lambda_a)], m
 
 
 def test_peak_rule_is_the_codewords_peak():
-    # the rule _equi_vertices applies instead of building each codeword's mask
+    # the rule _equi_vertices_by_hand applies instead of building each codeword's mask
     for m in range(1, 200):
         for a in range(1, m):
             if (2 * a) % m:
-                peak = _codeword_mask(search._triple(m, a), 1, m)[1]
+                cw = tuple(sorted([(0, 0), (0, a), (0, 2 * a % m)]))
+                peak = _codeword_mask(cw, 1, m)[1]
                 assert peak == (3 if (3 * a) % m == 0 else 2), (m, a)
 
 
@@ -217,19 +226,25 @@ def test_one_dimensional_budget_covers_setup(run):
 
 
 def test_equi_mask_build_reads_the_clock(monkeypatch):
-    # a budget spent after the generator walk stops the mask build, which
-    # grows as m^2, before the packing search starts
-    walk = search._equi_vertices
+    # the generator walk and the mask build, which grows as m^2, are one
+    # paced loop: a budget spent after the first mask stops it before the
+    # packing search starts
+    budgets = []
 
-    def spent_after_the_walk(m, lambda_a, budget):
-        verts = walk(m, lambda_a, budget)
-        budget.deadline = float("-inf")
-        return verts
+    class Recorded(_Budget):
+        def __init__(self, config):
+            super().__init__(config)
+            budgets.append(self)
+
+    def spent_after_the_first(cw, n, m):
+        budgets[0].deadline = float("-inf")
+        return _codeword_mask(cw, n, m)
 
     def refuse(*args):
         raise AssertionError("the packing search ran on a spent budget")
 
-    monkeypatch.setattr(search, "_equi_vertices", spent_after_the_walk)
+    monkeypatch.setattr(search, "_Budget", Recorded)
+    monkeypatch.setattr(search, "_codeword_mask", spent_after_the_first)
     monkeypatch.setattr(search, "_max_packing", refuse)
     out = equi_search(5003, 2)
     assert (out.best_size, out.proven_optimal, out.nodes) == (0, False, 0)
@@ -456,6 +471,14 @@ class TestGddSearch:
         with mock.patch.object(search, "gdd_exists", return_value=True):
             out = gdd_search(3, 2)
         assert (out.best, out.best_size, out.proven_optimal, out.nodes) == (None, 0, True, 351384)
+
+    def test_an_odd_row_pair_count_is_a_proof_of_non_existence(self):
+        # (3*1)^4 has an odd (u - 1) v m, so gdd_exists rules it out; with the
+        # test out of the way the exact cover searches its whole tree for nothing
+        assert not search.gdd_exists(3, 4, 1)
+        with mock.patch.object(search, "gdd_exists", return_value=True):
+            out = gdd_search(4, 1)
+        assert (out.best, out.best_size, out.proven_optimal, out.nodes) == (None, 0, True, 600)
 
     def test_budget_covers_setup(self):
         # block enumeration and the class tuples of (3*40)^6 take seconds

@@ -454,6 +454,10 @@ class TestCompositionCensus:
         assert c.beta1 + c.beta2 == c.beta
         assert c.alpha + c.beta + c.gamma == 88
 
+    def test_rejects_a_weight_two_code(self):
+        with pytest.raises(ValueError, match="weight-3 codes"):
+            composition_census(Code(CodeParams(1, 8, 2), [cw((0, 0), (0, 1))]))
+
 
 class TestParityCensus:
     def test_explicit_one_row_code_breakdown(self):
@@ -475,6 +479,10 @@ class TestParityCensus:
     def test_rejects_bad_modulus(self):
         with pytest.raises(ValueError):
             parity_census(one_row_code(6, [(0, 1, 2)]))
+
+    def test_rejects_a_two_row_codeword(self):
+        with pytest.raises(ValueError, match="single-row codewords"):
+            parity_census(Code(CodeParams(2, 8), [cw((0, 0), (0, 1), (1, 2))]))
 
 
 class TestStructuralFacts:
@@ -529,3 +537,7 @@ class TestCensusInequalities:
         assert bounds["odd_capacity"] == (12, 12)
         assert bounds["singly_even_capacity"] == (6, 6)
         assert bounds["doubly_even_capacity"] == (5, 6)
+
+    def test_parity_bounds_need_one_row(self):
+        with pytest.raises(ValueError, match="1-D codes"):
+            parity_inequalities(Code(CodeParams(2, 8), []))
