@@ -1,8 +1,9 @@
 """Constructions for optimal codes; every public result is verified once.
 
 Private builders check nothing: each makes a codeword once, as the sorted
-tuple of its cells (`_codeword`).  Each public family verifies its code once,
-cells included, and asserts its claimed size (and a 1-D code's leave).
+tuple of its cells (`_codeword`, `_add`, `_place_on_rows`).  Each public
+family verifies its code once, cells included, and asserts its claimed size
+(and a 1-D code's leave, read off that verification's class keys).
 The optimal families claim the exact size from `bounds` (psi_e_exact or
 phi_exact).  The two-row, three-row, nxm and tight-derived families
 dispatch on the class it names and reject a class they have no code for
@@ -46,7 +47,19 @@ class ConstructionResult:
 
 
 def _finalize(code, claimed_size, claimed_leave, branch) -> ConstructionResult:
-    report = verify_code(code)
+    """Verify the code once and assert its claimed size and leave.
+
+    A claimed leave is checked against the class keys K that `verify_code`
+    computed for the correlations.  The keys of a one-row code are its
+    folded differences a = min(d, m - d), and each covers a and m - a: two
+    residues but one at a = m/2, and no residue twice.  So a claimed L is
+    the leave exactly when every d in L is an int in [1, m), K is disjoint
+    from L and from {m - d : d in L}, and
+    |L| + 2|K| - [m even and m/2 in K] = m - 1.  A code without keys, or a
+    claim that fails this test, is compared with `difference_leave`, which
+    decides as the identity does and names the mismatch.
+    """
+    report, keys = verify_code(code, keys=True)
     if not report.passed:
         raise VerificationFailure(
             f"{branch}: correlation check failed "
@@ -60,18 +73,48 @@ def _finalize(code, claimed_size, claimed_leave, branch) -> ConstructionResult:
     leave = None
     if claimed_leave is not None:
         leave = frozenset(claimed_leave)
-        actual = difference_leave(code)
-        if actual != leave:
-            raise VerificationFailure(
-                f"{branch}: difference leave mismatch; "
-                f"missing={sorted(leave - actual)}, extra={sorted(actual - leave)}"
-            )
+        if not _is_leave(keys, leave, code.params):
+            actual = difference_leave(code)
+            if actual != leave:
+                raise VerificationFailure(
+                    f"{branch}: difference leave mismatch; "
+                    f"missing={sorted(leave - actual)}, extra={sorted(actual - leave)}"
+                )
     return ConstructionResult(code, claimed_size, leave, branch, True)
 
 
+def _is_leave(keys, leave: frozenset, params: CodeParams) -> bool:
+    """Whether `leave` is the leave of the one-row code with these class
+    keys, by `_finalize`'s identity; False also where the keys cannot tell,
+    such as a claim holding 2.0 or True, which `difference_leave`'s
+    comparison takes as the int it equals."""
+    m = params.m
+    if keys is None or params.n != 1:
+        return False
+    if leave and not (set(map(type, leave)) == {int} and min(leave) > 0 and max(leave) < m):
+        return False
+    return (
+        keys.isdisjoint(leave)
+        and keys.isdisjoint(map(m.__sub__, leave))
+        and len(leave) + 2 * len(keys) - (m % 2 == 0 and m // 2 in keys) == m - 1
+    )
+
+
 def _codeword(cells) -> Codeword:
-    """The sorted tuple of these int cells, unchecked: `_finalize` checks every cell."""
-    return tuple(sorted(cells))
+    """The sorted tuple of these int cells, unchecked: `_finalize` checks every cell.
+
+    Three cells are ordered by compare-and-swap, with no list built.
+    """
+    if len(cells) != 3:
+        return tuple(sorted(cells))
+    p, q, r = cells
+    if p > q:
+        p, q = q, p
+    if q > r:
+        q, r = r, q
+        if p > q:
+            p, q = q, p
+    return p, q, r
 
 
 def _odds(lo: int, hi: int) -> list[int]:
@@ -80,8 +123,20 @@ def _odds(lo: int, hi: int) -> list[int]:
 
 
 def _place_on_rows(m: int, gens, rows) -> list[Codeword]:
-    """The codeword {0, a, 2a} of Z_m for each generator a, on each of these rows."""
-    return [_codeword([(x, 0), (x, a), (x, 2 * a % m)]) for x in rows for a in gens]
+    """The codeword {0, a, 2a} of Z_m for each generator a, on each of these rows.
+
+    Written sorted as it is made: with b = 2a mod m and a in [1, m), the slots
+    go 0, a, b when a < b and 0, b, a otherwise.  The codewords of row x
+    share one (x, 0) tuple.
+    """
+    cws = []
+    for x in rows:
+        zero = (x, 0)
+        cws += [
+            (zero, (x, a), (x, b)) if a < (b := 2 * a % m) else (zero, (x, b), (x, a))
+            for a in gens
+        ]
+    return cws
 
 
 def _one_row_code(m: int, generators) -> Code:
@@ -90,8 +145,18 @@ def _one_row_code(m: int, generators) -> Code:
 
 
 def _add(cws: list[Codeword], m: int, a, b, c) -> None:
-    """Append the codeword of the cells a, b, c, slots reduced mod m."""
-    cws.append(_codeword([(a[0], a[1] % m), (b[0], b[1] % m), (c[0], c[1] % m)]))
+    """Append the codeword of the cells a, b, c, slots reduced mod m, sorted
+    by compare-and-swap as `_codeword` sorts three cells; written out here,
+    since the large families make most of their codewords through `_add`
+    and a second call per codeword is a measurable part of their cost."""
+    p, q, r = (a[0], a[1] % m), (b[0], b[1] % m), (c[0], c[1] % m)
+    if p > q:
+        p, q = q, p
+    if q > r:
+        q, r = r, q
+        if p > q:
+            p, q = q, p
+    cws.append((p, q, r))
 
 
 # ---------------------------------------------------------------------------
@@ -396,7 +461,7 @@ EXPLICIT_IDS = ("1d48", "3x4", "3x8", "3x20", "3x32", "3x52")
 def _explicit(code_id: str) -> Code:
     """Verbatim transcription of an individually listed code."""
     if code_id == "1d48":
-        cws = [_codeword((0, s) for s in slots) for slots in _SLOTS_1D48]
+        cws = [_codeword([(0, s) for s in slots]) for slots in _SLOTS_1D48]
         return Code(CodeParams(1, 48, 3, 2, 1), cws)
     if code_id not in EXPLICIT_IDS:
         raise UnsupportedParameterError(f"unknown explicit code id {code_id!r}")

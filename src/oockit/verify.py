@@ -129,9 +129,9 @@ def _pure_classes(n: int, m: int) -> int:
     return sum(((1 << m // 2) - 1) << (i * n + i) * m + 1 for i in range(n))
 
 
-def _weight3_pass(code: Code) -> VerificationReport | None:
-    """The report of a passing weight-3 code, or None to leave the code to
-    `verify_code`'s witness path.  Never raises.
+def _weight3_keys(code: Code) -> tuple[VerificationReport, set[int]] | None:
+    """The report of a passing weight-3 code and the set of its class keys,
+    or None to leave the code to `verify_code`'s witness path.  Never raises.
 
     One loop unpacks each codeword as (i, x), (j, y), (k, z) and checks in
     line what `Code.validate` checks: cells sorted and distinct, rows in
@@ -208,17 +208,26 @@ def _weight3_pass(code: Code) -> VerificationReport | None:
         hash(tuple(codewords))
     except Exception:  # the witness path raises it, or reports the code
         return None
-    return VerificationReport(True, True, max_mult, [], 0)
+    return VerificationReport(True, True, max_mult, [], 0), seen
 
 
-def verify_code(code: Code) -> VerificationReport:
+def _weight3_pass(code: Code) -> VerificationReport | None:
+    """`_weight3_keys`'s report alone, for a caller that wants no keys; the
+    tests replace it to send a code down the witness path."""
+    passed = _weight3_keys(code)
+    return None if passed is None else passed[0]
+
+
+def verify_code(
+    code: Code, *, keys: bool = False
+) -> VerificationReport | tuple[VerificationReport, set[int] | None]:
     """Check the code by the difference method, in one pass over cell pairs.
 
     Autocorrelation: for every codeword the maximum total multiplicity of a
     pure difference (summed over rows) is at most lambda_a.  Cross: no two
     distinct codewords share a difference in the same ordered row pair.
 
-    A weight-3 code first meets `_weight3_pass`, which returns the report of
+    A weight-3 code first meets `_weight3_keys`, which returns the report of
     a code that passes and hands on any other code unchanged.  It checks the
     cells in the same loop that computes their class keys, since a separate
     `Code.validate` pass and a `_pair_classes` call per codeword cost about
@@ -232,11 +241,17 @@ def verify_code(code: Code) -> VerificationReport:
     class is kept; an owner list is built when a second codeword hits the
     class, so lists exist only on failure, and memory is linear in
     codewords x k^2.
+
+    With `keys` the result is the pair (report, keys): the set of class
+    keys of a code the weight-3 pass accepted, and None for any other code.
+    A one-row code's keys are its folded differences min(d, m - d), which
+    `construct` checks a claimed leave against instead of walking the
+    codewords again.
     """
     if code.params.k == 3:
-        report = _weight3_pass(code)
-        if report is not None:
-            return report
+        passed = _weight3_keys(code) if keys else _weight3_pass(code)
+        if passed is not None:
+            return passed
     code.validate()
     n, m = code.params.n, code.params.m
     lam_a = code.params.lambda_a
@@ -253,8 +268,8 @@ def verify_code(code: Code) -> VerificationReport:
     shared: dict[int, list[int]] = {}
     max_mult = 0
     for idx, cw in enumerate(code.codewords):
-        keys, pure = _pair_classes(cw, n, m)
-        for key in keys:
+        classes, pure = _pair_classes(cw, n, m)
+        for key in classes:
             first = owner.setdefault(key, idx)
             if first != idx:  # else new, or a repeat inside one codeword
                 members = shared.get(key)
@@ -284,19 +299,23 @@ def verify_code(code: Code) -> VerificationReport:
             for b in range(a + 1, len(members)):
                 emit(Witness("cross", (members[a], members[b]), (i, j), d))
 
-    return VerificationReport(max_mult <= lam_a, not shared, max_mult, witnesses, violation_count)
+    report = VerificationReport(max_mult <= lam_a, not shared, max_mult, witnesses, violation_count)
+    return (report, None) if keys else report
 
 
 def difference_leave(code: Code) -> frozenset[int]:
     """Nonzero residues of Z_m that no codeword of a 1-D code has as a difference.
 
-    The set of x - y mod m over the slot pairs of every codeword, taken away
-    from 1..m-1.  Construction results assert their claimed leave against it.
+    The set of +-(x - y) mod m over the unordered slot pairs of every
+    codeword, taken away from 1..m-1.  Construction results fall back on it
+    when their claimed leave does not match the verification's class keys,
+    and name the mismatch from it.
     """
     if code.params.n != 1:
         raise ValueError("the difference leave is defined for 1-D codes")
     m = code.params.m
-    covered = {(x - y) % m for cw in code.codewords for _, x in cw for _, y in cw}
+    covered = {(x - y) % m for cw in code.codewords for (_, x), (_, y) in combinations(cw, 2)}
+    covered.update([m - d for d in covered])
     return frozenset(range(1, m)).difference(covered)
 
 

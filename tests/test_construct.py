@@ -2,8 +2,10 @@ import dataclasses
 import inspect
 import random
 import typing
+from itertools import combinations_with_replacement, permutations
 
 import pytest
+from hypothesis import given, strategies as st
 
 from oockit import construct, search
 from oockit.bounds import is_prime, phi_exact, psi_e_exact, tight_admissible
@@ -25,6 +27,7 @@ from oockit.construct import (
 )
 from oockit.core import (
     Code,
+    CodeParams,
     SearchExhausted,
     UnsupportedParameterError,
     VerificationFailure,
@@ -41,7 +44,7 @@ from oockit.search import (
     gdd_search,
     tight_search,
 )
-from oockit.verify import structural_facts, verify_code
+from oockit.verify import difference_leave, structural_facts, verify_code
 
 
 def cw(*cells):
@@ -404,33 +407,53 @@ ONE_MAKE_CASES = [
 def test_each_codeword_is_made_once(monkeypatch, builder, make_args, extra):
     args = make_args()
     calls, checked_calls = [], []
-    make, check = construct._codeword, construct.make_codeword
+    make, add, place = construct._codeword, construct._add, construct._place_on_rows
+    check = construct.make_codeword
 
     def counted(cells):
         calls.append(None)
         return make(cells)
 
+    def counted_add(cws, *cells):
+        calls.append(None)
+        return add(cws, *cells)
+
+    def counted_place(m, gens, rows):
+        cws = place(m, gens, rows)
+        calls.extend([None] * len(cws))
+        return cws
+
     def counted_check(cells):
         checked_calls.append(None)
         return check(cells)
 
-    # each codeword is made once by the private constructor; its cells are
+    # each codeword is made once by one of the private makers; its cells are
     # checked by the final check, never by the per-codeword `make_codeword`
     monkeypatch.setattr(construct, "_codeword", counted)
+    monkeypatch.setattr(construct, "_add", counted_add)
+    monkeypatch.setattr(construct, "_place_on_rows", counted_place)
     monkeypatch.setattr(construct, "make_codeword", counted_check)
-    leave_calls = []
-    measure = construct.difference_leave
+    leave_checks, leave_calls = [], []
+    is_leave, measure = construct._is_leave, construct.difference_leave
+
+    def counted_is_leave(keys, leave, params):
+        leave_checks.append(keys)
+        return is_leave(keys, leave, params)
 
     def counted_leave(code):
         leave_calls.append(None)
         return measure(code)
 
-    # a claimed leave is measured once, by the final check, and never read off a stage
+    # a claimed leave is checked once, by the final check, against the keys
+    # of its one verification, and never read off a stage or measured again
+    monkeypatch.setattr(construct, "_is_leave", counted_is_leave)
     monkeypatch.setattr(construct, "difference_leave", counted_leave)
     res = builder(*args)
     assert len(calls) == res.code.size() + extra
     assert checked_calls == []
-    assert len(leave_calls) == (res.claimed_leave is not None)
+    assert len(leave_checks) == (res.claimed_leave is not None)
+    assert None not in leave_checks
+    assert leave_calls == []
 
 
 class TestExplicitCodes:
@@ -695,9 +718,9 @@ class TestCompose:
 
 
 def _recording(real, calls):
-    def record(code):
+    def record(code, **kwargs):
         calls.append(code)
-        return real(code)
+        return real(code, **kwargs)
 
     return record
 
@@ -844,6 +867,112 @@ def test_builders_reject_a_wrong_claimed_leave(monkeypatch, builder, make_args):
         builder(*args)
     ((added, dropped),) = moved
     assert str(info.value).endswith(f"missing=[{added}], extra=[{dropped}]")
+
+
+def _leave_claims(code):
+    """Claims around the true leave L of a one-row code: L itself and L
+    written as floats; L less each of its residues, plus each covered
+    residue, plus 0, m or a half-integer, and with m/2 toggled; and L with
+    its largest residue d swapped for each covered residue (the swap of
+    `test_builders_reject_a_wrong_claimed_leave` among them) or for 0, m,
+    -d, m + d or d + 0.5, which keep its size."""
+    m = code.params.m
+    leave = difference_leave(code)
+    covered = set(range(1, m)) - leave
+    claims = [set(leave), {float(d) for d in leave}]
+    claims += [leave - {d} for d in leave] + [leave | {c} for c in covered]
+    claims += [leave | {0}, leave | {m}, leave | {m / 2 + 0.5}]
+    if m % 2 == 0:
+        claims.append(leave ^ {m // 2})
+    if leave:
+        d = max(leave)
+        claims += [leave - {d} | {e} for e in [*covered, 0, m, -d, m + d, d + 0.5]]
+    return claims
+
+
+def _assert_the_final_check_is_exact(code):
+    """`_finalize` accepts each claim exactly when it is `difference_leave`,
+    and names any mismatch as it always has."""
+    leave = difference_leave(code)
+    report, keys = verify_code(code, keys=True)
+    assert report.passed
+    # the true leave is read off the verification's keys, with no second walk
+    assert construct._is_leave(keys, leave, code.params)
+    for claim in _leave_claims(code):
+        if frozenset(claim) == leave:
+            res = construct._finalize(code, code.size(), claim, "t")
+            assert res.claimed_leave == leave
+            continue
+        with pytest.raises(VerificationFailure) as info:
+            construct._finalize(code, code.size(), claim, "t")
+        assert str(info.value) == (
+            "t: difference leave mismatch; "
+            f"missing={sorted(claim - leave)}, extra={sorted(leave - claim)}"
+        )
+
+
+@pytest.mark.parametrize(
+    "builder,make_args",
+    LEAVE_BUILDERS,
+    ids=[f"{b.__name__}-{i}" for i, (b, _) in enumerate(LEAVE_BUILDERS)],
+)
+def test_the_final_leave_check_is_exact_on_every_leave_builder(builder, make_args):
+    res = builder(*make_args())
+    assert res.claimed_leave == difference_leave(res.code)
+    _assert_the_final_check_is_exact(res.code)
+
+
+@st.composite
+def passing_one_row_codes(draw):
+    """A one-row code of {0, a, 2a} codewords that passes `verify_code`: each
+    drawn generator other than m/2, whose codeword repeats a cell, is kept
+    when the code still passes with it."""
+    m = draw(st.integers(1, 64))
+    params = CodeParams(1, m, 3, draw(st.integers(1, 3)), 1)
+    gens = []
+    for a in draw(st.lists(st.integers(1, max(1, m - 1)), max_size=24)):
+        if a < m and a + a != m and verify_code(Code(params, construct._place_on_rows(m, gens + [a], [0]))).passed:
+            gens.append(a)
+    return Code(params, construct._place_on_rows(m, gens, [0]))
+
+
+@given(passing_one_row_codes())
+def test_the_final_leave_check_is_exact_on_random_one_row_codes(code):
+    _assert_the_final_check_is_exact(code)
+
+
+def _three_cell_inputs():
+    """Three cells drawn, repeats allowed, from rows 0 and 1 and slots on both
+    sides of [0, m), some of them equal once reduced mod m."""
+    for m in (1, 2, 5, 8):
+        slots = (-m - 1, -1, 0, 1, m - 1, m, m + 1, 2 * m + 3)
+        cells = [(r, s) for r in (0, 1) for s in slots]
+        for triple in combinations_with_replacement(cells, 3):
+            yield m, triple
+
+
+def test_three_cells_are_assembled_as_the_sorted_tuple():
+    for m, triple in _three_cell_inputs():
+        reduced = [(r, s % m) for r, s in triple]
+        for order in permutations(range(3)):
+            cells = [triple[i] for i in order]
+            assert construct._codeword(cells) == tuple(sorted(cells))
+            cws = []
+            construct._add(cws, m, *cells)
+            assert cws == [tuple(sorted(reduced))]
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 7, 8, 10, 64, 65])
+def test_place_on_rows_writes_the_sorted_codeword_of_each_generator(m):
+    gens = list(range(1, m))
+    placed = construct._place_on_rows(m, gens, [0, 2])
+    assert placed == [
+        tuple(sorted([(x, 0), (x, a), (x, 2 * a % m)])) for x in (0, 2) for a in gens
+    ]
+    if m % 2 == 0:  # {0, m/2, 0} repeats a cell, and the final check says so
+        half = construct._place_on_rows(m, [m // 2], [0])
+        with pytest.raises(ValueError, match="codeword 0 repeats a cell"):
+            construct._finalize(Code(CodeParams(1, m), half), 1, None, "t")
 
 
 def test_a_correlation_failure_exits_3_with_its_witnesses(monkeypatch, capsys):

@@ -523,6 +523,20 @@ class TestStructuralFacts:
         assert difference_leave(one_row_code(9, [(0, 3, 6)])) == {1, 2, 4, 5, 7, 8}
         assert difference_leave(Code(CodeParams(1, 1), [])) == frozenset()
 
+    def test_difference_leave_is_the_ordered_pair_definition(self):
+        # every ordered slot pair of every codeword, self-pairs and repeated
+        # slots included, at any weight
+        rng = random.Random(20261022)
+        for _ in range(3000):
+            m = rng.randint(1, 70)
+            codewords = [
+                tuple(sorted((0, rng.randrange(m)) for _ in range(rng.randint(1, 5))))
+                for _ in range(rng.randint(0, 6))
+            ]
+            code = Code(CodeParams(1, m, 3, 2, 1), codewords)
+            covered = {(x - y) % m for w in codewords for _, x in w for _, y in w}
+            assert difference_leave(code) == frozenset(range(1, m)) - covered, code
+
 
 class TestCensusInequalities:
     def test_composition_bounds_on_examples(self):
