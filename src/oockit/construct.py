@@ -49,15 +49,10 @@ class ConstructionResult:
 def _finalize(code, claimed_size, claimed_leave, branch) -> ConstructionResult:
     """Verify the code once and assert its claimed size and leave.
 
-    A claimed leave is checked against the class keys K that `verify_code`
-    computed for the correlations.  The keys of a one-row code are its
-    folded differences a = min(d, m - d), and each covers a and m - a: two
-    residues but one at a = m/2, and no residue twice.  So a claimed L is
-    the leave exactly when every d in L is an int in [1, m), K is disjoint
-    from L and from {m - d : d in L}, and
-    |L| + 2|K| - [m even and m/2 in K] = m - 1.  A code without keys, or a
-    claim that fails this test, is compared with `difference_leave`, which
-    decides as the identity does and names the mismatch.
+    A one-row code's class keys from `verify_code` are its folded
+    differences a = min(d, m - d), so the residues it covers are the keys
+    and their negatives, and the leave is 1..m-1 less those.  A code the
+    weight-3 pass returns no keys for is measured by `difference_leave`.
     """
     report, keys = verify_code(code, keys=True)
     if not report.passed:
@@ -73,31 +68,17 @@ def _finalize(code, claimed_size, claimed_leave, branch) -> ConstructionResult:
     leave = None
     if claimed_leave is not None:
         leave = frozenset(claimed_leave)
-        if not _is_leave(keys, leave, code.params):
+        if keys is None or code.params.n != 1:
             actual = difference_leave(code)
-            if actual != leave:
-                raise VerificationFailure(
-                    f"{branch}: difference leave mismatch; "
-                    f"missing={sorted(leave - actual)}, extra={sorted(actual - leave)}"
-                )
+        else:
+            m = code.params.m
+            actual = frozenset(range(1, m)).difference(keys, map(m.__sub__, keys))
+        if actual != leave:
+            raise VerificationFailure(
+                f"{branch}: difference leave mismatch; "
+                f"missing={sorted(leave - actual)}, extra={sorted(actual - leave)}"
+            )
     return ConstructionResult(code, claimed_size, leave, branch, True)
-
-
-def _is_leave(keys, leave: frozenset, params: CodeParams) -> bool:
-    """Whether `leave` is the leave of the one-row code with these class
-    keys, by `_finalize`'s identity; False also where the keys cannot tell,
-    such as a claim holding 2.0 or True, which `difference_leave`'s
-    comparison takes as the int it equals."""
-    m = params.m
-    if keys is None or params.n != 1:
-        return False
-    if leave and not (set(map(type, leave)) == {int} and min(leave) > 0 and max(leave) < m):
-        return False
-    return (
-        keys.isdisjoint(leave)
-        and keys.isdisjoint(map(m.__sub__, leave))
-        and len(leave) + 2 * len(keys) - (m % 2 == 0 and m // 2 in keys) == m - 1
-    )
 
 
 def _codeword(cells) -> Codeword:

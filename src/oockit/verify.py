@@ -307,9 +307,8 @@ def difference_leave(code: Code) -> frozenset[int]:
     """Nonzero residues of Z_m that no codeword of a 1-D code has as a difference.
 
     The set of +-(x - y) mod m over the unordered slot pairs of every
-    codeword, taken away from 1..m-1.  Construction results fall back on it
-    when their claimed leave does not match the verification's class keys,
-    and name the mismatch from it.
+    codeword, taken away from 1..m-1.  Construction results measure a
+    claimed leave by it when the weight-3 pass returns no class keys.
     """
     if code.params.n != 1:
         raise ValueError("the difference leave is defined for 1-D codes")

@@ -7,7 +7,7 @@ from itertools import combinations_with_replacement, permutations
 import pytest
 from hypothesis import given, strategies as st
 
-from oockit import construct, search
+from oockit import construct, search, verify
 from oockit.bounds import is_prime, phi_exact, psi_e_exact, tight_admissible
 from oockit.cli import main
 from oockit.construct import (
@@ -433,26 +433,27 @@ def test_each_codeword_is_made_once(monkeypatch, builder, make_args, extra):
     monkeypatch.setattr(construct, "_add", counted_add)
     monkeypatch.setattr(construct, "_place_on_rows", counted_place)
     monkeypatch.setattr(construct, "make_codeword", counted_check)
-    leave_checks, leave_calls = [], []
-    is_leave, measure = construct._is_leave, construct.difference_leave
+    keys_given, leave_calls = [], []
+    verify_keyed, measure = construct.verify_code, construct.difference_leave
 
-    def counted_is_leave(keys, leave, params):
-        leave_checks.append(keys)
-        return is_leave(keys, leave, params)
+    def keyed_verify(code, **kwargs):
+        report, keys = verify_keyed(code, **kwargs)
+        keys_given.append(keys is not None)
+        return report, keys
 
     def counted_leave(code):
         leave_calls.append(None)
         return measure(code)
 
-    # a claimed leave is checked once, by the final check, against the keys
-    # of its one verification, and never read off a stage or measured again
-    monkeypatch.setattr(construct, "_is_leave", counted_is_leave)
+    # a claimed leave is compared once, by the final check, with the residues
+    # its one verification's keys cover: no stage reads it off, and no walk
+    # of the codewords by `difference_leave` measures it again
+    monkeypatch.setattr(construct, "verify_code", keyed_verify)
     monkeypatch.setattr(construct, "difference_leave", counted_leave)
     res = builder(*args)
     assert len(calls) == res.code.size() + extra
     assert checked_calls == []
-    assert len(leave_checks) == (res.claimed_leave is not None)
-    assert None not in leave_checks
+    assert keys_given == [True]
     assert leave_calls == []
 
 
@@ -895,9 +896,8 @@ def _assert_the_final_check_is_exact(code):
     and names any mismatch as it always has."""
     leave = difference_leave(code)
     report, keys = verify_code(code, keys=True)
-    assert report.passed
-    # the true leave is read off the verification's keys, with no second walk
-    assert construct._is_leave(keys, leave, code.params)
+    # the final check reads the leave off the verification's keys
+    assert report.passed and keys is not None
     for claim in _leave_claims(code):
         if frozenset(claim) == leave:
             res = construct._finalize(code, code.size(), claim, "t")
@@ -921,6 +921,36 @@ def test_the_final_leave_check_is_exact_on_every_leave_builder(builder, make_arg
     assert res.claimed_leave == difference_leave(res.code)
     _assert_the_final_check_is_exact(res.code)
 
+
+
+@pytest.mark.parametrize(
+    "builder,make_args",
+    LEAVE_BUILDERS,
+    ids=[f"{b.__name__}-{i}" for i, (b, _) in enumerate(LEAVE_BUILDERS)],
+)
+def test_a_code_without_keys_has_its_leave_measured(monkeypatch, builder, make_args):
+    # the witness path gives no keys: the final check measures the leave once
+    # by `difference_leave`, accepts the true one and names a wrong one
+    args = make_args()
+    monkeypatch.setattr(verify, "_weight3_keys", lambda code: None)
+    leave_calls = []
+    measure = construct.difference_leave
+
+    def counted_leave(code):
+        leave_calls.append(code)
+        return measure(code)
+
+    monkeypatch.setattr(construct, "difference_leave", counted_leave)
+    res = builder(*args)
+    assert leave_calls == [res.code]
+    assert res.claimed_leave == measure(res.code)
+    test_builders_reject_a_wrong_claimed_leave(monkeypatch, builder, make_args)
+
+
+def test_a_claimed_leave_of_a_multi_row_code_is_refused():
+    code = ooc_2xm(20).code
+    with pytest.raises(ValueError, match="defined for 1-D codes"):
+        construct._finalize(code, code.size(), frozenset(), "t")
 
 @st.composite
 def passing_one_row_codes(draw):
