@@ -77,27 +77,16 @@ BUDGET_FLAGS = dict.fromkeys(("budget_seconds", "node_budget"))
 # is left out.  Search flags reach it as one SearchConfig, last, and only when
 # one is set.  Names are looked up on each call, so wrappers that replace
 # module attributes see every call.
-#
-# A FAMILIES row ends with the Phi optimum the family builds: given (n, m)
-# where phi_exact is exact, the flags that build it, or None.  No two
-# families claim the same (n, m).  The 1-D towers build psi_e optima, so
-# they claim none.
 FAMILIES = {
-    "equi2mod4": ("equi_2mod4", ("m",), {}, None),
-    "gregular4g": ("g_regular_4g", ("g",), {}, None),
-    "power4": ("equi_power4", ("s", "r"), {"variant": construct.STANDARD}, None),
-    "tight": ("tight_derived", ("r",), {"s": None}, None),
-    "prime": ("prime_derived", ("p",), {"s": None}, None),
-    "explicit": (
-        "explicit_code", ("id",), {},
-        lambda n, m: {"id": "1d48"} if (n, m) == (1, 48) else None,
-    ),
-    "2xm": ("ooc_2xm", ("m",), {}, lambda n, m: {"m": m} if n == 2 else None),
-    "3xm": ("ooc_3xm", ("m",), {}, lambda n, m: {"m": m} if n == 3 else None),
-    "nxm": (
-        "compose_0mod3", ("n", "m"), dict.fromkeys(SEARCH_FLAGS),
-        lambda n, m: {"n": n, "m": m} if n % 3 == 0 and n > 3 else None,
-    ),
+    "equi2mod4": ("equi_2mod4", ("m",), {}),
+    "gregular4g": ("g_regular_4g", ("g",), {}),
+    "power4": ("equi_power4", ("s", "r"), {"variant": construct.STANDARD}),
+    "tight": ("tight_derived", ("r",), {"s": None}),
+    "prime": ("prime_derived", ("p",), {"s": None}),
+    "explicit": ("explicit_code", ("id",), {}),
+    "2xm": ("ooc_2xm", ("m",), {}),
+    "3xm": ("ooc_3xm", ("m",), {}),
+    "nxm": ("compose_0mod3", ("n", "m"), dict.fromkeys(SEARCH_FLAGS)),
 }
 BOUNDS = {
     "phi": ("phi_exact", ("n", "m"), {}),
@@ -120,7 +109,7 @@ def _call(module, table: dict, noun: str, kind: str, flags: dict):
     the result and the flags the function got.  A set flag that the kind does
     not take, or an unset required flag, raises UnsupportedParameterError.
     """
-    name, required, optional = table[kind][:3]
+    name, required, optional = table[kind]
     for flag in FLAG_TYPES:
         if flags.get(flag) is not None and flag not in (*required, *optional):
             raise UnsupportedParameterError(f"{noun} {kind!r} does not take {_option(flag)}")
@@ -223,17 +212,16 @@ def _parse_range(spec: str) -> range:
 
 
 def cmd_catalog(args):
-    """One row per m where Phi(n, m) is exact, built by the family that claims it."""
+    """One row per m where Phi(n, m) is exact, with the code built there, if any."""
     rows = []
     for m in _parse_range(args.m):
         bound = bounds.phi_exact(args.n, m)
         if bound.kind != bounds.EXACT:
             continue
-        res = None
-        for kind, (*_, optimum) in FAMILIES.items():
-            flags = optimum and optimum(args.n, m)
-            if flags:
-                res, _ = _call(construct, FAMILIES, "family", kind, flags)
+        try:
+            res = construct._phi_code(args.n, m)
+        except UnsupportedParameterError:
+            res = None
         rows.append(
             {
                 "n": args.n,
@@ -333,7 +321,7 @@ def _usage(command=None) -> str:
         key, table, default = positional or ("", {}, None)
         head = [f"[{key}]" if default else key] if positional else [shown[f] for f in flags]
         lines.append(" ".join(["\noockit", name, *head, f"[{shown['format']}]:", summary]))
-        for kind, (_, required, optional, *_) in (table if isinstance(table, dict) else {}).items():
+        for kind, (_, required, optional) in (table if isinstance(table, dict) else {}).items():
             given = [shown[flag] for flag in required] + [f"[{shown[flag]}]" for flag in optional]
             lines.append(f"  {key} {kind}: {' '.join(given)}")
     return "\n".join(lines)

@@ -5,10 +5,12 @@ tuple of its cells (`_codeword`, `_add`, `_place_on_rows`).  Each public
 family verifies its code once, cells included, and asserts its claimed size
 (and a 1-D code's leave, read off that verification's class keys).
 The optimal families claim the exact size from `bounds` (psi_e_exact or
-phi_exact).  The two-row, three-row, nxm and tight-derived families
-dispatch on the class it names and reject a class they have no code for
-by that name; `equi_2mod4` and `equi_power4` test m and r mod 4
-themselves, and `prime_derived` tests primality through `me_prime`.
+phi_exact).  The two-row, three-row and nxm families build through one
+table, `_PHI_BODIES`, from the class `phi_exact` names to the rows and body
+that meet it (`catalog` reads it too), and reject a class with no body by
+that name; the tight-derived family dispatches on `psi_e_exact`'s class;
+`equi_2mod4` and `equi_power4` test m and r mod 4 themselves, and
+`prime_derived` tests primality through `me_prime`.
 The final code holds every stage's codewords scaled by a power of 4, and
 scaling maps differences injectively, so a faulty stage fails that check.
 A 1-D tower is a generator list and a claimed leave until then: `_equi(m)`
@@ -465,17 +467,9 @@ def explicit_code(code_id: str) -> ConstructionResult:
 # ---------------------------------------------------------------------------
 
 
-def ooc_2xm(m: int) -> ConstructionResult:
-    """Optimal two-row code in the classes of phi_exact(2, m): 3m/4 codewords (2 at m = 4)."""
-    phi = phi_exact(2, m)
-    if phi.branch not in ("phi/two_rows_m4", "phi/two_rows_0mod4"):
-        raise UnsupportedParameterError(
-            f"m={m} is in class {phi.branch}, outside the two-row family"
-        )
-    if phi.branch == "phi/two_rows_m4":
-        cws = _place_on_rows(4, [1], range(2))
-        branch = "2xm/m4"
-    elif m % 8 == 0:  # a split of the construction, not a class of the bound
+def _two_rows_0mod4(m: int) -> tuple[list[Codeword], str]:
+    """The two-row body at m = 0 (mod 4), m > 4: 3m/4 codewords."""
+    if m % 8 == 0:  # a split of the construction, not a class of the bound
         cws = _place_on_rows(m, _odds(3, m // 4 - 1) + [m // 2 - 1], [0])
         cws += _place_on_rows(m, _odds(m // 4 + 1, m // 2 - 1), [1])
         for i in range(m // 8, m // 4 - 1):
@@ -506,7 +500,12 @@ def ooc_2xm(m: int) -> ConstructionResult:
         _add(cws, m, (0, 0), (0, m // 2), (1, 3 * m // 4 + 1))
         cws += _place_on_rows(m, [2], [0])
         branch = "2xm/4mod8"
-    return _finalize(Code(CodeParams(2, m, 3, 2, 1), cws), phi.value, None, branch)
+    return cws, branch
+
+
+def ooc_2xm(m: int) -> ConstructionResult:
+    """Optimal two-row code in the classes of phi_exact(2, m): 3m/4 codewords (2 at m = 4)."""
+    return _phi_code(2, m)
 
 
 # ---------------------------------------------------------------------------
@@ -520,26 +519,10 @@ def ooc_3xm(m: int) -> ConstructionResult:
     Explicit lists at the `3x` lengths of EXPLICIT_IDS; general families for
     m = 8 (mod 16), m = 32 (mod 64), and admissible m = 4, 20 (mod 48).
     """
-    phi = phi_exact(3, m)
-    code, branch = _three_row(3, m, phi.branch)
-    return _finalize(code, phi.value, None, branch)
+    return _phi_code(3, m)
 
 
-def _three_row(n: int, m: int, phi_branch: str) -> tuple[Code, str]:
-    """The three-row code on Z_m, unverified, with its branch, in phi_exact(n, m)'s class."""
-    if phi_branch not in _THREE_ROW_BODIES:
-        raise UnsupportedParameterError(
-            f"n={n}, m={m} is in class {phi_branch}, outside every three-row family"
-        )
-    code_id = f"3x{m}"
-    if code_id in EXPLICIT_IDS:
-        return _explicit(code_id), f"explicit/{code_id}"
-    body = _THREE_ROW_BODIES[phi_branch]
-    branch = "3xm/" + phi_branch.removeprefix("phi/rows0mod3_")
-    return Code(CodeParams(3, m, 3, 2, 1), body(m)), branch
-
-
-def _ooc_3xm_8mod16(m: int) -> list[Codeword]:
+def _ooc_3xm_8mod16(m: int) -> tuple[list[Codeword], str]:
     cws = _place_on_rows(m, _half_free(m)[0], range(3))
     for i in range(m // 8):
         _add(cws, m, (0, 0), (0, 1 + 2 * i), (1, 7 * m // 8 + i))
@@ -558,10 +541,10 @@ def _ooc_3xm_8mod16(m: int) -> list[Codeword]:
             continue
         _add(cws, m, (0, 0), (1, 3 * m // 8 + i), (2, 2 + 2 * i))
     _add(cws, m, (0, 0), (1, m // 2 - 2), (2, 7 * m // 8 - 1))
-    return cws
+    return cws, "3xm/8mod16"
 
 
-def _ooc_3xm_32mod64(m: int) -> list[Codeword]:
+def _ooc_3xm_32mod64(m: int) -> tuple[list[Codeword], str]:
     cws = _place_on_rows(m, _half_free(m)[0], range(3))
     for i in range(m // 8):
         _add(cws, m, (0, 0), (0, 1 + 2 * i), (1, m // 8 + 2 + i))
@@ -613,10 +596,10 @@ def _ooc_3xm_32mod64(m: int) -> list[Codeword]:
     _add(cws, m, (0, 0), (1, 7 * m // 8 - 4), (2, m - 4))
     _add(cws, m, (0, 0), (1, 5 * m // 8 - 2), (2, 25 * m // 32 - 2))
     _add(cws, m, (0, 0), (1, 5 * m // 8), (2, 19 * m // 32 - 1))
-    return cws
+    return cws, "3xm/32mod64"
 
 
-def _ooc_3xm_4or20mod48(m: int) -> list[Codeword]:
+def _ooc_3xm_4or20mod48(m: int) -> tuple[list[Codeword], str]:
     cws = _place_on_rows(m, _equi(m)[0], range(3))
     for i in range((m - 20) // 8 + 1):
         _add(cws, m, (0, 0), (0, 1 + 2 * i), (1, (7 * m + 4) // 8 + i))
@@ -670,16 +653,60 @@ def _ooc_3xm_4or20mod48(m: int) -> list[Codeword]:
         _add(cws, m, (0, 0), (1, (m - 20) // 32), (2, 3 * m // 4 - 1))
         for i in sorted(t_set - {(3 * m - 60) // 32}):
             _add(cws, m, (0, 0), (1, (3 * m + 20) // 8 + i), (2, 4 + 2 * i))
-    return cws
+    return cws, "3xm/4or20mod48"
 
 
-# phi_exact class -> the general three-row family that meets it (m = 4: explicit)
-_THREE_ROW_BODIES = {
-    "phi/three_rows_m4": None,
-    "phi/rows0mod3_8mod16": _ooc_3xm_8mod16,
-    "phi/rows0mod3_32mod64": _ooc_3xm_32mod64,
-    "phi/rows0mod3_4or20mod48": _ooc_3xm_4or20mod48,
+# ---------------------------------------------------------------------------
+# Phi(n, m) by class
+# ---------------------------------------------------------------------------
+
+
+def _listed(code_id: str) -> tuple[list[Codeword], str]:
+    """The codewords of an individually listed code and its branch."""
+    return _explicit(code_id).codewords, f"explicit/{code_id}"
+
+
+# phi_exact class -> (rows, body): body(m) is the unchecked codewords of an optimal
+# code on I_rows x Z_m and its branch, or None at a length the class has no code
+# for; a listed `3x` code of EXPLICIT_IDS takes its own length before any body
+_PHI_BODIES = {
+    "phi/one_row_0mod8": (1, lambda m: _listed("1d48") if m == 48 else None),
+    "phi/two_rows_m4": (2, lambda m: (_place_on_rows(4, [1], range(2)), "2xm/m4")),
+    "phi/two_rows_0mod4": (2, _two_rows_0mod4),
+    "phi/three_rows_m4": (3, None),  # the listed 3x4
+    "phi/rows0mod3_8mod16": (3, _ooc_3xm_8mod16),
+    "phi/rows0mod3_32mod64": (3, _ooc_3xm_32mod64),
+    "phi/rows0mod3_4or20mod48": (3, _ooc_3xm_4or20mod48),
 }
+
+
+def _phi_code(n: int, m: int, config: SearchConfig | None = None) -> ConstructionResult:
+    """The optimal (n x m) code of `phi_exact(n, m)`'s class from its
+    `_PHI_BODIES` entry: the body itself on as many rows, on u times as many
+    the body filling the groups of a (3m)^u design (`compose_0mod3`).  A
+    class with no entry, or no code at m, is rejected by its name.
+    """
+    phi = phi_exact(n, m)
+    rows, body = _PHI_BODIES.get(phi.branch, (0, None))
+    code_id = f"{rows}x{m}"
+    built = _listed(code_id) if code_id in EXPLICIT_IDS else body and body(m)
+    if not built:
+        family = ("one", "two", "three")[min(n, 3) - 1]
+        raise UnsupportedParameterError(
+            f"n={n}, m={m} is in class {phi.branch}, outside every {family}-row family"
+        )
+    cws, branch = built
+    code = Code(CodeParams(rows, m, 3, 2, 1), cws)
+    if n > rows:
+        u, m0 = n // rows, m & -m
+        orders = (u - 1 + u % 2, 1) if u >= 6 else (1,)
+        design = _gdd_search(u, m0, config or SearchConfig(), *orders).best
+        if design is None:
+            raise SearchExhausted(f"no (3m)^{u} design witness found for m={m0} in budget")
+        # _finalize is the one check of the lift: the correlation check rules out
+        # a class covered twice, the exact size a class left uncovered
+        code, branch = _expand_code(design.lift(m // m0), [code]), "nxm/0mod3"
+    return _finalize(code, phi.value, None, branch)
 
 
 # ---------------------------------------------------------------------------
@@ -747,14 +774,4 @@ def compose_0mod3(n: int, m: int, config: SearchConfig | None = None) -> Constru
         if config is not None:
             raise UnsupportedParameterError("n = 3 takes no search flags: it runs no search")
         return ooc_3xm(m)
-    phi = phi_exact(n, m)
-    inner = _three_row(n, m, phi.branch)[0]
-    u, m0 = n // 3, m & -m
-    orders = (u - 1 + u % 2, 1) if u >= 6 else (1,)
-    design = _gdd_search(u, m0, config or SearchConfig(), *orders).best
-    if design is None:
-        raise SearchExhausted(f"no (3m)^{u} design witness found for m={m0} in budget")
-    # _finalize is the one check of the lift: the correlation check rules out
-    # a class covered twice, the exact size a class left uncovered
-    code = _expand_code(design.lift(m // m0), [inner])
-    return _finalize(code, phi.value, None, "nxm/0mod3")
+    return _phi_code(n, m, config)

@@ -211,13 +211,6 @@ def _weight3_keys(code: Code) -> tuple[VerificationReport, set[int]] | None:
     return VerificationReport(True, True, max_mult, [], 0), seen
 
 
-def _weight3_pass(code: Code) -> VerificationReport | None:
-    """`_weight3_keys`'s report alone, for a caller that wants no keys; the
-    tests replace it to send a code down the witness path."""
-    passed = _weight3_keys(code)
-    return None if passed is None else passed[0]
-
-
 def verify_code(
     code: Code, *, keys: bool = False
 ) -> VerificationReport | tuple[VerificationReport, set[int] | None]:
@@ -249,9 +242,9 @@ def verify_code(
     codewords again.
     """
     if code.params.k == 3:
-        passed = _weight3_keys(code) if keys else _weight3_pass(code)
+        passed = _weight3_keys(code)
         if passed is not None:
-            return passed
+            return passed if keys else passed[0]
     code.validate()
     n, m = code.params.n, code.params.m
     lam_a = code.params.lambda_a

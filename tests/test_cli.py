@@ -20,7 +20,7 @@ from oockit.cli import (
     parse_args,
 )
 from oockit.construct import explicit_code, ooc_2xm
-from oockit.core import Code, CodeParams, make_codeword
+from oockit.core import Code, CodeParams, UnsupportedParameterError, make_codeword
 from oockit.document import (
     DocumentError,
     code_to_document,
@@ -396,23 +396,26 @@ class TestCliBoundSearchCatalog:
             assert r["verified"]
 
     @pytest.mark.parametrize(
-        "argv", [["construct", "3xm", "--m", "8"], ["catalog", "--n", "3", "--m", "8"]]
+        "argv,builder",
+        [(["construct", "3xm", "--m", "8"], "ooc_3xm"),
+         (["catalog", "--n", "3", "--m", "8"], "_phi_code")],
+        ids=["construct", "catalog"],
     )
-    def test_unexpected_exception_is_one_line_and_exit_4(self, capsys, monkeypatch, argv):
-        def overflow(m):
+    def test_unexpected_exception_is_one_line_and_exit_4(self, capsys, monkeypatch, argv, builder):
+        def overflow(*args):
             raise RecursionError("maximum recursion depth exceeded")
 
-        monkeypatch.setattr(construct, "ooc_3xm", overflow)
+        monkeypatch.setattr(construct, builder, overflow)
         assert main(argv) == 4
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == "internal error: maximum recursion depth exceeded\n"
 
-        def exhausted(m):
+        def exhausted(*args):
             raise MemoryError()
 
         # an exception with no text is named by its type
-        monkeypatch.setattr(construct, "ooc_3xm", exhausted)
+        monkeypatch.setattr(construct, builder, exhausted)
         assert main(argv) == 4
         captured = capsys.readouterr()
         assert captured.out == ""
@@ -457,12 +460,25 @@ class TestCliTables:
                 params.append(search.SearchConfig())
             inspect.signature(fn).bind(*params)
 
-    def test_at_most_one_family_claims_each_phi_optimum(self):
+    def test_every_exact_phi_point_has_a_body(self):
+        # `catalog` reads a rejection as "no code here", so a mistyped class
+        # key would print null where it should build
+        named = set()
         for n in range(1, 40):
             for m in range(1, 200):
-                if bounds.phi_exact(n, m).kind == bounds.EXACT:
-                    claims = [kind for kind, row in FAMILIES.items() if row[3] and row[3](n, m)]
-                    assert len(claims) <= 1, (n, m, claims)
+                phi = bounds.phi_exact(n, m)
+                named.add(phi.branch)
+                if phi.kind != bounds.EXACT:
+                    continue
+                if n >= 2:
+                    rows, _ = construct._PHI_BODIES[phi.branch]
+                    assert n % rows == 0, (n, m, phi.branch)
+                elif m == 48:
+                    assert construct._phi_code(n, m).code.size() == phi.value
+                else:
+                    with pytest.raises(UnsupportedParameterError, match=phi.branch):
+                        construct._phi_code(n, m)
+        assert set(construct._PHI_BODIES) <= named
 
     @pytest.mark.parametrize("command,flags", [
         ("construct", {"n", "m", "g", "s", "r", "p", "id", "variant", *SEARCH_FLAGS}),

@@ -1043,14 +1043,15 @@ def test_finalize_rejects_a_bad_cell_naming_its_codeword(cells, message):
 
 def _with_a_repeated_cell(monkeypatch, builder):
     if builder is ooc_3xm:  # the last `_add` of the body lands twice on (1, 0)
-        body = construct._THREE_ROW_BODIES["phi/rows0mod3_8mod16"]
+        rows, body = construct._PHI_BODIES["phi/rows0mod3_8mod16"]
 
         def faulty(m):
-            cws = body(m)[:-1]
+            cws, branch = body(m)
+            cws = cws[:-1]
             construct._add(cws, m, (0, 0), (1, m), (1, 0))
-            return cws
+            return cws, branch
 
-        monkeypatch.setitem(construct._THREE_ROW_BODIES, "phi/rows0mod3_8mod16", faulty)
+        monkeypatch.setitem(construct._PHI_BODIES, "phi/rows0mod3_8mod16", (rows, faulty))
     else:  # the generator 0 of `_place_on_rows` repeats one cell three times
         equi = construct._equi
         monkeypatch.setattr(construct, "_equi", lambda m: ([0] + equi(m)[0][1:], equi(m)[1]))

@@ -45,7 +45,7 @@ def test_library_example_prints_the_row_0_leave():
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
         exec(block, {})
-    assert out.getvalue() == "frozenset({1, 33, 3, 35, 5, 37, 7, 39, 9, 15, 25, 31})\n"
+    assert out.getvalue() == "[1, 3, 5, 7, 9, 15, 25, 31, 33, 35, 37, 39]\n"
 
 
 def test_exit_code_contract_names_every_code_main_returns():

@@ -208,17 +208,18 @@ def half_period_codeword(n: int, m: int):
 
 @pytest.fixture
 def fast_pass(monkeypatch):
-    """What `verify._weight3_pass` returned, one entry per `verify_code` call
-    on a weight-3 code: the report when it decided, None when the witness
-    path ran."""
+    """The report `verify._weight3_keys` returned, one entry per `verify_code`
+    call on a weight-3 code (`construct._finalize`'s included): the report
+    when it decided, None when the witness path ran."""
     results = []
-    real = verify._weight3_pass
+    real = verify._weight3_keys
 
     def spy(code):
-        results.append(real(code))
-        return results[-1]
+        passed = real(code)
+        results.append(None if passed is None else passed[0])
+        return passed
 
-    monkeypatch.setattr(verify, "_weight3_pass", spy)
+    monkeypatch.setattr(verify, "_weight3_keys", spy)
     return results
 
 
@@ -385,7 +386,7 @@ class TestWeight3PassNeverDecidesAMalformedCode:
         params = CodeParams(2, 8)
         got = outcome(Code(params, codewords()))
         assert fast_pass == [None]
-        monkeypatch.setattr(verify, "_weight3_pass", lambda code: None)
+        monkeypatch.setattr(verify, "_weight3_keys", lambda code: None)
         assert got == outcome(Code(params, codewords()))
         if passes is None:
             assert isinstance(got, tuple)  # an exception of `Code.validate`
@@ -399,7 +400,7 @@ def test_bool_cells_pass_both_paths_alike(fast_pass, monkeypatch):
     code = Code(CodeParams(2, 8), [bools, ((0, 2), (0, 4), (1, 0))])
     report = verify_code(code)
     assert fast_pass == [report] and report.passed
-    monkeypatch.setattr(verify, "_weight3_pass", lambda code: None)
+    monkeypatch.setattr(verify, "_weight3_keys", lambda code: None)
     assert verify_code(code) == report
 
 
